@@ -16,6 +16,16 @@ The basis also owns a uniform collocation grid with M = 4*cutoff points
 per axis.  The rectangle rule on that grid integrates trigonometric
 polynomials of degree < M exactly, which covers products of up to three
 truncated fields, so all quadratures used here are exact to rounding.
+That grid serves the dense route of the nonlinearity (small cutoffs),
+the cross-check oracles and `leray_project`.
+
+Above the crossover cutoff the nonlinearity takes the pseudo-spectral
+route of `operators.py` instead.  Its grid has the smallest 5-smooth size
+N >= 3*cutoff + 1 per axis (the 3/2 rule): a quadratic product reaches
+|k|_inf <= 2*cutoff, and testing it against a mode with |k|_inf <= cutoff
+aliases only through wavenumbers >= N - cutoff > 2*cutoff, so projection
+is still exact.  `Basis.fft_layout` holds that route's index arrays and
+scale factors.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import numpy as np
 __all__ = [
     "WaveVector",
     "Basis",
+    "FFTLayout",
     "SpectralField",
     "build_basis",
     "eval_field",
@@ -56,12 +67,39 @@ class WaveVector(NamedTuple):
         return self.k1 > 0 or (self.k1 == 0 and self.k2 > 0)
 
 
+class FFTLayout(NamedTuple):
+    """Index arrays and scale factors of the pseudo-spectral route.
+
+    Modes come in (cos, sin) pairs of one wavevector k, so a coefficient
+    array of shape (..., n) viewed as complex is y_k = c_cos + i c_sin,
+    shape (..., P) with P = n / 2.  The route works on the reflected grid
+    x -> -x, where a field sum_k Re(conj(y_k) e^{i theta_k(x)}) reads
+    sum_k Re(y_k e^{i theta_k(x)}): the half-spectrum entry at k is then
+    y_k / 2 and no conjugation is needed on the way in or out.  Products
+    are pointwise, so the reflection cancels in the projection.
+
+    Half-spectra have shape (size, size // 2 + 1), indexed
+    [k2 mod size, k1]; every half-space wavevector (k1 >= 0) has its own
+    slot.  Wavevectors with k1 = 0 sit on the line that rfft2 does not
+    make Hermitian by itself, so their conjugate is written at -k too.
+    """
+
+    size: int                   # grid points per axis
+    slots: np.ndarray           # (P,) flat index of k in the half-spectrum
+    mirror_from: np.ndarray     # (Q,) flat slot of each k1 = 0 wavevector
+    mirror_to: np.ndarray       # (Q,) flat slot of its -k
+    velocity_scale: np.ndarray  # (2, P) y_k -> half-spectrum of u_1, u_2
+    curl_scale: np.ndarray      # (P,) y_k -> half-spectrum of the curl
+    project_scale: np.ndarray   # (2, P) rfft2 of (g_1, g_2) at k -> y_k of P g
+
+
 class Basis:
     """Ordered divergence-free trigonometric basis on [0,L]^2.
 
     Immutable after construction; instances may be shared freely across
-    threads.  Grid evaluation tensors are computed on first use and
-    cached (idempotent, so a benign race at worst recomputes them).
+    threads.  Grid evaluation tensors and the FFT layout are computed on
+    first use and cached (idempotent and read-only, so a benign race at
+    worst recomputes them).
     """
 
     def __init__(self, L: float, cutoff: int):
@@ -95,6 +133,7 @@ class Basis:
         # collocation grid: exact for cubic products of truncated fields
         self.grid_size = 4 * self.cutoff
         self._grid_cache: dict[str, np.ndarray] = {}
+        self._fft_layout: FFTLayout | None = None
 
         self.eigenvalues.setflags(write=False)
         self.wavevectors.setflags(write=False)
@@ -184,6 +223,51 @@ class Basis:
     @property
     def grid_mode_gradients(self) -> np.ndarray:
         return self._cached("G", lambda: self.mode_gradients(self.grid_points()))
+
+    @property
+    def fft_layout(self) -> FFTLayout:
+        layout = self._fft_layout
+        if layout is None:
+            layout = self._fft_layout = self._build_fft_layout()
+        return layout
+
+    def _build_fft_layout(self) -> FFTLayout:
+        # the mode order sorts parity last, so modes 2p and 2p+1 are the
+        # cos and sin modes of one wavevector
+        k = self.wavevectors[0::2]
+        N = _five_smooth_at_least(3 * self.cutoff + 1)
+        width = N // 2 + 1
+        slots = (k[:, 1] % N) * width + k[:, 0]
+        line = k[:, 0] == 0
+        mirror_to = ((-k[line, 1]) % N) * width
+        pol = np.ascontiguousarray(self.polarizations[0::2].T)
+        knorm = np.hypot(k[:, 0], k[:, 1])
+        # a cos mode curls to -sin, a sin mode to +cos: curl y_k -> -i |k| y_k
+        curl = -0.5j * self.amp * (2.0 * np.pi / self.L) * knorm
+        layout = FFTLayout(
+            size=N,
+            slots=slots,
+            mirror_from=slots[line],
+            mirror_to=mirror_to,
+            velocity_scale=0.5 * self.amp * pol,
+            curl_scale=curl,
+            project_scale=self.amp * (self.L / N) ** 2 * pol,
+        )
+        for arr in layout[1:]:
+            arr.setflags(write=False)
+        return layout
+
+
+def _five_smooth_at_least(m: int) -> int:
+    """Smallest integer >= m with no prime factor above 5."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _half_space_wavevectors(cutoff: int) -> list[WaveVector]:

@@ -369,11 +369,14 @@ class EnsemblePaths:
 
 
 def ensemble_threads() -> int:
-    """Worker cap for ensemble parallelism (LANS_THREADS, default serial)."""
+    """Worker count for ensemble parallelism: LANS_THREADS (default 1,
+    serial) capped at os.cpu_count()."""
+    raw = os.environ.get("LANS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LANS_THREADS", "1")))
+        requested = int(raw)
     except ValueError:
-        return 1
+        raise ValueError(f"LANS_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def run_ensemble(

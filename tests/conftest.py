@@ -14,6 +14,12 @@ def basis2():
     return build_basis(2 * np.pi, 2)
 
 
+@pytest.fixture
+def basis8():
+    # above the crossover: the nonlinearity takes the pseudo-spectral route
+    return build_basis(2 * np.pi, 8)
+
+
 def rand_field(basis, rng, scale=1.0):
     return SpectralField(basis, scale * rng.standard_normal(basis.mode_count))
 

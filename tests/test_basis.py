@@ -51,6 +51,15 @@ class TestBuildBasis:
         keys = [(k.k1**2 + k.k2**2, k.k1, k.k2, par) for k, par in basis2.modes]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "cutoff, size", [(1, 4), (2, 8), (4, 15), (5, 16), (8, 25), (12, 40), (22, 72)]
+    )
+    def test_fft_grid_is_smallest_five_smooth_size(self, cutoff, size):
+        # smallest 2^a 3^b 5^c >= 3*cutoff + 1 (the 3/2 rule)
+        layout = build_basis(1.0, cutoff).fft_layout
+        assert layout.size == size
+        assert len(set(layout.slots.tolist())) == len(layout.slots)
+
     @settings(max_examples=20, deadline=None)
     @given(
         L=st.floats(min_value=0.5, max_value=10.0, allow_nan=False),

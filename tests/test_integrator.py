@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from lans_alpha import (
     substream,
 )
 from lans_alpha.diagnostics import strong_convergence_study
+from lans_alpha.integrator import ensemble_threads
 from conftest import rand_field
 
 
@@ -317,9 +320,45 @@ class TestEnsembleMachinery:
         spec, _ = make_noise(1.5, 0.5, basis1, seed=56)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
         x0 = rand_field(basis1, np.random.default_rng(15)).coeffs
+        # four blocks whatever the machine's core count
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.delenv("LANS_THREADS", raising=False)
         serial = run_ensemble(x0, p, spec, cfg, 8)
         monkeypatch.setenv("LANS_THREADS", "4")
         threaded = run_ensemble(x0, p, spec, cfg, 8)
         assert np.array_equal(serial.final_coeffs, threaded.final_coeffs)
         assert np.array_equal(serial.F, threaded.F)
+
+    def test_thread_split_is_bit_identical_on_pseudo_spectral_route(self, basis8, monkeypatch):
+        p = params()
+        spec, _ = make_noise(1.5, 0.5, basis8, alpha=p.alpha, seed=57)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01, record_every=2)
+        x0 = rand_field(basis8, np.random.default_rng(16), scale=0.3).coeffs
+        h = SpectralField.unit(basis8, 0).coeffs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        serial = run_ensemble(x0, p, spec, cfg, 5, eta0_coeffs=h, collect_be=True)
+        monkeypatch.setenv("LANS_THREADS", "2")
+        threaded = run_ensemble(x0, p, spec, cfg, 5, eta0_coeffs=h, collect_be=True)
+        for name in ("final_coeffs", "F", "dissipation", "martingale", "eta_final", "be_accumulator"):
+            assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("LANS_THREADS", "64")
+        assert ensemble_threads() == 3
+        monkeypatch.setenv("LANS_THREADS", "2")
+        assert ensemble_threads() == 2
+        monkeypatch.setenv("LANS_THREADS", "0")
+        assert ensemble_threads() == 1
+        monkeypatch.delenv("LANS_THREADS")
+        assert ensemble_threads() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        monkeypatch.setenv("LANS_THREADS", "8")
+        assert ensemble_threads() == 1
+
+    @pytest.mark.parametrize("value", ["two", "2.5", ""])
+    def test_non_integer_threads_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("LANS_THREADS", value)
+        with pytest.raises(ValueError, match="LANS_THREADS"):
+            ensemble_threads()

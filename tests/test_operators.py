@@ -18,6 +18,13 @@ from lans_alpha import (
     linearized_drift,
     sobolev_norms,
 )
+from lans_alpha.operators import (
+    FFT_MIN_CUTOFF,
+    b_tilde_dense,
+    b_tilde_fft,
+    linearized_nonlinear_coeffs,
+    nonlinear_coeffs,
+)
 from conftest import rand_field, vnorm
 
 
@@ -130,7 +137,7 @@ class TestBTilde:
             b = b_tilde_matrix(u, v).coeffs
             assert np.abs(a - b).max() < 1e-11 * (1 + np.abs(a).max())
 
-    @pytest.mark.parametrize("cutoff", [1, 2])
+    @pytest.mark.parametrize("cutoff", [1, 2, 8])
     def test_convolution_oracle_agrees(self, cutoff):
         basis = build_basis(2 * np.pi, cutoff)
         rng = np.random.default_rng(10 + cutoff)
@@ -260,7 +267,8 @@ class TestFFTCrossValidation:
     normalization error in the trig-mode implementation.
     """
 
-    def fft_drift_values(self, u, p, grid_M):
+    @staticmethod
+    def fft_drift_values(u, p, grid_M):
         basis = u.basis
         L, N = basis.L, basis.cutoff
         from lans_alpha import eval_field
@@ -291,19 +299,117 @@ class TestFFTCrossValidation:
             [np.real(np.fft.ifft2(d1h)), np.real(np.fft.ifft2(d2h))], axis=-1
         )
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
-    def test_full_drift_matches_fft_route(self, basis2, alpha):
+    def check_drift(self, basis, alpha, grid_M, rng, trials):
         from lans_alpha import eval_field
 
         p = PhysicalParams(nu=0.7, alpha=alpha, L=2 * np.pi)
-        rng = np.random.default_rng(18)
-        grid_M = 16  # no aliasing: quadratic products reach |k| <= 2*cutoff < M/2
-        for _ in range(5):
-            u = rand_field(basis2, rng)
-            ours = eval_field(drift(u, p), basis2.grid_points(grid_M)).reshape(grid_M, grid_M, 2)
+        for _ in range(trials):
+            u = rand_field(basis, rng)
+            ours = eval_field(drift(u, p), basis.grid_points(grid_M)).reshape(grid_M, grid_M, 2)
             oracle = self.fft_drift_values(u, p, grid_M)
             scale = np.abs(oracle).max() + 1.0
             assert np.abs(ours - oracle).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+    def test_full_drift_matches_fft_route(self, basis2, alpha):
+        # no aliasing: quadratic products reach |k| <= 2*cutoff < M/2
+        self.check_drift(basis2, alpha, 16, np.random.default_rng(18), 5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.3])
+    def test_pseudo_spectral_drift_matches_fft_route(self, basis8, alpha):
+        self.check_drift(basis8, alpha, 40, np.random.default_rng(19), 2)
+
+
+class TestPseudoSpectralRoute:
+    """The production route above the crossover against the independent
+    routes, and its agreement with the dense route on both sides of it."""
+
+    @pytest.mark.parametrize("cutoff", [2, FFT_MIN_CUTOFF - 1, FFT_MIN_CUTOFF, 8])
+    def test_routes_agree(self, cutoff):
+        basis = build_basis(1.7, cutoff)
+        rng = np.random.default_rng(20 + cutoff)
+        cu, cv = rng.standard_normal((2, 5, basis.mode_count))
+        dense = b_tilde_dense(basis, cu, cv)
+        fft = b_tilde_fft(basis, (cu, cv))
+        assert np.abs(dense - fft).max() < 1e-12 * np.abs(dense).max()
+        # the linearized form projects the sum of two integrands at once
+        both = b_tilde_fft(basis, (cu, cv), (cv, cu))
+        ref = dense + b_tilde_dense(basis, cv, cu)
+        assert np.abs(both - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cutoff", [2, 8])
+    def test_route_chosen_by_cutoff(self, cutoff):
+        basis = build_basis(2 * np.pi, cutoff)
+        rng = np.random.default_rng(24)
+        u, v = rand_field(basis, rng), rand_field(basis, rng)
+        if cutoff >= FFT_MIN_CUTOFF:
+            expected = b_tilde_fft(basis, (u.coeffs, v.coeffs))
+        else:
+            expected = b_tilde_dense(basis, u.coeffs, v.coeffs)
+        assert np.array_equal(b_tilde(u, v).coeffs, expected)
+
+    def test_stepping_path_builds_no_grid_tensors(self, basis8, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense grid tensor built on the pseudo-spectral route")
+
+        for attr in ("mode_values", "mode_curls", "mode_gradients"):
+            monkeypatch.setattr(type(basis8), attr, refuse)
+        c = rand_field(basis8, np.random.default_rng(25)).coeffs
+        nonlinear_coeffs(basis8, c, 0.5)
+        linearized_nonlinear_coeffs(basis8, c, c, 0.5)
+
+    def test_matrix_route_agrees(self, basis8):
+        rng = np.random.default_rng(26)
+        for _ in range(3):
+            u, v = rand_field(basis8, rng), rand_field(basis8, rng)
+            a = b_tilde(u, v).coeffs
+            b = b_tilde_matrix(u, v).coeffs
+            assert np.abs(a - b).max() < 1e-11 * (1 + np.abs(a).max())
+
+    def test_no_alpha_energy_work(self, basis8):
+        # <Bt(u, (I+a^2 A)u), u> = 0 and <Bt(u, v), u> = 0
+        rng = np.random.default_rng(27)
+        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        for _ in range(5):
+            u, v = rand_field(basis8, rng), rand_field(basis8, rng)
+            N = drift(u, p).coeffs + p.nu * basis8.eigenvalues * u.coeffs
+            helm_u = (1 + p.alpha**2 * basis8.eigenvalues) * u.coeffs
+            assert abs(N @ helm_u) < 1e-11 * np.linalg.norm(N) * np.linalg.norm(helm_u)
+            val = inner_product(b_tilde(u, v), u)
+            assert abs(val) < 1e-11 * vnorm(u) ** 2 * vnorm(v)
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-5])
+    def test_linearized_central_difference(self, basis8, delta):
+        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        rng = np.random.default_rng(28)
+        u, h = rand_field(basis8, rng), rand_field(basis8, rng)
+        up = SpectralField(basis8, u.coeffs + delta * h.coeffs)
+        um = SpectralField(basis8, u.coeffs - delta * h.coeffs)
+        fd = (drift(up, p).coeffs - drift(um, p).coeffs) / (2 * delta)
+        lin = linearized_drift(u, h, p).coeffs
+        assert np.abs(fd - lin).max() < 1e-7 * (1 + np.abs(lin).max())
+
+    def test_member_result_independent_of_batch(self, basis8):
+        # member i is bit-identical for any batch size and any two-block split
+        rng = np.random.default_rng(29)
+        C, E = rng.standard_normal((2, 7, basis8.mode_count))
+        N7 = nonlinear_coeffs(basis8, C, 0.5)
+        L7 = linearized_nonlinear_coeffs(basis8, C, E, 0.5)
+        for i in range(7):
+            assert np.array_equal(nonlinear_coeffs(basis8, C[i], 0.5), N7[i])
+            assert np.array_equal(linearized_nonlinear_coeffs(basis8, C[i], E[i], 0.5), L7[i])
+        for M in (2, 3):
+            assert np.array_equal(nonlinear_coeffs(basis8, C[:M], 0.5), N7[:M])
+            assert np.array_equal(linearized_nonlinear_coeffs(basis8, C[:M], E[:M], 0.5), L7[:M])
+        for split in range(1, 7):
+            parts = [slice(0, split), slice(split, 7)]
+            assert np.array_equal(
+                np.concatenate([nonlinear_coeffs(basis8, C[s], 0.5) for s in parts]), N7
+            )
+            assert np.array_equal(
+                np.concatenate([linearized_nonlinear_coeffs(basis8, C[s], E[s], 0.5) for s in parts]),
+                L7,
+            )
 
 
 class TestPhysicalParams:
