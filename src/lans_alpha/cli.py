@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -299,13 +299,7 @@ def _cmd_mc_energy(cfg: SimConfig, out: str) -> int:
     x0 = cfg.initial_state(basis)
     icfg = cfg.integrator()
     r1 = dg.ito_balance_report(p, spec, icfg, x0, cfg.M)
-    icfg_half = IntegratorConfig(
-        scheme=icfg.scheme,
-        dt=icfg.dt / 2,
-        t_end=icfg.t_end,
-        record_every=icfg.record_every,
-        nonlinearity=icfg.nonlinearity,
-    )
+    icfg_half = replace(icfg, dt=icfg.dt / 2)
     r2 = dg.ito_balance_report(p, spec, icfg_half, x0, cfg.M)
     rows = [
         (icfg.dt, cfg.M, r1.details["t"], r1.estimate, r1.standard_error),
@@ -358,13 +352,7 @@ def _cmd_ou_test(cfg: SimConfig, out: str) -> int:
     icfg = cfg.integrator()
     if icfg.nonlinearity:
         print("note: ou-test runs with the nonlinearity suppressed")
-        icfg = IntegratorConfig(
-            scheme=icfg.scheme,
-            dt=icfg.dt,
-            t_end=icfg.t_end,
-            record_every=icfg.record_every,
-            nonlinearity=False,
-        )
+        icfg = replace(icfg, nonlinearity=False)
     oracle, emp, rel = dg.ou_variance_comparison(cfg.params(), spec, icfg, cfg.burn_in)
     rows = [
         (j, oracle[j], emp[j], rel[j])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import Basis, SpectralField
-from .integrator import IntegratorConfig, StepKernel, integrate, run_ensemble
+from .integrator import IntegratorConfig, integrate, run_ensemble
 from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy
 
@@ -516,6 +516,7 @@ def strong_convergence_study(
     sums of the finest ones (one Brownian path per member), and the
     reported error at dt is E|u_dt(T) - u_{dt/2}(T)|_2.  The fitted
     order is the least-squares slope of log error against log dt.
+    Raises BlowUpError if any resolution blows up.
     """
     if cfg.scheme != "semi_implicit_em":
         raise ValueError("common-path coupling is defined for semi_implicit_em only")
@@ -549,11 +550,9 @@ def strong_convergence_study(
         r = int(round(dt / finest))
         steps = steps_fine // r
         dW = dW_fine[:, : steps * r, :].reshape(M, steps, r, n).sum(axis=2)
-        kernel = StepKernel(basis, p, replace(cfg, dt=dt), spec)
-        C = np.broadcast_to(x0.coeffs, (M, n)).copy()
-        for m in range(steps):
-            C = kernel.step(C, dW[:, m, :])
-        finals.append(C)
+        level_cfg = replace(cfg, dt=dt, record_every=max(1, steps))
+        paths = run_ensemble(x0.coeffs, p, spec, level_cfg, M, basis=basis, increments=dW)
+        finals.append(paths.final_coeffs)
 
     errors = np.array(
         [np.mean(np.linalg.norm(finals[i] - finals[i + 1], axis=1)) for i in range(len(dts) - 1)]

@@ -21,13 +21,22 @@ standard deviation for the exponential scheme).
 The first-variation map is the exact Jacobian action of the discrete
 one-step map, so pathwise finite differences with common noise converge
 to it at the finite-difference rate with no scheme mismatch.
+
+One batched loop (`_run_ensemble_block`) steps every trajectory the
+package computes.  `integrate` is that loop at M=1 on substream
+(seed, member); `run_ensemble` splits members into blocks over threads;
+the strong-convergence study passes its common-path increments in place
+of the substream draws.  Each step computes the alpha-energy once; it
+updates the running sup, is recorded as F and detects blow-up, being
+non-finite whenever a coefficient is (and when it overflows).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -88,13 +97,14 @@ class IntegratorConfig:
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite coefficients; carries the first bad time."""
+    """Non-finite energy (non-finite or overflowing coefficients);
+    carries the first bad time and the member."""
 
     def __init__(self, time: float, member: int | None = None):
         self.time = time
         self.member = member
         where = f" (member {member})" if member is not None else ""
-        super().__init__(f"non-finite coefficients at t={time:.6g}{where}")
+        super().__init__(f"non-finite energy at t={time:.6g}{where}")
 
 
 @dataclass
@@ -190,12 +200,14 @@ class StepKernel:
         """Advance coefficients by one step; dW are sqrt(dt)-scaled normals."""
         cfg = self.cfg
         if cfg.scheme == "semi_implicit_em":
-            rhs = c + cfg.dt * self.nonlinear(c)
+            rhs = c + cfg.dt * self.nonlinear(c) if cfg.nonlinearity else c
             if dW is not None:
                 rhs = rhs + self.noise_scale * dW
             return rhs / self.implicit_denom
         if cfg.scheme == "exponential_em":
-            out = self.decay * c + self.phi1_dt * self.nonlinear(c)
+            out = self.decay * c
+            if cfg.nonlinearity:
+                out = out + self.phi1_dt * self.nonlinear(c)
             if dW is not None:
                 out = out + self.conv_std * (dW / self.sqrt_dt)
             return out
@@ -287,59 +299,28 @@ def integrate(
 ) -> TrajectoryRecord:
     """Iterate the one-step map and record the energy bookkeeping.
 
-    Deterministic given (spec.seed, member, cfg).  Raises BlowUpError with
-    the first bad time if coefficients stop being finite.
+    The ensemble loop at M=1 on substream (spec.seed, member), so the
+    record equals row `member` of any batched run bit for bit.  Observers
+    are evaluated afterwards on the recorded states.  Raises BlowUpError
+    with the first bad time if the energy stops being finite.
     """
     basis = x0.basis
-    kernel = StepKernel(basis, p, cfg, spec)
-    num_steps = cfg.num_steps()
-    rec = _record_indices(num_steps, cfg.record_every)
-    rec_set = set(rec)
-
-    c = x0.coeffs.copy()
-    mart = 0.0
-    times, Fs, Ds, marts, snaps = [], [], [], [], []
-    obs_values: dict[str, list[float]] = {name: [] for name in (observers or {})}
-
-    rng = substream(spec.seed, member) if kernel.sigma > 0 else None
-
-    def record(m: int):
-        t = m * cfg.dt
-        times.append(t)
-        Fs.append(alpha_energy(c, basis, p.alpha))
-        Ds.append(alpha_dissipation(c, basis, p.alpha))
-        marts.append(mart)
-        if store_fields:
-            snaps.append(c.copy())
-        for name, fn in (observers or {}).items():
-            obs_values[name].append(fn(t, SpectralField(basis, c)))
-
-    record(0)
-    m = 0
-    # overflow is detected via the finiteness check and surfaced as BlowUpError
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m < num_steps:
-            chunk = min(_NOISE_CHUNK, num_steps - m)
-            dWs = kernel.sqrt_dt * rng.standard_normal((chunk, basis.mode_count)) if rng else None
-            for i in range(chunk):
-                dW = dWs[i] if dWs is not None else None
-                zeta = kernel.noise_injected(dW)
-                if zeta is not None:
-                    mart += float(np.sum(kernel.helm * c * zeta))
-                c = kernel.step(c, dW)
-                m += 1
-                if not np.all(np.isfinite(c)):
-                    raise BlowUpError(m * cfg.dt)
-                if m in rec_set:
-                    record(m)
-
+    paths = _run_ensemble_block(
+        x0.coeffs, p, spec, cfg, 1,
+        basis=basis, member_offset=member, store_fields=store_fields or bool(observers),
+    )
+    snaps = None if paths.snapshots is None else paths.snapshots[0]
+    observables = {
+        name: np.array([fn(t, SpectralField(basis, c)) for t, c in zip(paths.times, snaps)])
+        for name, fn in (observers or {}).items()
+    }
     return TrajectoryRecord(
-        times=np.array(times),
-        F_values=np.array(Fs),
-        dissipation_values=np.array(Ds),
-        martingale_accumulator=np.array(marts),
-        snapshots=np.array(snaps) if store_fields else None,
-        observables={k: np.array(v) for k, v in obs_values.items()},
+        times=paths.times,
+        F_values=paths.F[0],
+        dissipation_values=paths.dissipation[0],
+        martingale_accumulator=paths.martingale[0],
+        snapshots=snaps if store_fields else None,
+        observables=observables,
     )
 
 
@@ -363,6 +344,7 @@ class EnsemblePaths:
     final_coeffs: np.ndarray          # (M, n)
     eta_final: np.ndarray | None = None   # (M, n)
     be_accumulator: np.ndarray | None = None  # (M,) sum_m <Q^{-1} eta_m, dW_m>
+    snapshots: np.ndarray | None = None   # (M, R, n) recorded states
 
     def dissipation_integrals(self) -> np.ndarray:
         return np.trapezoid(self.dissipation, self.times, axis=1)
@@ -390,6 +372,8 @@ def run_ensemble(
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
     member_offset: int = 0,
+    store_fields: bool = False,
+    increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
     """Step M members in lockstep, each on its own noise substream.
 
@@ -397,41 +381,46 @@ def run_ensemble(
     given (a single direction of shape (n,), shared by all members), the
     first variation is co-integrated with shared increments; `collect_be`
     additionally accumulates sum_m <Q^{-1} eta(t_m), dW_m>.
+    `store_fields` keeps the recorded states in `snapshots`.
+    `increments`, an (M, steps, n) array of sqrt(dt)-scaled normals,
+    replaces the substream draws (common-path coupling across step sizes).
     LANS_THREADS > 1 splits the members into contiguous blocks run on a
     thread pool; per-member substreams make the result identical either way.
     """
-    workers = ensemble_threads()
-    if workers > 1 and M >= 2 * workers:
-        x0_arr = np.asarray(x0_coeffs, dtype=np.float64)
-        bounds = np.linspace(0, M, workers + 1, dtype=int)
-        blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    x0_arr = np.asarray(x0_coeffs, dtype=np.float64)
+    n = x0_arr.shape[-1]
+    x0_arr = np.broadcast_to(x0_arr, (M, n))
+    expected = (M, cfg.num_steps(), n)
+    if increments is not None and increments.shape != expected:
+        raise ValueError(f"increments have shape {increments.shape}, expected {expected}")
 
-        def run_block(a: int, b: int) -> EnsemblePaths:
-            block_x0 = x0_arr[a:b] if x0_arr.ndim == 2 else x0_arr
-            return _run_ensemble_block(
-                block_x0, p, spec, cfg, b - a,
-                basis=basis, eta0_coeffs=eta0_coeffs, collect_be=collect_be,
-                member_offset=member_offset + a,
-            )
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: run_block(*ab), blocks))
-        cat = lambda xs: None if xs[0] is None else np.concatenate(xs, axis=0)
-        return EnsemblePaths(
-            times=parts[0].times,
-            F=cat([q.F for q in parts]),
-            dissipation=cat([q.dissipation for q in parts]),
-            martingale=cat([q.martingale for q in parts]),
-            sup_F=cat([q.sup_F for q in parts]),
-            final_coeffs=cat([q.final_coeffs for q in parts]),
-            eta_final=cat([q.eta_final for q in parts]),
-            be_accumulator=cat([q.be_accumulator for q in parts]),
+    def run_block(a: int, b: int) -> EnsemblePaths:
+        return _run_ensemble_block(
+            x0_arr[a:b], p, spec, cfg, b - a,
+            basis=basis, eta0_coeffs=eta0_coeffs, collect_be=collect_be,
+            member_offset=member_offset + a, store_fields=store_fields,
+            increments=None if increments is None else increments[a:b],
         )
-    return _run_ensemble_block(
-        x0_coeffs, p, spec, cfg, M,
-        basis=basis, eta0_coeffs=eta0_coeffs, collect_be=collect_be,
-        member_offset=member_offset,
-    )
+
+    workers = ensemble_threads()
+    if workers == 1 or M < 2 * workers:
+        return run_block(0, M)
+    bounds = np.linspace(0, M, workers + 1, dtype=int)
+    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_block, a, b) for a, b in blocks]
+    errors = [f.exception() for f in futures]
+    blow_ups = [e for e in errors if isinstance(e, BlowUpError)]
+    if blow_ups:
+        # what the serial loop raises: the first bad step, lowest member there
+        raise min(blow_ups, key=lambda e: (e.time, e.member))
+    parts = [f.result() for f in futures]
+    joined = {}
+    for f in fields(EnsemblePaths):
+        xs = [getattr(q, f.name) for q in parts]
+        joined[f.name] = xs[0] if f.name == "times" or xs[0] is None else np.concatenate(xs)
+    return EnsemblePaths(**joined)
 
 
 def _run_ensemble_block(
@@ -445,6 +434,8 @@ def _run_ensemble_block(
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
     member_offset: int = 0,
+    store_fields: bool = False,
+    increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
     basis = basis if basis is not None else spec.basis
     kernel = StepKernel(basis, p, cfg, spec)
@@ -464,34 +455,40 @@ def _run_ensemble_block(
             raise ValueError("collect_be requires eta0_coeffs")
     be_acc = np.zeros(M) if collect_be else None
 
-    stochastic = kernel.sigma > 0
-    gens = [substream(spec.seed, member_offset + i) for i in range(M)] if stochastic else None
+    draw = kernel.sigma > 0 and increments is None
+    gens = [substream(spec.seed, member_offset + i) for i in range(M)] if draw else None
 
     R = len(rec)
     times = np.array([m * cfg.dt for m in rec])
     F = np.empty((M, R))
     D = np.empty((M, R))
     mart_series = np.empty((M, R))
+    snaps = np.empty((M, R, n)) if store_fields else None
     mart = np.zeros(M)
-    sup_F = alpha_energy(C, basis, p.alpha)
+    E = alpha_energy(C, basis, p.alpha)
+    sup_F = E.copy()
 
     r = 0
 
     def record():
         nonlocal r
-        F[:, r] = alpha_energy(C, basis, p.alpha)
+        F[:, r] = E
         D[:, r] = alpha_dissipation(C, basis, p.alpha)
         mart_series[:, r] = mart
+        if snaps is not None:
+            snaps[:, r] = C
         r += 1
 
     record()
     m = 0
-    # overflow is detected via the finiteness check and surfaced as BlowUpError
+    # overflow shows up as a non-finite energy and is raised as BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         while m < num_steps:
             chunk = min(_NOISE_CHUNK, num_steps - m)
             dWs = None
-            if stochastic:
+            if increments is not None:
+                dWs = increments[:, m : m + chunk]
+            elif draw:
                 dWs = np.empty((M, chunk, n))
                 for i, g in enumerate(gens):
                     dWs[i] = g.standard_normal((chunk, n))
@@ -507,10 +504,13 @@ def _run_ensemble_block(
                     Eta = kernel.step_variation(C, Eta)
                 C = kernel.step(C, dW)
                 m += 1
-                if not np.all(np.isfinite(C)):
-                    bad = np.where(~np.isfinite(C).all(axis=1))[0]
-                    raise BlowUpError(m * cfg.dt, member=member_offset + int(bad[0]))
-                np.maximum(sup_F, alpha_energy(C, basis, p.alpha), out=sup_F)
+                # energies are >= 0 and non-finite whenever C is, so the
+                # running max turns non-finite at the first bad step
+                E = alpha_energy(C, basis, p.alpha)
+                np.maximum(sup_F, E, out=sup_F)
+                if not math.isfinite(sup_F.max(initial=0.0)):
+                    bad = int(np.flatnonzero(~np.isfinite(E))[0])
+                    raise BlowUpError(m * cfg.dt, member=member_offset + bad)
                 if m in rec_set:
                     record()
 
@@ -523,4 +523,5 @@ def _run_ensemble_block(
         final_coeffs=C,
         eta_final=Eta,
         be_accumulator=be_acc,
+        snapshots=snaps,
     )

@@ -206,6 +206,26 @@ class TestIntegrate:
             integrate(huge, p, spec, cfg)
         assert err.value.time > 0
 
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_blow_up_names_member(self, basis1, monkeypatch, threads):
+        # member 3 (second of two blocks) blows up before member 0 does; a
+        # split must report what the serial loop and integrate report
+        p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
+        spec, _ = make_noise(1.5, 0.0, basis1)
+        cfg = IntegratorConfig(dt=5.0, t_end=500.0, nonlinearity=True)
+        X0 = np.zeros((4, 8))
+        X0[0], X0[3] = 1e3, 1e6
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("LANS_THREADS", threads)
+        with pytest.raises(BlowUpError) as err:
+            run_ensemble(X0, p, spec, cfg, 4)
+        with pytest.raises(BlowUpError) as single:
+            integrate(SpectralField(basis1, X0[3]), p, spec, cfg, member=3)
+        assert err.value.member == single.value.member == 3
+        assert err.value.time == single.value.time > 0
+
     def test_record_shapes_and_monotone_times(self, basis1):
         spec, _ = make_noise(1.5, 0.5, basis1, seed=17)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.123, record_every=7)
@@ -289,6 +309,15 @@ class TestStrongConvergence:
         assert np.all(np.diff(res.errors) < 0)
         assert 0.7 <= res.order <= 1.3
 
+    def test_blow_up_is_raised(self, basis1):
+        p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
+        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
+        cfg = IntegratorConfig(dt=1.0, t_end=20.0)
+        huge = SpectralField(basis1, 1e6 * np.ones(8))
+        with pytest.raises(BlowUpError) as err:
+            strong_convergence_study(p, spec, cfg, huge, [1.0, 0.5, 0.25], 2)
+        assert err.value.member == 0 and err.value.time > 0
+
     def test_final_time_must_divide_all_resolutions(self, basis2):
         p = params()
         spec, _ = make_noise(1.5, 0.5, basis2, alpha=p.alpha, seed=42)
@@ -305,15 +334,13 @@ class TestEnsembleMachinery:
         spec, _ = make_noise(1.5, 0.5, basis1, seed=55)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_every=1)
         x0 = rand_field(basis1, np.random.default_rng(14), scale=0.5)
-        paths = run_ensemble(x0.coeffs, p, spec, cfg, 3)
+        paths = run_ensemble(x0.coeffs, p, spec, cfg, 3, store_fields=True)
         for i in range(3):
-            rec = integrate(x0, p, spec, cfg, member=i)
+            rec = integrate(x0, p, spec, cfg, member=i, store_fields=True)
             assert np.array_equal(paths.F[i], rec.F_values)
-            # martingale sums accumulate in a different order (batched einsum
-            # vs scalar loop), so equality holds to rounding, not bit-exactly
-            assert paths.martingale[i, -1] == pytest.approx(
-                rec.martingale_accumulator[-1], rel=1e-12, abs=1e-15
-            )
+            assert np.array_equal(paths.dissipation[i], rec.dissipation_values)
+            assert np.array_equal(paths.martingale[i], rec.martingale_accumulator)
+            assert np.array_equal(paths.snapshots[i], rec.snapshots)
 
     def test_thread_split_is_bit_identical(self, basis1, monkeypatch):
         p = params()
@@ -342,6 +369,19 @@ class TestEnsembleMachinery:
         threaded = run_ensemble(x0, p, spec, cfg, 5, eta0_coeffs=h, collect_be=True)
         for name in ("final_coeffs", "F", "dissipation", "martingale", "eta_final", "be_accumulator"):
             assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_mismatched_inputs_rejected(self, basis1, monkeypatch, threads):
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=58)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("LANS_THREADS", threads)
+        with pytest.raises(ValueError):
+            run_ensemble(np.ones((6, 8)), params(), spec, cfg, 4)
+        with pytest.raises(ValueError, match="increments"):
+            run_ensemble(np.ones(8), params(), spec, cfg, 4, increments=np.zeros((6, 10, 8)))
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
