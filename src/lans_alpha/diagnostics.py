@@ -14,6 +14,8 @@ conditions.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +26,8 @@ from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy
 
 __all__ = [
+    "Verdict",
+    "agreement",
     "EnsembleReport",
     "MomentReport",
     "ExpMomentReport",
@@ -32,19 +36,63 @@ __all__ = [
     "InvariantStats",
     "StrongConvergenceResult",
     "ito_balance_report",
+    "ito_balance_verdict",
+    "ito_halving_verdict",
     "moment_report",
     "exp_moment_report",
     "ou_stationary_oracle",
     "ou_mean_energy",
     "ou_variance_comparison",
+    "ou_verdict",
     "bismut_elworthy",
     "invariant_stats",
+    "cross_start_verdicts",
     "strong_convergence_study",
+    "first_variation_check",
     "exp_moment_margin",
     "batch_means",
 ]
 
 BATCH_COUNT = 20  # batches for ergodic error bars
+
+# The pass/fail bounds of the verdicts below; the CLI and the acceptance suite use these.
+N_SIGMA = 3.0  # Monte-Carlo agreement within this many combined standard errors
+OU_REL_TOL = 0.05  # per-mode stationary variance against the OU oracle
+CONVERGENCE_ORDER_RANGE = (0.7, 1.3)  # fitted strong order of the semi-implicit scheme
+VARIATION_REL_TOL = 1e-4  # pathwise finite difference against the first variation
+HALVING_RATIO_RANGE = (1.4, 2.6)  # Ito residual at dt over dt/2; first-order bias gives 2
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One checked bound: ok when lo <= value <= hi, so a NaN value fails."""
+
+    name: str
+    value: float
+    hi: float
+    lo: float = -math.inf
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.lo <= self.value <= self.hi)
+
+    @property
+    def margin(self) -> float:
+        """Distance to the nearer bound, negative on failure."""
+        return min(self.hi - self.value, self.value - self.lo)
+
+    def __str__(self) -> str:
+        if self.lo == -math.inf:
+            bound = f"<= {self.hi:.6g}"
+        else:
+            bound = f"in [{self.lo:.6g}, {self.hi:.6g}]"
+        status = "ok" if self.ok else "VIOLATED"
+        return f"{self.name} {self.value:.6g} {bound} (margin {self.margin:.3g}): {status}"
+
+
+def agreement(name: str, a: float, err_a: float, b: float, err_b: float) -> Verdict:
+    """|a - b| within N_SIGMA combined standard errors of two independent estimates."""
+    return Verdict(f"|{name}|", abs(a - b), N_SIGMA * float(np.hypot(err_a, err_b)))
 
 
 @dataclass
@@ -106,6 +154,23 @@ def ito_balance_report(
     )
 
 
+def ito_balance_verdict(
+    rep: EnsembleReport, coarse: EnsembleReport, fine: EnsembleReport
+) -> Verdict:
+    """|residual of rep| within N_SIGMA standard errors plus the O(dt) bias
+    |C| dt, with C fitted from the residuals at dt (coarse) and dt/2 (fine)."""
+    dt = coarse.details["dt"]
+    fitted_C = 2.0 * (coarse.estimate - fine.estimate) / dt
+    bound = N_SIGMA * rep.standard_error + abs(fitted_C) * dt
+    return Verdict("Ito residual |R|", abs(rep.estimate), bound)
+
+
+def ito_halving_verdict(coarse: EnsembleReport, fine: EnsembleReport) -> Verdict:
+    """Residual ratio at dt over dt/2, which a first-order bias puts near 2."""
+    lo, hi = HALVING_RATIO_RANGE
+    return Verdict("Ito residual halving ratio", coarse.estimate / fine.estimate, hi, lo)
+
+
 # -- moment structure ----------------------------------------------------------
 
 
@@ -121,14 +186,16 @@ class MomentReport:
     fit_intercept: float
     fit_slope: float
     envelope: np.ndarray
-    affine_bounded: bool
+    verdict: Verdict
 
 
 def _affine_envelope(times, series, series_se, start_value):
     slope, intercept = np.polyfit(times, series, 1)
     envelope = start_value + max(slope, 0.0) * times
-    bounded = bool(np.all(series <= envelope + 3.0 * series_se + 1e-12 * abs(start_value)))
-    return float(intercept), float(slope), envelope, bounded
+    # the series is >= 0, so a NaN or infinite entry makes the excess NaN or +inf
+    excess = np.max(series - (envelope + N_SIGMA * series_se + 1e-12 * abs(start_value)))
+    verdict = Verdict("excess over the affine envelope", float(excess), 0.0)
+    return float(intercept), float(slope), envelope, verdict
 
 
 def moment_report(
@@ -142,8 +209,8 @@ def moment_report(
     """E[F^k] on the recording grid plus E[sup F^k], with the affine check.
 
     The growth constant is unspecified, so the check is structural: the
-    series must stay below F^k(0) + c_hat * t for the least-squares
-    slope c_hat, within 3 standard errors pointwise.
+    series must stay below F^k(0) + max(c_hat, 0) * t for the
+    least-squares slope c_hat, within N_SIGMA standard errors pointwise.
     """
     if k < 1:
         raise ValueError(f"moment order k must be >= 1, got {k}")
@@ -155,7 +222,7 @@ def moment_report(
     series_se = Fk.std(axis=0, ddof=1) / np.sqrt(M)
     sup_est, sup_se = _mean_se(paths.sup_F**k)
     F0 = float(alpha_energy(x0.coeffs, x0.basis, p.alpha)) ** k
-    intercept, slope, envelope, bounded = _affine_envelope(paths.times, series, series_se, F0)
+    intercept, slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, F0)
     return MomentReport(
         sample_count=M,
         k=k,
@@ -167,7 +234,7 @@ def moment_report(
         fit_intercept=intercept,
         fit_slope=slope,
         envelope=envelope,
-        affine_bounded=bounded,
+        verdict=verdict,
     )
 
 
@@ -187,7 +254,7 @@ class ExpMomentReport:
     fit_intercept: float
     fit_slope: float
     envelope: np.ndarray
-    affine_bounded: bool
+    verdict: Verdict
 
 
 def exp_moment_margin(p: PhysicalParams, spec: NoiseSpec, eps_exp: float) -> float:
@@ -238,7 +305,7 @@ def exp_moment_report(
     weighted = np.trapezoid(expF * paths.dissipation, paths.times, axis=1)
     w_est, w_se = _mean_se(weighted)
     start = float(np.exp(eps_exp * alpha_energy(x0.coeffs, x0.basis, p.alpha)))
-    intercept, slope, envelope, bounded = _affine_envelope(paths.times, series, series_se, start)
+    intercept, slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, start)
     return ExpMomentReport(
         sample_count=M,
         eps_exp=eps_exp,
@@ -251,7 +318,7 @@ def exp_moment_report(
         fit_intercept=intercept,
         fit_slope=slope,
         envelope=envelope,
-        affine_bounded=bounded,
+        verdict=verdict,
     )
 
 
@@ -301,6 +368,11 @@ def ou_variance_comparison(
     oracle = ou_stationary_oracle(spec, p, basis)
     rel = np.abs(empirical - oracle) / oracle
     return oracle, empirical, rel
+
+
+def ou_verdict(rel: np.ndarray) -> Verdict:
+    """Largest per-mode relative variance error against OU_REL_TOL."""
+    return Verdict("OU max rel variance error", float(np.max(rel)), OU_REL_TOL)
 
 
 # -- Bismut-Elworthy derivative estimator -------------------------------------------
@@ -353,6 +425,18 @@ class BEEstimate:
     sample_count: int
     fd_reference: float | None = None
     fd_standard_error: float | None = None
+    exact: float | None = None  # OU semigroup derivative, linear observable only
+
+    def verdicts(self) -> list[Verdict]:
+        """N_SIGMA agreement with the FD reference and the exact value, where present."""
+        out = []
+        if self.fd_reference is not None:
+            out.append(agreement(
+                "BE - FD", self.value, self.standard_error, self.fd_reference, self.fd_standard_error
+            ))
+        if self.exact is not None:
+            out.append(agreement("BE - exact", self.value, self.standard_error, self.exact, 0.0))
+        return out
 
 
 def bismut_elworthy(
@@ -371,7 +455,9 @@ def bismut_elworthy(
     u and its first variation are co-integrated with shared increments;
     the accumulator pairs Q^{-1} eta at the left endpoint with the raw
     (pre-Q) standard increments.  With fd_delta set, a central finite
-    difference with common random numbers is run as reference.
+    difference with common random numbers is run as reference.  A linear
+    observable with the nonlinearity suppressed also gets the exact OU
+    value exp(-nu lambda_j t) h_j.
     """
     if not (t > 0):
         raise ValueError(f"derivative time t must be positive, got {t}")
@@ -399,6 +485,11 @@ def bismut_elworthy(
         diffs = (phi_p - phi_m) / (2.0 * fd_delta)
         fd_est, fd_se = _mean_se(diffs)
 
+    exact = None
+    if observable.kind == "linear" and not cfg.nonlinearity:
+        j = observable.mode
+        exact = float(np.exp(-p.nu * basis.eigenvalues[j] * float(t_final)) * h.coeffs[j])
+
     return BEEstimate(
         observable=observable.label(),
         direction=h.coeffs,
@@ -408,6 +499,7 @@ def bismut_elworthy(
         sample_count=M,
         fd_reference=fd_est,
         fd_standard_error=fd_se,
+        exact=exact,
     )
 
 
@@ -492,6 +584,21 @@ def invariant_stats(
     return out
 
 
+def cross_start_verdicts(stats: list[InvariantStats]) -> list[Verdict]:
+    """Pairwise agreement of the time averages across starts, as one
+    invariant measure requires."""
+    out = []
+    for (i, a), (j, b) in itertools.combinations(enumerate(stats), 2):
+        out.append(agreement(
+            f"avg_F[{i}] - avg_F[{j}]", a.average_F, a.error_F, b.average_F, b.error_F
+        ))
+        out.append(agreement(
+            f"avg_D[{i}] - avg_D[{j}]",
+            a.average_dissipation, a.error_dissipation, b.average_dissipation, b.error_dissipation,
+        ))
+    return out
+
+
 # -- strong convergence -----------------------------------------------------------
 
 
@@ -500,6 +607,11 @@ class StrongConvergenceResult:
     dts: np.ndarray
     errors: np.ndarray
     order: float
+
+    @property
+    def verdict(self) -> Verdict:
+        lo, hi = CONVERGENCE_ORDER_RANGE
+        return Verdict("strong order", self.order, hi, lo)
 
 
 def strong_convergence_study(
@@ -515,9 +627,12 @@ def strong_convergence_study(
     For consecutive resolutions, the coarse increments are the block
     sums of the finest ones (one Brownian path per member), and the
     reported error at dt is E|u_dt(T) - u_{dt/2}(T)|_2.  The fitted
-    order is the least-squares slope of log error against log dt.
-    Raises BlowUpError if any resolution blows up.
+    order is the least-squares slope of log error against log dt, so at
+    least three distinct dts are needed.  Raises BlowUpError if any
+    resolution blows up.
     """
+    if len(dts) < 3 or len(set(dts)) < len(dts) or min(dts) <= 0:
+        raise ValueError(f"dts must be at least 3 distinct positive step sizes, got {dts}")
     if cfg.scheme != "semi_implicit_em":
         raise ValueError("common-path coupling is defined for semi_implicit_em only")
     if spec.sigma <= 0:
@@ -560,3 +675,31 @@ def strong_convergence_study(
     pair_dts = np.array(dts[:-1])
     order, _ = np.polyfit(np.log(pair_dts), np.log(errors), 1)
     return StrongConvergenceResult(dts=pair_dts, errors=errors, order=float(order))
+
+
+# -- first variation ---------------------------------------------------------------
+
+
+def first_variation_check(
+    p: PhysicalParams,
+    spec: NoiseSpec,
+    cfg: IntegratorConfig,
+    x0: SpectralField,
+    h: SpectralField,
+    delta: float,
+) -> tuple[Verdict, float]:
+    """Pathwise finite difference in direction h against the first variation.
+
+    Member 0 runs from x0 carrying eta(0) = h and again from x0 + delta h on
+    the same noise.  Returns the verdict on the relative error
+    |(u_delta(T) - u(T)) / delta - eta(T)| / |eta(T)|, which is O(delta),
+    and |eta(T)|.
+    """
+    if delta == 0 or not math.isfinite(delta):
+        raise ValueError(f"the finite-difference offset must be nonzero and finite, got {delta}")
+    base = run_ensemble(x0.coeffs, p, spec, cfg, 1, eta0_coeffs=h.coeffs)
+    bumped = run_ensemble(x0.coeffs + delta * h.coeffs, p, spec, cfg, 1)
+    fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta
+    eta = base.eta_final[0]
+    rel = float(np.linalg.norm(fd - eta) / np.linalg.norm(eta))
+    return Verdict("first variation rel error", rel, VARIATION_REL_TOL), float(np.linalg.norm(eta))

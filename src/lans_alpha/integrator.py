@@ -15,8 +15,8 @@ Three one-step maps share a common interface:
 All kernels operate on raw coefficient arrays of shape (..., n), so a
 whole Monte-Carlo ensemble steps as one batch.  Noise enters as
 pre-scaled standard increments dW with per-mode standard deviation
-sqrt(dt); the kernel applies Q (or the exact per-mode convolution
-standard deviation for the exponential scheme).
+sqrt(dt); `noise_injected` applies Q (or the exact per-mode convolution
+standard deviation for the exponential scheme) and `step` adds the result.
 
 The first-variation map is the exact Jacobian action of the discrete
 one-step map, so pathwise finite differences with common noise converge
@@ -196,20 +196,21 @@ class StepKernel:
     def _full_linearized_drift(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         return -self.p.nu * self.basis.eigenvalues * ceta + self._linearized(cu, ceta)
 
-    def step(self, c: np.ndarray, dW: np.ndarray | None) -> np.ndarray:
-        """Advance coefficients by one step; dW are sqrt(dt)-scaled normals."""
+    def step(self, c: np.ndarray, zeta: np.ndarray | None) -> np.ndarray:
+        """Advance coefficients by one step; zeta is the injected noise,
+        `noise_injected(dW)` (None without noise)."""
         cfg = self.cfg
         if cfg.scheme == "semi_implicit_em":
             rhs = c + cfg.dt * self.nonlinear(c) if cfg.nonlinearity else c
-            if dW is not None:
-                rhs = rhs + self.noise_scale * dW
+            if zeta is not None:
+                rhs = rhs + zeta
             return rhs / self.implicit_denom
         if cfg.scheme == "exponential_em":
             out = self.decay * c
             if cfg.nonlinearity:
                 out = out + self.phi1_dt * self.nonlinear(c)
-            if dW is not None:
-                out = out + self.conv_std * (dW / self.sqrt_dt)
+            if zeta is not None:
+                out = out + zeta
             return out
         # rk4_deterministic
         dt = cfg.dt
@@ -264,7 +265,7 @@ def step(
         if rng is None:
             raise ValueError("sigma > 0 requires an rng to draw increments from")
         dW = kernel.sqrt_dt * rng.standard_normal(u.basis.mode_count)
-    return SpectralField(u.basis, kernel.step(u.coeffs, dW))
+    return SpectralField(u.basis, kernel.step(u.coeffs, kernel.noise_injected(dW)))
 
 
 def step_variation(
@@ -502,7 +503,7 @@ def _run_ensemble_block(
                     be_acc += np.einsum("mj,mj->m", Eta / spec.q, dW)
                 if Eta is not None:
                     Eta = kernel.step_variation(C, Eta)
-                C = kernel.step(C, dW)
+                C = kernel.step(C, zeta)
                 m += 1
                 # energies are >= 0 and non-finite whenever C is, so the
                 # running max turns non-finite at the first bad step

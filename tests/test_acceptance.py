@@ -1,15 +1,19 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion, each printing a pass/fail line
+followed by its verdicts, with their margins.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  Tolerances are pinned here; seeds are fixed so every run is
-deterministic.  The stated runtime budgets are printed alongside each
-verdict (they hold with large margin on commodity hardware but are not
-asserted, to keep the suite machine-independent).
+complete.  Criteria 3-7 and 9 assert on the verdicts `lans_alpha.diagnostics`
+returns, against the bounds the CLI also uses; criteria 1-2 pin their
+operator tolerances here.  Seeds are fixed so every run is deterministic.
+The stated runtime budgets are printed alongside each verdict (they hold
+with large margin on commodity hardware but are not asserted, to keep the
+suite machine-independent).
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from lans_alpha import (
     IntegratorConfig,
@@ -23,27 +27,35 @@ from lans_alpha import (
     inner_product,
     integrate,
     make_noise,
-    run_ensemble,
     sobolev_norms,
 )
 from lans_alpha.cli import parse_config, run
 from lans_alpha.diagnostics import (
     Observable,
+    Verdict,
+    agreement,
     bismut_elworthy,
+    cross_start_verdicts,
     exp_moment_report,
+    first_variation_check,
     invariant_stats,
     ito_balance_report,
+    ito_balance_verdict,
+    ito_halving_verdict,
     moment_report,
     ou_variance_comparison,
+    ou_verdict,
     strong_convergence_study,
 )
 from lans_alpha.operators import nonlinear_coeffs
 
 
-def _verdict(name: str, budget: str, t0: float, ok: bool, detail: str):
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] {name}: {detail} (elapsed {time.time() - t0:.1f}s, budget {budget})")
-    assert ok, f"{name}: {detail}"
+def _verdict(name: str, budget: str, t0: float, verdicts: list[Verdict]):
+    ok = all(v.ok for v in verdicts)
+    print(f"[{'PASS' if ok else 'FAIL'}] {name} (elapsed {time.time() - t0:.1f}s, budget {budget})")
+    for v in verdicts:
+        print(f"    {v}")
+    assert ok, "; ".join(str(v) for v in verdicts if not v.ok)
 
 
 def vnorm(u):
@@ -75,21 +87,13 @@ def test_criterion_1_operator_identity_suite():
             worst_conv = max(
                 worst_conv, np.abs(bt_uv.coeffs - b_tilde_convolution(u, v).coeffs).max() / ref
             )
-    ok = (
-        worst_self <= 1e-10
-        and worst_anti <= 1e-10
-        and worst_pair <= 1e-10
-        and worst_matrix <= 1e-11
-        and worst_conv <= 1e-11
-    )
-    _verdict(
-        "criterion 1 (operator identities)",
-        "30 s",
-        t0,
-        ok,
-        f"self={worst_self:.2e} anti={worst_anti:.2e} pair={worst_pair:.2e} "
-        f"matrix={worst_matrix:.2e} conv={worst_conv:.2e} (tol 1e-10 / 1e-11)",
-    )
+    _verdict("criterion 1 (operator identities)", "30 s", t0, [
+        Verdict("self-orthogonality", worst_self, 1e-10),
+        Verdict("antisymmetry", worst_anti, 1e-10),
+        Verdict("pair identity", worst_pair, 1e-10),
+        Verdict("gradient-matrix route", worst_matrix, 1e-11),
+        Verdict("convolution oracle", worst_conv, 1e-11),
+    ])
 
 
 def test_criterion_2_energy_conservation():
@@ -109,15 +113,10 @@ def test_criterion_2_energy_conservation():
         val = abs(float(N @ (helm * c)))
         scale = np.linalg.norm(N) * np.linalg.norm(helm * c) + 1e-300
         worst_orth = max(worst_orth, val / scale)
-    ok = drift_rel <= 1e-8 and worst_orth <= 1e-11
-    _verdict(
-        "criterion 2 (energy conservation)",
-        "1 min",
-        t0,
-        ok,
-        f"relative F drift={drift_rel:.2e} (tol 1e-8), "
-        f"drift-orthogonality={worst_orth:.2e} (tol 1e-11)",
-    )
+    _verdict("criterion 2 (energy conservation)", "1 min", t0, [
+        Verdict("relative F drift", drift_rel, 1e-8),
+        Verdict("drift orthogonality", worst_orth, 1e-11),
+    ])
 
 
 def test_criterion_3_ou_oracle():
@@ -129,14 +128,7 @@ def test_criterion_3_ou_oracle():
         scheme="exponential_em", dt=0.005, t_end=200.0, record_every=2, nonlinearity=False
     )
     _, _, rel = ou_variance_comparison(p, spec, cfg, burn_in=50.0)
-    ok = bool(np.all(rel <= 0.05))
-    _verdict(
-        "criterion 3 (OU stationary oracle)",
-        "2 min",
-        t0,
-        ok,
-        f"max per-mode variance error={rel.max():.4f} (tol 0.05)",
-    )
+    _verdict("criterion 3 (OU stationary oracle)", "2 min", t0, [ou_verdict(rel)])
 
 
 def test_criterion_4_ito_energy_balance():
@@ -154,18 +146,10 @@ def test_criterion_4_ito_energy_balance():
     # error than M=200 provides, so the halving pair runs larger
     big_1 = ito_balance_report(p, spec, cfg, x0, 20_000)
     big_2 = ito_balance_report(p, spec, cfg_half, x0, 20_000)
-    fitted_C = 2.0 * (big_1.estimate - big_2.estimate) / cfg.dt
-    bound = 3.0 * rep.standard_error + abs(fitted_C) * cfg.dt
-    ratio = big_1.estimate / big_2.estimate
-    ok = abs(rep.estimate) <= bound and 1.4 <= ratio <= 2.6
-    _verdict(
-        "criterion 4 (Ito energy balance)",
-        "5 min",
-        t0,
-        ok,
-        f"|R|={abs(rep.estimate):.2e} <= {bound:.2e}, halving ratio={ratio:.2f} "
-        "(target 2 within 30%)",
-    )
+    _verdict("criterion 4 (Ito energy balance)", "5 min", t0, [
+        ito_balance_verdict(rep, big_1, big_2),
+        ito_halving_verdict(big_1, big_2),
+    ])
 
 
 def test_criterion_5_strong_convergence_order():
@@ -176,14 +160,8 @@ def test_criterion_5_strong_convergence_order():
     cfg = IntegratorConfig(dt=1e-3, t_end=0.5)
     x0 = SpectralField(basis, 0.3 * np.random.default_rng(4).standard_normal(24))
     res = strong_convergence_study(p, spec, cfg, x0, [4e-3, 2e-3, 1e-3, 5e-4], 50)
-    ok = 0.7 <= res.order <= 1.3
-    _verdict(
-        "criterion 5 (strong convergence order)",
-        "5 min",
-        t0,
-        ok,
-        f"fitted order={res.order:.3f} (target [0.7, 1.3]), errors={res.errors}",
-    )
+    print(f"strong errors {res.errors}")
+    _verdict("criterion 5 (strong convergence order)", "5 min", t0, [res.verdict])
 
 
 def test_criterion_6_first_variation():
@@ -194,20 +172,8 @@ def test_criterion_6_first_variation():
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
     x0 = SpectralField(basis, 0.4 * np.random.default_rng(5).standard_normal(8))
     h = SpectralField.unit(basis, 2)
-    delta = 1e-5
-    base = run_ensemble(x0.coeffs, p, spec, cfg, 1, eta0_coeffs=h.coeffs)
-    bumped = run_ensemble(x0.coeffs + delta * h.coeffs, p, spec, cfg, 1)
-    fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta
-    eta = base.eta_final[0]
-    rel = float(np.linalg.norm(fd - eta) / np.linalg.norm(eta))
-    ok = rel <= 1e-4
-    _verdict(
-        "criterion 6 (first variation)",
-        "1 min",
-        t0,
-        ok,
-        f"pathwise FD relative error={rel:.2e} at delta={delta} (tol 1e-4)",
-    )
+    verdict, _ = first_variation_check(p, spec, cfg, x0, h, 1e-5)
+    _verdict("criterion 6 (first variation)", "1 min", t0, [verdict])
 
 
 def test_criterion_7_bismut_elworthy():
@@ -219,12 +185,9 @@ def test_criterion_7_bismut_elworthy():
     spec_ou, _ = make_noise(1.5, 2.0, basis, alpha=p.alpha, seed=42)
     cfg_ou = IntegratorConfig(dt=1e-3, t_end=1.0, nonlinearity=False)
     x = SpectralField(basis, 0.3 * np.random.default_rng(3).standard_normal(8))
-    j = 0
-    h = SpectralField.unit(basis, j)
-    t_der = 0.25
-    est_ou = bismut_elworthy(Observable("linear", mode=j), x, h, t_der, 10_000, p, spec_ou, cfg_ou)
-    exact = float(np.exp(-p.nu * basis.eigenvalues[j] * t_der))
-    dev_ou = abs(est_ou.value - exact) / est_ou.standard_error
+    h = SpectralField.unit(basis, 0)
+    est_ou = bismut_elworthy(Observable("linear", mode=0), x, h, 0.25, 10_000, p, spec_ou, cfg_ou)
+    assert est_ou.exact is not None
 
     # full nonlinear system against the common-random-number FD oracle
     spec_nl, _ = make_noise(1.5, 0.5, basis, alpha=p.alpha, seed=42)
@@ -233,18 +196,7 @@ def test_criterion_7_bismut_elworthy():
         Observable("energy_clipped", clip=50.0), x, h, 0.2, 10_000, p, spec_nl, cfg_nl,
         fd_delta=1e-3,
     )
-    comb = float(np.hypot(est_nl.standard_error, est_nl.fd_standard_error))
-    dev_nl = abs(est_nl.value - est_nl.fd_reference) / comb
-
-    ok = dev_ou <= 3.0 and dev_nl <= 3.0
-    _verdict(
-        "criterion 7 (Bismut-Elworthy)",
-        "5 min",
-        t0,
-        ok,
-        f"OU deviation={dev_ou:.2f} SE (exact {exact:.4f}, est {est_ou.value:.4f}); "
-        f"nonlinear vs FD deviation={dev_nl:.2f} combined SE",
-    )
+    _verdict("criterion 7 (Bismut-Elworthy)", "5 min", t0, est_ou.verdicts() + est_nl.verdicts())
 
 
 def test_criterion_8_moment_structure():
@@ -255,27 +207,12 @@ def test_criterion_8_moment_structure():
     cfg = IntegratorConfig(dt=1e-3, t_end=2.0, record_every=50)
     x0 = SpectralField(basis, 0.5 * np.random.default_rng(5).standard_normal(8))
 
-    oks, details = [], []
-    for k in (1, 2):
-        mr = moment_report(p, spec, cfg, x0, k, 300)
-        oks.append(bool(np.all(np.isfinite(mr.series))) and mr.affine_bounded)
-        details.append(f"k={k} bounded={mr.affine_bounded}")
-    er = exp_moment_report(p, spec, cfg, x0, 0.2, 300)
-    oks.append(bool(np.all(np.isfinite(er.series))) and er.affine_bounded)
-    details.append(f"eps=0.2 bounded={er.affine_bounded} margin={er.admissibility_margin:.3f}")
-
     eps_bad = 2.0 * p.nu * basis.lambda_min() / spec.trace_alpha(p.alpha)
-    try:
+    with pytest.raises(ValueError, match=r"2\*eps\*Tr.*lambda_1"):
         exp_moment_report(p, spec, cfg, x0, eps_bad, 10)
-        refused, message_ok = False, False
-    except ValueError as exc:
-        refused = True
-        message_ok = "2*eps*Tr" in str(exc) and "lambda_1" in str(exc)
-    oks.append(refused and message_ok)
-    details.append(f"inadmissible eps={eps_bad:.3f} refused with sign condition")
-
-    ok = all(oks)
-    _verdict("criterion 8 (moment structure)", "5 min", t0, ok, "; ".join(details))
+    verdicts = [moment_report(p, spec, cfg, x0, k, 300).verdict for k in (1, 2)]
+    verdicts.append(exp_moment_report(p, spec, cfg, x0, 0.2, 300).verdict)
+    _verdict("criterion 8 (moment structure; inadmissible eps_exp refused)", "5 min", t0, verdicts)
 
 
 def test_criterion_9_invariant_measure_mixing():
@@ -292,28 +229,16 @@ def test_criterion_9_invariant_measure_mixing():
     stats = invariant_stats(
         p, spec, cfg, [x_cold, x_hot], T_long=500.0, burn_in=50.0, eps_exp=0.2
     )
-    a, b = stats
-    dev_F = abs(a.average_F - b.average_F) / np.hypot(a.error_F, b.error_F)
-    dev_D = abs(a.average_dissipation - b.average_dissipation) / np.hypot(
-        a.error_dissipation, b.error_dissipation
+    cold = stats[0]
+    (doubled,) = invariant_stats(p, spec, cfg, [x_cold], T_long=1000.0, burn_in=50.0, eps_exp=0.2)
+    doubling = agreement(
+        "avg_exp_weighted_D(T_long) - avg_exp_weighted_D(2 T_long)",
+        cold.average_exp_weighted_dissipation, cold.error_exp_weighted_dissipation,
+        doubled.average_exp_weighted_dissipation, doubled.error_exp_weighted_dissipation,
     )
-
-    doubled = invariant_stats(p, spec, cfg, [x_cold], T_long=1000.0, burn_in=50.0, eps_exp=0.2)
-    w1, e1 = a.average_exp_weighted_dissipation, a.error_exp_weighted_dissipation
-    w2, e2 = (
-        doubled[0].average_exp_weighted_dissipation,
-        doubled[0].error_exp_weighted_dissipation,
-    )
-    dev_W = abs(w1 - w2) / np.hypot(e1, e2)
-
-    ok = dev_F <= 3.0 and dev_D <= 3.0 and dev_W <= 3.0
     _verdict(
-        "criterion 9 (invariant-measure mixing)",
-        "10 min",
-        t0,
-        ok,
-        f"F agreement={dev_F:.2f}, dissipation agreement={dev_D:.2f}, "
-        f"exp-weighted doubling stability={dev_W:.2f} (all in combined errors, tol 3)",
+        "criterion 9 (invariant-measure mixing)", "10 min", t0,
+        cross_start_verdicts(stats) + [doubling],
     )
 
 
@@ -324,16 +249,12 @@ def test_criterion_10_determinism(tmp_path):
         "epsilon = 1.5\nsigma = 0.5\nseed = 42\nt_end = 0.1\nM = 20\nx0 = iso 1.0\n"
     )
     cfg = parse_config(base)
-    identical = True
+    differing = 0
     for sub in ("validate", "simulate", "mc-energy", "variation"):
         a, b = tmp_path / f"{sub}-a.csv", tmp_path / f"{sub}-b.csv"
         assert run(sub, cfg, str(a)) == 0
         assert run(sub, cfg, str(b)) == 0
-        identical = identical and a.read_bytes() == b.read_bytes()
-    _verdict(
-        "criterion 10 (determinism)",
-        "trivial",
-        t0,
-        identical,
-        "repeated runs produce byte-identical CSV for validate/simulate/mc-energy/variation",
-    )
+        differing += a.read_bytes() != b.read_bytes()
+    _verdict("criterion 10 (determinism)", "trivial", t0, [
+        Verdict("validate/simulate/mc-energy/variation CSV pairs differing", differing, 0),
+    ])

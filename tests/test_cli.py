@@ -126,13 +126,33 @@ class TestRun:
         header = out.read_text().splitlines()[0]
         assert header == "mode,oracle_variance,empirical_variance,rel_error"
 
+    def test_violated_verdict_exits_1(self, tmp_path, capsys):
+        # the criterion-10 config leaves the OU variances far from stationary
+        cfg = happy(cutoff=1, t_end=0.1, M=20, x0="iso 1.0", burn_in=0.0)
+        assert run("ou-test", cfg, str(tmp_path / "ou.csv")) == 1
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("OU max rel variance error 0.99") and "(margin -0.9" in line
+        assert line.endswith("VIOLATED")
+
     def test_convergence_exit(self, tmp_path):
         cfg = happy(cutoff=1, t_end=0.5, M=20, x0="iso 1.0")
         assert run("convergence", cfg, str(tmp_path / "c.csv")) == 0
 
+    @pytest.mark.parametrize("dts", ["2e-3", "", "2e-3 1e-3", "2e-3 1e-3 1e-3", "2e-3 1e-3 0"])
+    def test_convergence_needs_three_distinct_dts(self, tmp_path, capsys, dts):
+        cfg = happy(cutoff=1, t_end=0.5, M=20, x0="iso 1.0", dts=dts)
+        assert run("convergence", cfg, str(tmp_path / "c.csv")) == 2
+        assert "3 distinct positive step sizes" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_variation_exit(self, tmp_path):
         cfg = happy(cutoff=1, t_end=0.1, x0="iso 1.0")
         assert run("variation", cfg, str(tmp_path / "v.csv")) == 0
+
+    def test_variation_zero_offset_is_config_error(self, tmp_path):
+        cfg = happy(cutoff=1, t_end=0.1, x0="iso 1.0", delta_fd=0)
+        assert run("variation", cfg, str(tmp_path / "v.csv")) == 2
+        assert not (tmp_path / "v.csv").exists()
 
     def test_be_exit(self, tmp_path):
         cfg = happy(

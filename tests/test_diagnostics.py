@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from lans_alpha import diagnostics as dg
 from lans_alpha import (
     IntegratorConfig,
     PhysicalParams,
@@ -12,12 +15,16 @@ from lans_alpha import (
 )
 from lans_alpha.diagnostics import (
     Observable,
+    Verdict,
+    agreement,
     batch_means,
     bismut_elworthy,
+    cross_start_verdicts,
     exp_moment_margin,
     exp_moment_report,
     invariant_stats,
     ito_balance_report,
+    ito_balance_verdict,
     moment_report,
     ou_mean_energy,
     ou_stationary_oracle,
@@ -28,6 +35,39 @@ from conftest import rand_field
 
 def params(nu=1.0, alpha=0.5):
     return PhysicalParams(nu=nu, alpha=alpha, L=2 * np.pi)
+
+
+class TestVerdict:
+    def test_value_on_a_bound_is_ok_with_zero_margin(self):
+        for v in (Verdict("hi", 1.0, 1.0), Verdict("lo", 0.7, 1.3, 0.7)):
+            assert v.ok and v.margin == 0.0
+        assert Verdict("in", 1.0, 1.3, 0.7).margin == pytest.approx(0.3)
+        below = Verdict("below", 0.6, 1.3, 0.7)
+        assert not below.ok and below.margin == pytest.approx(-0.1)
+        assert "VIOLATED" in str(below) and "margin -0.1" in str(below)
+
+    def test_nan_fails(self):
+        assert not Verdict("nan", math.nan, 1.0).ok
+        assert not Verdict("nan", math.nan, 1.3, 0.7).ok
+        assert "VIOLATED" in str(Verdict("nan", math.nan, 1.0))
+
+    def test_agreement_is_the_three_sigma_inequality(self):
+        rng = np.random.default_rng(0)
+        cases = [(1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0 + 1e-15, 0.0), (0.0, 1.0, 3.0, 0.0)]
+        cases += [tuple(x) for x in rng.standard_normal((200, 4)) * [1, 0.3, 1, 0.3]]
+        for a, ea, b, eb in cases:
+            ea, eb = abs(ea), abs(eb)
+            expected = abs(a - b) <= 3.0 * float(np.hypot(ea, eb))
+            assert agreement("x", a, ea, b, eb).ok == expected
+            # the exact-value comparison passes a zero second error
+            assert agreement("x", a, ea, b, 0.0).ok == (abs(a - b) <= 3.0 * ea)
+
+    def test_tolerances_are_pinned(self):
+        assert dg.N_SIGMA == 3.0
+        assert dg.OU_REL_TOL == 0.05
+        assert dg.CONVERGENCE_ORDER_RANGE == (0.7, 1.3)
+        assert dg.VARIATION_REL_TOL == 1e-4
+        assert dg.HALVING_RATIO_RANGE == (1.4, 2.6)
 
 
 class TestItoBalance:
@@ -64,8 +104,7 @@ class TestItoBalance:
         r1 = ito_balance_report(p, spec, cfg, x0, 200)
         half = IntegratorConfig(dt=5e-4, t_end=0.5, record_every=1)
         r2 = ito_balance_report(p, spec, half, x0, 200)
-        fitted_C = 2 * (r1.estimate - r2.estimate) / cfg.dt
-        assert abs(r1.estimate) <= 3 * r1.standard_error + abs(fitted_C) * cfg.dt
+        assert ito_balance_verdict(r1, r1, r2).ok
 
 
 class TestMomentReport:
@@ -77,7 +116,7 @@ class TestMomentReport:
         rep = moment_report(p, spec, cfg, x0, 1, 2)
         F0 = alpha_energy(x0.coeffs, basis1, p.alpha)
         assert np.all(rep.series <= F0 * (1 + 1e-12))
-        assert rep.affine_bounded
+        assert rep.verdict.ok
 
     def test_zero_start_is_trace_bounded(self, basis1):
         p = params()
@@ -108,7 +147,7 @@ class TestMomentReport:
         rep = moment_report(p, spec, cfg, x0, 2, 300)
         assert np.all(np.isfinite(rep.series))
         assert np.isfinite(rep.sup_estimate)
-        assert rep.affine_bounded
+        assert rep.verdict.ok
 
     def test_bad_arguments(self, basis1):
         p = params()
@@ -146,7 +185,7 @@ class TestExpMomentReport:
         x0 = rand_field(basis1, np.random.default_rng(6), scale=0.3)
         rep = exp_moment_report(p, spec, cfg, x0, 0.2, 300)
         assert rep.admissibility_margin > 0
-        assert rep.affine_bounded
+        assert rep.verdict.ok
         assert np.isfinite(rep.weighted_dissipation_estimate)
 
     def test_inadmissible_refused_with_bound_named(self, basis1):
@@ -211,6 +250,7 @@ class TestBismutElworthy:
         t = 0.25
         est = bismut_elworthy(Observable("linear", mode=j), x, h, t, 4000, p, spec, cfg)
         exact = np.exp(-p.nu * basis.eigenvalues[j] * t)
+        assert est.exact == pytest.approx(exact, rel=1e-12)
         assert abs(est.value - exact) <= 3 * est.standard_error
 
     def test_zero_direction_gives_zero(self):
@@ -241,8 +281,9 @@ class TestBismutElworthy:
             Observable("energy_clipped", clip=50.0), x, h, 0.2, 4000, p, spec, cfg,
             fd_delta=1e-3,
         )
-        comb = np.hypot(est.standard_error, est.fd_standard_error)
-        assert abs(est.value - est.fd_reference) <= 3 * comb
+        assert est.exact is None
+        (fd,) = est.verdicts()
+        assert fd.ok
 
     def test_preconditions(self):
         basis, p, spec, cfg = self.setup_ou()
@@ -291,7 +332,7 @@ class TestInvariantStats:
             T_long=150.0, burn_in=30.0, eps_exp=0.2,
         )
         a, b = stats
-        assert abs(a.average_F - b.average_F) <= 3 * np.hypot(a.error_F, b.error_F)
+        assert all(v.ok for v in cross_start_verdicts(stats))
         assert a.margin == pytest.approx(
             p.nu - 0.2 * spec.trace_alpha(p.alpha) / basis1.lambda_min()
         )

@@ -72,7 +72,7 @@ class TestStep:
         kern = StepKernel(basis1, p, cfg, spec)
         M = 100_000
         dW = np.sqrt(dt) * substream(3).standard_normal((M, basis1.mode_count))
-        out = kern.step(np.zeros((M, basis1.mode_count)), dW)
+        out = kern.step(np.zeros((M, basis1.mode_count)), kern.noise_injected(dW))
         lam = basis1.eigenvalues
         theo = spec.q**2 * (1 - np.exp(-2 * p.nu * lam * dt)) / (2 * p.nu * lam)
         assert np.all(np.abs(out.var(axis=0, ddof=1) / theo - 1) <= 0.05)
