@@ -4,6 +4,7 @@ on a 2D periodic box."""
 
 from .basis import (
     Basis,
+    ConfigError,
     SpectralField,
     WaveVector,
     build_basis,

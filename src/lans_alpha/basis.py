@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "WaveVector",
     "Basis",
     "FFTLayout",
@@ -55,6 +56,10 @@ SNAPSHOT_HEADER = "lans-alpha-snapshot v1"
 PARITY_COS = 0
 PARITY_SIN = 1
 _PARITY_NAMES = ("cos", "sin")
+
+
+class ConfigError(ValueError):
+    """A value that a config key or LANS_THREADS sets is out of range."""
 
 
 class WaveVector(NamedTuple):
@@ -104,9 +109,9 @@ class Basis:
 
     def __init__(self, L: float, cutoff: int):
         if not (L > 0):
-            raise ValueError(f"box size L must be positive, got {L}")
+            raise ConfigError(f"box size L must be positive, got {L}")
         if not (isinstance(cutoff, (int, np.integer)) and cutoff >= 1):
-            raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+            raise ConfigError(f"cutoff must be an integer >= 1, got {cutoff!r}")
         self.L = float(L)
         self.cutoff = int(cutoff)
 

@@ -5,8 +5,9 @@ Each subcommand writes its CSV and returns the `diagnostics.Verdict`s of
 the checks it ran; `run` prints one line per verdict (value, bound,
 margin, ok/VIOLATED) and is the only place that picks the exit code:
 0 when every verdict holds, 1 when one is violated or the run blows up,
-2 on a configuration error.  Same config file and binary give
-byte-identical CSV output; floats are written with 17 significant digits.
+2 on a `ConfigError`, which each range check raises where it is made.
+Any other exception is a bug and propagates with its traceback.  Same
+config file and binary give byte-identical CSV output (17 significant digits).
 """
 
 from __future__ import annotations
@@ -19,18 +20,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import diagnostics as dg
-from .basis import Basis, SpectralField, build_basis, save_snapshot
+from .basis import Basis, ConfigError, SpectralField, build_basis, save_snapshot
 # run_ensemble is not called here; the import stays because
 # benchmarks/tracing.py patches that name on this module
-from .integrator import BlowUpError, IntegratorConfig, integrate, run_ensemble
+from .integrator import BlowUpError, IntegratorConfig, StepKernel, integrate, run_ensemble
 from .noise import AdmissibilityReport, NoiseSpec, make_noise
 from .operators import PhysicalParams
 
 __all__ = ["SimConfig", "ConfigError", "parse_config", "run", "main"]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -94,11 +91,14 @@ class SimConfig:
         return _parse_x0(text if text is not None else self.x0, basis, self.alpha)
 
     def initial_states(self, basis: Basis) -> list[SpectralField]:
-        return [
+        starts = [
             self.initial_state(basis, tok.strip())
             for tok in self.x0_list.split(",")
             if tok.strip()
         ]
+        if not starts:
+            raise ConfigError(f"x0_list {self.x0_list!r} names no initial state")
+        return starts
 
     def observable_spec(self) -> dg.Observable:
         if self.observable == "linear":
@@ -115,12 +115,12 @@ def _parse_x0(text: str, basis: Basis, alpha: float) -> SpectralField:
     if parts == ["zero"]:
         return SpectralField.zeros(basis)
     if len(parts) == 3 and parts[0] == "mode":
-        j, amp = int(parts[1]), float(parts[2])
+        j, amp = _coerce(int, parts[1]), _coerce(float, parts[2])
         if not 0 <= j < basis.mode_count:
             raise ConfigError(f"x0 mode index {j} out of range 0..{basis.mode_count - 1}")
         return SpectralField.unit(basis, j, amp)
     if len(parts) == 2 and parts[0] == "iso":
-        target = float(parts[1])
+        target = _coerce(float, parts[1])
         if target < 0:
             raise ConfigError(f"x0 energy target must be >= 0, got {target}")
         weight = 1.0 + alpha**2 * basis.eigenvalues
@@ -131,24 +131,22 @@ def _parse_x0(text: str, basis: Basis, alpha: float) -> SpectralField:
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
+# type -> (what a value must read as, parser raising KeyError or ValueError)
+_PARSERS = {
+    bool: ("on/off", lambda raw: _BOOL_WORDS[raw.lower()]),
+    int: ("an integer", int),
+    float: ("a number", float),
+}
 
-def _coerce(name: str, kind, raw: str):
-    if kind is bool:
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError:
-            raise ValueError(f"expected on/off, got {raw!r}") from None
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"expected an integer, got {raw!r}") from None
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"expected a number, got {raw!r}") from None
-    return raw
+
+def _coerce(kind, raw: str):
+    if kind not in _PARSERS:
+        return raw
+    what, parse = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"expected {what}, got {raw!r}") from None
 
 
 def parse_config(text: str) -> SimConfig:
@@ -174,8 +172,8 @@ def parse_config(text: str) -> SimConfig:
         kind = spec_fields[key]
         kind = type_map.get(kind, kind) if isinstance(kind, str) else kind
         try:
-            values[key] = _coerce(key, kind, raw)
-        except ValueError as exc:
+            values[key] = _coerce(kind, raw)
+        except ConfigError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
 
     missing = [
@@ -192,18 +190,9 @@ def parse_config(text: str) -> SimConfig:
 
 
 def _validate_ranges(cfg: SimConfig) -> None:
-    try:
-        cfg.params()
-        cfg.integrator()
-        basis = cfg.basis()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg.sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {cfg.sigma}")
-    if cfg.sigma > 0 and cfg.nu <= 0:
-        raise ConfigError("stochastic runs (sigma > 0) require nu > 0")
-    if cfg.scheme == "rk4_deterministic" and cfg.sigma > 0:
-        raise ConfigError("rk4_deterministic requires sigma = 0")
+    # the constructors check the physics, the noise and the scheme
+    basis = cfg.basis()
+    StepKernel(basis, cfg.params(), cfg.integrator(), cfg.noise(basis)[0])
     if cfg.M < 2:
         raise ConfigError(f"M must be >= 2, got {cfg.M}")
     if cfg.k < 1:
@@ -334,7 +323,7 @@ def _cmd_ou_test(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, o
 
 
 def _cmd_convergence(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
-    dts = [float(tok) for tok in cfg.dts.split()]
+    dts = [_coerce(float, tok) for tok in cfg.dts.split()]
     res = dg.strong_convergence_study(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), dts, cfg.M
     )
@@ -429,20 +418,18 @@ _HANDLERS: dict[str, Callable[..., list[dg.Verdict]]] = {
 
 def run(subcommand: str, config: SimConfig, out_path: str | None = None) -> int:
     """Run one subcommand and print its verdicts; returns the exit status,
-    0 when every verdict holds and 1 when one fails or the run blows up."""
+    0 when every verdict holds, 1 when one fails or the run blows up, and
+    2 on a ConfigError.  Any other exception propagates."""
     if subcommand not in _HANDLERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = out_path or config.output_path or f"{subcommand}.csv"
     try:
         spec, report = config.noise(config.basis())
         verdicts = _HANDLERS[subcommand](config, spec, report, out)
-    except ConfigError:
-        raise
     except BlowUpError as exc:
         print(f"blow-up detected: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # precondition violations (inadmissible eps_exp, range errors)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for v in verdicts:
@@ -464,17 +451,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as fh:
             config = parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(args.subcommand, config, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    return run(args.subcommand, config, args.out)
 
 
 if __name__ == "__main__":

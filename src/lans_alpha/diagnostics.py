@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import Basis, SpectralField
+from .basis import Basis, ConfigError, SpectralField
 from .integrator import IntegratorConfig, integrate, run_ensemble
 from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy
@@ -97,12 +97,8 @@ def agreement(name: str, a: float, err_a: float, b: float, err_b: float) -> Verd
 
 @dataclass
 class EnsembleReport:
-    sample_count: int
     estimate: float
     standard_error: float
-    times: np.ndarray | None = None
-    series: np.ndarray | None = None
-    series_standard_error: np.ndarray | None = None
     details: dict = field(default_factory=dict)
 
 
@@ -133,7 +129,7 @@ def ito_balance_report(
     discretization bias of the scheme.
     """
     if M < 2:
-        raise ValueError(f"need at least 2 samples, got M={M}")
+        raise ConfigError(f"need at least 2 samples, got M={M}")
     paths = run_ensemble(x0.coeffs, p, spec, cfg, M)
     t_final = paths.times[-1]
     F0 = alpha_energy(x0.coeffs, x0.basis, p.alpha)
@@ -147,7 +143,6 @@ def ito_balance_report(
     )
     estimate, se = _mean_se(residuals)
     return EnsembleReport(
-        sample_count=M,
         estimate=estimate,
         standard_error=se,
         details={"t": float(t_final), "dt": cfg.dt, "trace_alpha": trace, "F0": float(F0)},
@@ -176,26 +171,31 @@ def ito_halving_verdict(coarse: EnsembleReport, fine: EnsembleReport) -> Verdict
 
 @dataclass
 class MomentReport:
-    sample_count: int
     k: int
     times: np.ndarray
     series: np.ndarray
     series_standard_error: np.ndarray
     sup_estimate: float
     sup_standard_error: float
-    fit_intercept: float
     fit_slope: float
     envelope: np.ndarray
     verdict: Verdict
 
 
+def _require_steps(cfg: IntegratorConfig) -> None:
+    if cfg.num_steps() < 1:
+        raise ConfigError(f"t_end={cfg.t_end} is below dt={cfg.dt}: the envelope needs a step")
+
+
 def _affine_envelope(times, series, series_se, start_value):
-    slope, intercept = np.polyfit(times, series, 1)
+    slope = float(np.polyfit(times, series, 1)[0])
     envelope = start_value + max(slope, 0.0) * times
+    # F(0) lies on the envelope by construction, so only t > 0 has a margin;
     # the series is >= 0, so a NaN or infinite entry makes the excess NaN or +inf
-    excess = np.max(series - (envelope + N_SIGMA * series_se + 1e-12 * abs(start_value)))
+    bound = envelope + N_SIGMA * series_se + 1e-12 * abs(start_value)
+    excess = np.max((series - bound)[times > 0])
     verdict = Verdict("excess over the affine envelope", float(excess), 0.0)
-    return float(intercept), float(slope), envelope, verdict
+    return slope, envelope, verdict
 
 
 def moment_report(
@@ -213,25 +213,24 @@ def moment_report(
     least-squares slope c_hat, within N_SIGMA standard errors pointwise.
     """
     if k < 1:
-        raise ValueError(f"moment order k must be >= 1, got {k}")
+        raise ConfigError(f"moment order k must be >= 1, got {k}")
     if M < 2:
-        raise ValueError(f"need at least 2 samples, got M={M}")
+        raise ConfigError(f"need at least 2 samples, got M={M}")
+    _require_steps(cfg)
     paths = run_ensemble(x0.coeffs, p, spec, cfg, M)
     Fk = paths.F**k
     series = Fk.mean(axis=0)
     series_se = Fk.std(axis=0, ddof=1) / np.sqrt(M)
     sup_est, sup_se = _mean_se(paths.sup_F**k)
     F0 = float(alpha_energy(x0.coeffs, x0.basis, p.alpha)) ** k
-    intercept, slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, F0)
+    slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, F0)
     return MomentReport(
-        sample_count=M,
         k=k,
         times=paths.times,
         series=series,
         series_standard_error=series_se,
         sup_estimate=sup_est,
         sup_standard_error=sup_se,
-        fit_intercept=intercept,
         fit_slope=slope,
         envelope=envelope,
         verdict=verdict,
@@ -243,7 +242,6 @@ def moment_report(
 
 @dataclass
 class ExpMomentReport:
-    sample_count: int
     eps_exp: float
     admissibility_margin: float
     times: np.ndarray
@@ -251,7 +249,6 @@ class ExpMomentReport:
     series_standard_error: np.ndarray
     weighted_dissipation_estimate: float
     weighted_dissipation_standard_error: float
-    fit_intercept: float
     fit_slope: float
     envelope: np.ndarray
     verdict: Verdict
@@ -271,7 +268,7 @@ def _require_admissible(p, spec, eps_exp) -> float:
     margin = exp_moment_margin(p, spec, eps_exp)
     if not margin > 0:
         lam1 = spec.basis.lambda_min()
-        raise ValueError(
+        raise ConfigError(
             "inadmissible eps_exp: the bound requires "
             f"-nu + 2*eps*Tr[Q*(I+a^2 A)Q]/lambda_1 < 0, but "
             f"-{p.nu} + 2*{eps_exp}*{spec.trace_alpha(p.alpha):.6g}/{lam1:.6g} "
@@ -294,10 +291,11 @@ def exp_moment_report(
     message names the failing bound.
     """
     if eps_exp < 0:
-        raise ValueError(f"eps_exp must be >= 0, got {eps_exp}")
+        raise ConfigError(f"eps_exp must be >= 0, got {eps_exp}")
     margin = _require_admissible(p, spec, eps_exp)
     if M < 2:
-        raise ValueError(f"need at least 2 samples, got M={M}")
+        raise ConfigError(f"need at least 2 samples, got M={M}")
+    _require_steps(cfg)
     paths = run_ensemble(x0.coeffs, p, spec, cfg, M)
     expF = np.exp(eps_exp * paths.F)
     series = expF.mean(axis=0)
@@ -305,9 +303,8 @@ def exp_moment_report(
     weighted = np.trapezoid(expF * paths.dissipation, paths.times, axis=1)
     w_est, w_se = _mean_se(weighted)
     start = float(np.exp(eps_exp * alpha_energy(x0.coeffs, x0.basis, p.alpha)))
-    intercept, slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, start)
+    slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, start)
     return ExpMomentReport(
-        sample_count=M,
         eps_exp=eps_exp,
         admissibility_margin=margin,
         times=paths.times,
@@ -315,7 +312,6 @@ def exp_moment_report(
         series_standard_error=series_se,
         weighted_dissipation_estimate=w_est,
         weighted_dissipation_standard_error=w_se,
-        fit_intercept=intercept,
         fit_slope=slope,
         envelope=envelope,
         verdict=verdict,
@@ -329,7 +325,7 @@ def ou_stationary_oracle(spec: NoiseSpec, p: PhysicalParams, basis: Basis) -> np
     """Exact stationary variance q_j^2 / (2 nu lambda_j) of each mode
     for the linear equation dZ = -nu A Z dt + Q dW."""
     if not (p.nu > 0):
-        raise ValueError("OU stationary variances require nu > 0")
+        raise ConfigError("OU stationary variances require nu > 0")
     return spec.q**2 / (2.0 * p.nu * basis.eigenvalues)
 
 
@@ -357,7 +353,7 @@ def ou_variance_comparison(
     suppress the nonlinearity so the oracle is exact in law.
     """
     if not burn_in < cfg.t_end:
-        raise ValueError(f"burn_in={burn_in} must be below t_end={cfg.t_end}")
+        raise ConfigError(f"burn_in={burn_in} must be below t_end={cfg.t_end}")
     basis = spec.basis
     rec = integrate(
         SpectralField.zeros(basis), p, spec, cfg, member=member, store_fields=True
@@ -393,11 +389,11 @@ class Observable:
 
     def __post_init__(self):
         if self.kind not in ("linear", "energy", "energy_clipped"):
-            raise ValueError(f"unknown observable kind {self.kind!r}")
+            raise ConfigError(f"unknown observable kind {self.kind!r}")
         if self.kind == "linear" and self.mode is None:
-            raise ValueError("linear observable needs a mode index")
+            raise ConfigError("linear observable needs a mode index")
         if self.kind == "energy_clipped" and (self.clip is None or self.clip <= 0):
-            raise ValueError("energy_clipped observable needs clip > 0")
+            raise ConfigError("energy_clipped observable needs clip > 0")
 
     def label(self) -> str:
         if self.kind == "linear":
@@ -418,11 +414,9 @@ class Observable:
 @dataclass
 class BEEstimate:
     observable: str
-    direction: np.ndarray
     time: float
     value: float
     standard_error: float
-    sample_count: int
     fd_reference: float | None = None
     fd_standard_error: float | None = None
     exact: float | None = None  # OU semigroup derivative, linear observable only
@@ -460,11 +454,11 @@ def bismut_elworthy(
     value exp(-nu lambda_j t) h_j.
     """
     if not (t > 0):
-        raise ValueError(f"derivative time t must be positive, got {t}")
+        raise ConfigError(f"derivative time t must be positive, got {t}")
     if spec.sigma <= 0:
         raise SingularOperatorError("Bismut-Elworthy requires invertible Q (sigma > 0)")
     if M < 2:
-        raise ValueError(f"need at least 2 samples, got M={M}")
+        raise ConfigError(f"need at least 2 samples, got M={M}")
     basis = x.basis
     steps_cfg = replace(cfg, t_end=t)
     steps_cfg = replace(steps_cfg, record_every=max(1, steps_cfg.num_steps()))
@@ -492,11 +486,9 @@ def bismut_elworthy(
 
     return BEEstimate(
         observable=observable.label(),
-        direction=h.coeffs,
         time=float(t_final),
         value=value,
         standard_error=se,
-        sample_count=M,
         fd_reference=fd_est,
         fd_standard_error=fd_se,
         exact=exact,
@@ -511,7 +503,7 @@ def batch_means(series: np.ndarray, batches: int = BATCH_COUNT) -> tuple[float, 
     series = np.asarray(series)
     n = series.shape[-1]
     if n < batches:
-        raise ValueError(f"need at least {batches} samples for batch means, got {n}")
+        raise ConfigError(f"need at least {batches} samples for batch means, got {n}")
     usable = n - (n % batches)
     blocks = series[..., :usable].reshape(*series.shape[:-1], batches, usable // batches)
     means = blocks.mean(axis=-1)
@@ -547,7 +539,7 @@ def invariant_stats(
     gated on the same sign condition as exp_moment_report.
     """
     if not burn_in < T_long:
-        raise ValueError(f"burn_in={burn_in} must be below T_long={T_long}")
+        raise ConfigError(f"burn_in={burn_in} must be below T_long={T_long}")
     margin = gate_margin = None
     if eps_exp is not None:
         gate_margin = _require_admissible(p, spec, eps_exp)
@@ -632,23 +624,23 @@ def strong_convergence_study(
     resolution blows up.
     """
     if len(dts) < 3 or len(set(dts)) < len(dts) or min(dts) <= 0:
-        raise ValueError(f"dts must be at least 3 distinct positive step sizes, got {dts}")
+        raise ConfigError(f"dts must be at least 3 distinct positive step sizes, got {dts}")
     if cfg.scheme != "semi_implicit_em":
-        raise ValueError("common-path coupling is defined for semi_implicit_em only")
+        raise ConfigError("common-path coupling is defined for semi_implicit_em only")
     if spec.sigma <= 0:
-        raise ValueError("strong convergence study requires sigma > 0")
+        raise ConfigError("strong convergence study requires sigma > 0")
     dts = sorted(dts, reverse=True)
     finest = dts[-1]
     ratios = [dt / finest for dt in dts]
     if any(abs(r - round(r)) > 1e-9 for r in ratios):
-        raise ValueError(f"each dt must be an integer multiple of the finest, got {dts}")
+        raise ConfigError(f"each dt must be an integer multiple of the finest, got {dts}")
     T = cfg.t_end
     steps_fine = int(round(T / finest))
     if abs(steps_fine * finest - T) > 1e-9 * T:
-        raise ValueError(f"t_end={T} must be an integer number of finest steps")
+        raise ConfigError(f"t_end={T} must be an integer number of finest steps")
     for dt, r in zip(dts, ratios):
         if steps_fine % int(round(r)) != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"t_end={T} is not an integer number of dt={dt} steps; "
                 "all resolutions must reach the same final time"
             )
@@ -696,7 +688,7 @@ def first_variation_check(
     and |eta(T)|.
     """
     if delta == 0 or not math.isfinite(delta):
-        raise ValueError(f"the finite-difference offset must be nonzero and finite, got {delta}")
+        raise ConfigError(f"the finite-difference offset must be nonzero and finite, got {delta}")
     base = run_ensemble(x0.coeffs, p, spec, cfg, 1, eta0_coeffs=h.coeffs)
     bumped = run_ensemble(x0.coeffs + delta * h.coeffs, p, spec, cfg, 1)
     fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta

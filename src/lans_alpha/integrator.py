@@ -36,12 +36,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .basis import Basis, SpectralField
+from .basis import Basis, ConfigError, SpectralField
 from .noise import NoiseSpec, substream
 from .operators import (
     PhysicalParams,
@@ -78,15 +77,15 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+            raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.t_end > 0 and self.dt > self.t_end * (1 + 1e-12):
-            raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+            raise ConfigError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
 
     def num_steps(self) -> int:
         raw = self.t_end / self.dt
@@ -121,7 +120,6 @@ class TrajectoryRecord:
     dissipation_values: np.ndarray
     martingale_accumulator: np.ndarray
     snapshots: np.ndarray | None = None
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def dissipation_integral(self) -> float:
         """Trapezoidal rule on the recorded dissipation values."""
@@ -151,13 +149,12 @@ class StepKernel:
             raise ValueError("noise spec basis does not match integration basis")
         sigma = 0.0 if spec is None else spec.sigma
         if cfg.scheme == "rk4_deterministic" and sigma > 0:
-            raise ValueError("rk4_deterministic requires sigma = 0")
+            raise ConfigError("rk4_deterministic requires sigma = 0")
         if sigma > 0 and p.nu <= 0:
-            raise ValueError("stochastic runs require nu > 0")
+            raise ConfigError("stochastic runs (sigma > 0) require nu > 0")
         self.basis = basis
         self.p = p
         self.cfg = cfg
-        self.spec = spec
         self.sigma = sigma
         self.n = basis.mode_count
         lam = basis.eigenvalues
@@ -293,7 +290,6 @@ def integrate(
     p: PhysicalParams,
     spec: NoiseSpec,
     cfg: IntegratorConfig,
-    observers: dict[str, Callable[[float, SpectralField], float]] | None = None,
     *,
     member: int = 0,
     store_fields: bool = False,
@@ -301,27 +297,19 @@ def integrate(
     """Iterate the one-step map and record the energy bookkeeping.
 
     The ensemble loop at M=1 on substream (spec.seed, member), so the
-    record equals row `member` of any batched run bit for bit.  Observers
-    are evaluated afterwards on the recorded states.  Raises BlowUpError
-    with the first bad time if the energy stops being finite.
+    record equals row `member` of any batched run bit for bit.  Raises
+    BlowUpError with the first bad time if the energy stops being finite.
     """
-    basis = x0.basis
     paths = _run_ensemble_block(
         x0.coeffs, p, spec, cfg, 1,
-        basis=basis, member_offset=member, store_fields=store_fields or bool(observers),
+        basis=x0.basis, member_offset=member, store_fields=store_fields,
     )
-    snaps = None if paths.snapshots is None else paths.snapshots[0]
-    observables = {
-        name: np.array([fn(t, SpectralField(basis, c)) for t, c in zip(paths.times, snaps)])
-        for name, fn in (observers or {}).items()
-    }
     return TrajectoryRecord(
         times=paths.times,
         F_values=paths.F[0],
         dissipation_values=paths.dissipation[0],
         martingale_accumulator=paths.martingale[0],
-        snapshots=snaps if store_fields else None,
-        observables=observables,
+        snapshots=None if paths.snapshots is None else paths.snapshots[0],
     )
 
 
@@ -358,7 +346,7 @@ def ensemble_threads() -> int:
     try:
         requested = int(raw)
     except ValueError:
-        raise ValueError(f"LANS_THREADS must be an integer, got {raw!r}") from None
+        raise ConfigError(f"LANS_THREADS must be an integer, got {raw!r}") from None
     return max(1, min(requested, os.cpu_count() or 1))
 
 

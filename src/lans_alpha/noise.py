@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, SpectralField
+from .basis import Basis, ConfigError, SpectralField
 
 __all__ = [
     "NoiseSpec",
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-class SingularOperatorError(ValueError):
+class SingularOperatorError(ConfigError):
     """Raised when Q^{-1} is requested for sigma = 0."""
 
 
@@ -82,7 +82,7 @@ def make_noise(
     operator is well-defined for any epsilon.
     """
     if sigma < 0:
-        raise ValueError(f"noise amplitude sigma must be >= 0, got {sigma}")
+        raise ConfigError(f"noise amplitude sigma must be >= 0, got {sigma}")
     lam = basis.eigenvalues
     q = sigma * lam ** (-(1.0 + epsilon) / 2.0)
     trace_Q = float(np.sum(q**2))

@@ -54,11 +54,12 @@ is the cancellation all the energy diagnostics in this package rely on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, SpectralField, _check_same_basis
+from .basis import Basis, ConfigError, SpectralField, _check_same_basis
 
 __all__ = [
     "PhysicalParams",
@@ -91,11 +92,11 @@ class PhysicalParams:
 
     def __post_init__(self):
         if self.nu < 0:
-            raise ValueError(f"viscosity nu must be >= 0, got {self.nu}")
+            raise ConfigError(f"viscosity nu must be >= 0, got {self.nu}")
         if self.alpha < 0:
-            raise ValueError(f"filter length alpha must be >= 0, got {self.alpha}")
+            raise ConfigError(f"filter length alpha must be >= 0, got {self.alpha}")
         if not (self.L > 0):
-            raise ValueError(f"box size L must be positive, got {self.L}")
+            raise ConfigError(f"box size L must be positive, got {self.L}")
 
     def check_basis(self, basis: Basis) -> None:
         if basis.L != self.L:
@@ -187,21 +188,22 @@ def b_tilde_fft(basis: Basis, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     return np.ascontiguousarray(proj).view(np.float64)
 
 
-def b_tilde_coeffs(basis: Basis, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Coefficients of Bt(u, v) for batched coefficient arrays.
+def b_tilde_coeffs(basis: Basis, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum_i Bt(u_i, v_i) for batched coefficient pairs (cu, cv).
 
     The route depends on basis.cutoff alone, so a member's result does not
-    depend on the batch it is evaluated in.
+    depend on the batch it is evaluated in.  The dense route adds its terms
+    left to right from the first, not from 0, which would turn -0.0 into +0.0.
     """
     if basis.cutoff >= FFT_MIN_CUTOFF:
-        return b_tilde_fft(basis, (cu, cv))
-    return b_tilde_dense(basis, cu, cv)
+        return b_tilde_fft(basis, *pairs)
+    return functools.reduce(np.add, (b_tilde_dense(basis, cu, cv) for cu, cv in pairs))
 
 
 def nonlinear_coeffs(basis: Basis, coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched."""
     factor = 1.0 + alpha**2 * basis.eigenvalues
-    return -b_tilde_coeffs(basis, coeffs, coeffs * factor) / factor
+    return -b_tilde_coeffs(basis, (coeffs, coeffs * factor)) / factor
 
 
 def linearized_nonlinear_coeffs(
@@ -209,11 +211,7 @@ def linearized_nonlinear_coeffs(
 ) -> np.ndarray:
     """Derivative of nonlinear_coeffs at u in direction eta, batched."""
     factor = 1.0 + alpha**2 * basis.eigenvalues
-    if basis.cutoff >= FFT_MIN_CUTOFF:
-        mixed = b_tilde_fft(basis, (ceta, cu * factor), (cu, ceta * factor))
-    else:
-        mixed = b_tilde_dense(basis, ceta, cu * factor) + b_tilde_dense(basis, cu, ceta * factor)
-    return -mixed / factor
+    return -b_tilde_coeffs(basis, (ceta, cu * factor), (cu, ceta * factor)) / factor
 
 
 def alpha_energy(coeffs: np.ndarray, basis: Basis, alpha: float) -> np.ndarray:
@@ -245,7 +243,7 @@ def b_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
 def b_tilde(u: SpectralField, v: SpectralField) -> SpectralField:
     """Bt(u, v) = -P(u x curl v) via the scalar-curl collocation route."""
     _check_same_basis(u, v)
-    return SpectralField(u.basis, b_tilde_coeffs(u.basis, u.coeffs, v.coeffs))
+    return SpectralField(u.basis, b_tilde_coeffs(u.basis, (u.coeffs, v.coeffs)))
 
 
 def b_tilde_matrix(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from lans_alpha import load_snapshot
+from lans_alpha import (
+    IntegratorConfig,
+    PhysicalParams,
+    SpectralField,
+    StepKernel,
+    build_basis,
+    load_snapshot,
+    make_noise,
+)
+from lans_alpha import diagnostics as dg
 from lans_alpha.cli import ConfigError, main, parse_config, run
 
 HAPPY = """\
@@ -18,6 +29,10 @@ seed = 42
 def happy(**extra):
     text = HAPPY + "".join(f"{k} = {v}\n" for k, v in extra.items())
     return parse_config(text)
+
+
+# the configuration of acceptance criterion 10
+CRITERION_10 = HAPPY.replace("cutoff = 2", "cutoff = 1") + "t_end = 0.1\nM = 20\nx0 = iso 1.0\n"
 
 
 class TestParseConfig:
@@ -201,3 +216,141 @@ class TestMain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nu = -3\n")
         assert main(["validate", "--config", str(bad)]) == 2
+
+
+# (subcommand, config lines overriding CRITERION_10 at t_end = 0.05 and M = 4,
+#  text the error must contain)
+BAD_CONFIGS = [
+    ("validate", "nu = -1", "nu"),
+    ("validate", "sigma = -1", "sigma"),
+    ("validate", "nu = 0", "nu > 0"),
+    ("validate", "scheme = rk4_deterministic", "sigma = 0"),
+    ("validate", "M = 1", "M"),
+    ("validate", "k = 0", "k"),
+    ("validate", "eps_exp = -1", "eps_exp"),
+    ("validate", "obs_mode = 99", "obs_mode"),
+    ("validate", "dt = 0", "dt"),
+    ("validate", "cutoff = 0", "cutoff"),
+    ("simulate", "x0 = mode abc 1", "an integer, got 'abc'"),
+    ("simulate", "x0 = iso abc", "a number, got 'abc'"),
+    ("simulate", "x0 = mode 99 1", "mode index 99"),
+    ("simulate", "x0 = banana", "banana"),
+    ("convergence", "dts = abc", "a number, got 'abc'"),
+    ("convergence", "dts = 2e-3", "3 distinct"),
+    ("convergence", "dts = 3e-3 2e-3 1e-3", "dt=0.003"),
+    ("convergence", "scheme = exponential_em", "semi_implicit_em"),
+    ("mc-expmoments", "eps_exp = 5", "inadmissible eps_exp"),
+    ("mc-moments", "t_end = 0", "t_end=0.0"),
+    ("mc-expmoments", "t_end = 0", "t_end=0.0"),
+    ("ou-test", "burn_in = 1", "burn_in"),
+    ("invariant", "T_long = 1\nburn_in = 2", "burn_in"),
+    ("invariant", "T_long = 0.05\nburn_in = 0", "batch means"),
+    ("invariant", "x0_list = ,", "x0_list"),
+    ("invariant", "x0_list = zero, mode abc 1", "an integer, got 'abc'"),
+    ("variation", "delta_fd = 0", "offset"),
+    ("be", "t = 1e-4", "t_end=0.0001"),
+    ("be", "t = 0", "derivative time"),
+    ("be", "sigma = 0", "sigma > 0"),
+    ("be", "observable = energy_clipped\nclip = 0", "clip > 0"),
+    ("be", "observable = bogus", "bogus"),
+]
+
+
+@pytest.mark.parametrize("sub, lines, message", BAD_CONFIGS)
+def test_bad_config_exits_2(tmp_path, capsys, sub, lines, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CRITERION_10 + f"t_end = 0.05\nM = 4\n{lines}\n")
+    out = tmp_path / "out.csv"
+    assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_non_integer_threads_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LANS_THREADS", "abc")
+    cfg = parse_config(CRITERION_10 + "t_end = 0.05\nM = 4\n")
+    assert run("mc-energy", cfg, str(tmp_path / "e.csv")) == 2
+    assert "config error: LANS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(dg, "moment_report", broken)
+    with pytest.raises(ValueError, match="boom"):
+        run("mc-moments", parse_config(CRITERION_10), str(tmp_path / "m.csv"))
+
+
+def test_moment_envelope_margin_is_taken_after_t0():
+    # F(0) lies on the envelope, so a margin from t = 0 would be about 1e-12
+    cfg = parse_config(CRITERION_10)
+    spec, _ = cfg.noise(cfg.basis())
+    mr = dg.moment_report(
+        cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), cfg.k, cfg.M
+    )
+    assert mr.verdict.ok and mr.verdict.margin > 1e-6
+
+
+_B = build_basis(2 * np.pi, 1)
+_P = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+_SPEC = make_noise(1.5, 0.5, _B, alpha=0.5)[0]
+_QUIET = make_noise(1.5, 0.0, _B)[0]
+_CFG = IntegratorConfig(dt=1e-3, t_end=0.1)
+_STILL = IntegratorConfig(dt=1e-3, t_end=0.0)
+_X = SpectralField.zeros(_B)
+_LINEAR = dg.Observable("linear", mode=0)
+
+
+def _converge(dts, cfg=_CFG, spec=_SPEC):
+    return dg.strong_convergence_study(_P, spec, cfg, _X, dts, 2)
+
+
+# each precondition a config key sets, called the way the library is called
+PRECONDITIONS = {
+    "Basis L": lambda: build_basis(0.0, 1),
+    "Basis cutoff": lambda: build_basis(1.0, 0),
+    "nu": lambda: PhysicalParams(nu=-1.0, alpha=0.5, L=1.0),
+    "alpha": lambda: PhysicalParams(nu=1.0, alpha=-1.0, L=1.0),
+    "L": lambda: PhysicalParams(nu=1.0, alpha=0.5, L=0.0),
+    "sigma": lambda: make_noise(1.5, -1.0, _B),
+    "scheme": lambda: IntegratorConfig(scheme="euler"),
+    "dt": lambda: IntegratorConfig(dt=0.0),
+    "t_end": lambda: IntegratorConfig(t_end=-1.0),
+    "dt > t_end": lambda: IntegratorConfig(dt=2.0, t_end=1.0),
+    "record_every": lambda: IntegratorConfig(record_every=0),
+    "rk4 noise": lambda: StepKernel(_B, _P, IntegratorConfig(scheme="rk4_deterministic"), _SPEC),
+    "noise nu": lambda: StepKernel(_B, PhysicalParams(0.0, 0.5, 2 * np.pi), _CFG, _SPEC),
+    "ito M": lambda: dg.ito_balance_report(_P, _SPEC, _CFG, _X, 1),
+    "moment k": lambda: dg.moment_report(_P, _SPEC, _CFG, _X, 0, 2),
+    "moment M": lambda: dg.moment_report(_P, _SPEC, _CFG, _X, 1, 1),
+    "moment steps": lambda: dg.moment_report(_P, _SPEC, _STILL, _X, 1, 2),
+    "exp sign": lambda: dg.exp_moment_report(_P, _SPEC, _CFG, _X, -1.0, 2),
+    "exp admissible": lambda: dg.exp_moment_report(_P, _SPEC, _CFG, _X, 5.0, 2),
+    "exp M": lambda: dg.exp_moment_report(_P, _SPEC, _CFG, _X, 0.0, 1),
+    "exp steps": lambda: dg.exp_moment_report(_P, _SPEC, _STILL, _X, 0.0, 2),
+    "ou nu": lambda: dg.ou_stationary_oracle(_SPEC, PhysicalParams(0.0, 0.5, 2 * np.pi), _B),
+    "ou burn_in": lambda: dg.ou_variance_comparison(_P, _SPEC, _CFG, 1.0),
+    "invariant burn_in": lambda: dg.invariant_stats(_P, _SPEC, _CFG, [_X], 1.0, 2.0),
+    "observable kind": lambda: dg.Observable("bogus"),
+    "observable mode": lambda: dg.Observable("linear"),
+    "observable clip": lambda: dg.Observable("energy_clipped", clip=0.0),
+    "be t": lambda: dg.bismut_elworthy(_LINEAR, _X, _X, 0.0, 2, _P, _SPEC, _CFG),
+    "be sigma": lambda: dg.bismut_elworthy(_LINEAR, _X, _X, 0.1, 2, _P, _QUIET, _CFG),
+    "be M": lambda: dg.bismut_elworthy(_LINEAR, _X, _X, 0.1, 1, _P, _SPEC, _CFG),
+    "batch means": lambda: dg.batch_means(np.ones(5)),
+    "dts count": lambda: _converge([2e-3, 1e-3]),
+    "dts scheme": lambda: _converge([4e-3, 2e-3, 1e-3], IntegratorConfig(scheme="exponential_em")),
+    "dts sigma": lambda: _converge([4e-3, 2e-3, 1e-3], spec=_QUIET),
+    "dts multiple": lambda: _converge([2.5e-3, 2e-3, 1e-3]),
+    "dts finest": lambda: _converge([4e-3, 2e-3, 1e-3], IntegratorConfig(t_end=0.1005)),
+    "dts final time": lambda: _converge([3e-3, 2e-3, 1e-3]),
+    "variation delta": lambda: dg.first_variation_check(_P, _SPEC, _CFG, _X, _X, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
+def test_library_preconditions_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()

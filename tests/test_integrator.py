@@ -5,6 +5,7 @@ import pytest
 
 from lans_alpha import (
     BlowUpError,
+    ConfigError,
     IntegratorConfig,
     PhysicalParams,
     SpectralField,
@@ -240,16 +241,6 @@ class TestIntegrate:
         assert np.all(np.diff(rec.times) > 0)
         assert rec.times[-1] == pytest.approx(cfg.num_steps() * cfg.dt)
 
-    def test_observers_collected(self, basis1):
-        spec, _ = make_noise(1.5, 0.0, basis1)
-        cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5)
-        rec = integrate(
-            rand_field(basis1, np.random.default_rng(10)),
-            params(), spec, cfg,
-            observers={"first": lambda t, u: float(u.coeffs[0])},
-        )
-        assert len(rec.observables["first"]) == len(rec.times)
-
 
 class TestPathwiseStability:
     def test_same_increments_bit_exact(self, basis1):
@@ -400,5 +391,5 @@ class TestEnsembleMachinery:
     @pytest.mark.parametrize("value", ["two", "2.5", ""])
     def test_non_integer_threads_rejected(self, monkeypatch, value):
         monkeypatch.setenv("LANS_THREADS", value)
-        with pytest.raises(ValueError, match="LANS_THREADS"):
+        with pytest.raises(ConfigError, match="LANS_THREADS"):
             ensemble_threads()
