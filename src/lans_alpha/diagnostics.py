@@ -350,7 +350,8 @@ def ou_variance_comparison(
     """Long-run per-mode variances against the stationary oracle.
 
     Returns (oracle, empirical, relative_error) per mode; cfg should
-    suppress the nonlinearity so the oracle is exact in law.
+    suppress the nonlinearity so the oracle is exact in law.  Raises
+    ConfigError if fewer than two recorded samples lie at or after burn_in.
     """
     if not burn_in < cfg.t_end:
         raise ConfigError(f"burn_in={burn_in} must be below t_end={cfg.t_end}")
@@ -358,8 +359,12 @@ def ou_variance_comparison(
     rec = integrate(
         SpectralField.zeros(basis), p, spec, cfg, member=member, store_fields=True
     )
-    mask = rec.times >= burn_in
-    samples = rec.snapshots[mask]
+    samples = rec.snapshots[rec.times >= burn_in]
+    if len(samples) < 2:
+        raise ConfigError(
+            f"burn_in={burn_in} leaves {len(samples)} recorded sample(s), "
+            "a variance needs at least 2"
+        )
     empirical = samples.var(axis=0, ddof=1)
     oracle = ou_stationary_oracle(spec, p, basis)
     rel = np.abs(empirical - oracle) / oracle
@@ -636,8 +641,8 @@ def strong_convergence_study(
         raise ConfigError(f"each dt must be an integer multiple of the finest, got {dts}")
     T = cfg.t_end
     steps_fine = int(round(T / finest))
-    if abs(steps_fine * finest - T) > 1e-9 * T:
-        raise ConfigError(f"t_end={T} must be an integer number of finest steps")
+    if steps_fine < 1 or abs(steps_fine * finest - T) > 1e-9 * T:
+        raise ConfigError(f"t_end={T} must be a positive integer number of finest steps")
     for dt, r in zip(dts, ratios):
         if steps_fine % int(round(r)) != 0:
             raise ConfigError(

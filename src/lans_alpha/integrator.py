@@ -46,6 +46,7 @@ from .operators import (
     PhysicalParams,
     alpha_dissipation,
     alpha_energy,
+    helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
 )
@@ -160,7 +161,7 @@ class StepKernel:
         lam = basis.eigenvalues
         dt = cfg.dt
         self.sqrt_dt = np.sqrt(dt)
-        self.helm = 1.0 + p.alpha**2 * lam
+        self.helm = helmholtz_factor(basis, p.alpha)
         q = spec.q if spec is not None else np.zeros(self.n)
 
         if cfg.scheme == "semi_implicit_em":

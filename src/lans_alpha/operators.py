@@ -6,12 +6,17 @@ The advection machinery evaluates the 2D rotational nonlinearity
     Bt(u, v) = -P( u x (curl v) ),    u x (curl v) = (w v) read as
                                       (w*u2, -w*u1) with w = d1 v2 - d2 v1,
 
-by one of two production routes, chosen from basis.cutoff alone:
+by one of three routes.  nonlinear_coeffs and linearized_nonlinear_coeffs,
+the stepping path, choose theirs from basis.cutoff alone:
 
-  dense route (cutoff < FFT_MIN_CUTOFF)
-      collocation on the 4*cutoff basis grid through the dense
-      (modes x grid) tensors, then exact quadrature projection.  Cost and
-      memory grow as cutoff^4.
+  triad route (cutoff < FFT_MIN_CUTOFF)
+      the interaction-coefficient method (Orszag 1970): the nonlinearity is
+      quadratic, N(c)_j = sum_{k<=l} S_jkl c_k c_l, and S is sparse (only
+      wavevector triads k_j = +-k_k +- k_l interact: 16 / 224 / 1056 / 3120
+      coefficients at cutoffs 1-4).  triad_table builds S once per
+      (basis, alpha) from the dense route, folding in the Helmholtz factors
+      and the sign; a call is two gathers, a product and one
+      np.add.reduceat over the triads sorted by output mode.
   pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF)
       each wavevector's cos/sin coefficients are paired into one complex
       amplitude z_k = c_cos - i c_sin and scattered into rfft2
@@ -22,11 +27,23 @@ by one of two production routes, chosen from basis.cutoff alone:
       smallest 5-smooth size >= 3*cutoff + 1 per axis (the 3/2 rule,
       Orszag 1971), on which the projection is still exact.  Cost grows
       as cutoff^2 log cutoff and no (modes x grid) tensor is built.
+  dense route (b_tilde below FFT_MIN_CUTOFF, and the oracles)
+      collocation on the 4*cutoff basis grid through the dense
+      (modes x grid) tensors, then exact quadrature projection.  Cost and
+      memory grow as cutoff^4; it builds the triad table and serves
+      b_tilde, b_form and the cross-checks, not the stepping path.
 
-Both routes are exact to rounding and agree to about 1e-14 relative.  The
-crossover was measured on a 2-core x86 VM (numpy 2.4, one BLAS thread),
-as median microseconds per b_tilde_coeffs call on M members, dense /
-pseudo-spectral:
+All routes are exact to rounding and agree to about 1e-14 relative.  The
+crossovers were measured on a 2-core x86 VM (numpy 2.4, one BLAS thread),
+as median microseconds per nonlinear_coeffs call on M members, dense /
+triad (cutoffs 1-4) and dense / pseudo-spectral (cutoffs 3 and up, per
+b_tilde_coeffs call):
+
+    cutoff   M=1        M=2         M=200          M=5000
+      1      23 / 7     27 / 12     133 / 39       4885 / 601
+      2      25 / 12    38 / 18     614 / 150     19725 / 7524
+      3      39 / 16    61 / 31    2733 / 786     86348 / 54275
+      4      62 / 26   104 / 49    7504 / 2658   235226 / 260273
 
     cutoff   M=1         M=20          M=200
       3      23 / 108    224 / 182     3541 / 3588
@@ -36,12 +53,15 @@ pseudo-spectral:
       8     798 / 162  11097 / 586   146479 / 9564
      12    2746 / 125  66252 / 1619  785633 / 31870
 
-At cutoff 5 the pseudo-spectral route ties at M=1 and wins at every larger
-M, so it starts there.  linearized_nonlinear_coeffs, which projects its
-two integrands at once, crosses at the same cutoff (M=1: 124 / 208 us at
-cutoff 4, 239 / 199 us at cutoff 5).  The choice ignores the batch size
-on purpose: a member's result then cannot depend on how many members
-share its batch, on the split into thread blocks, or on LANS_THREADS.
+Below cutoff 5 the triad route beats both other routes, except at cutoff 4
+with M=5000, where it ties the dense one (0.90x and 1.03x in two runs); at
+cutoff 5 the pseudo-spectral
+route ties the dense route at M=1 and wins at every larger M, so it starts
+there.  linearized_nonlinear_coeffs crosses at the same cutoff.  The choice
+ignores the batch size on purpose: a member's result then cannot depend on
+how many members share its batch, on the split into thread blocks, or on
+LANS_THREADS.  For the same reason no route uses a BLAS matmul, whose
+per-row rounding changes with the batch size.
 
 Two independent evaluation routes are kept for cross-checking: the
 antisymmetrized velocity-gradient matrix applied to u, and a direct
@@ -56,6 +76,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +86,9 @@ __all__ = [
     "PhysicalParams",
     "apply_stokes",
     "helmholtz",
+    "helmholtz_factor",
+    "TriadTable",
+    "triad_table",
     "b_form",
     "b_tilde",
     "b_tilde_dense",
@@ -111,9 +135,17 @@ def apply_stokes(u: SpectralField) -> SpectralField:
     return SpectralField(u.basis, u.basis.eigenvalues * u.coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def helmholtz_factor(basis: Basis, alpha: float) -> np.ndarray:
+    """Eigenvalues 1 + alpha^2 lambda of I + alpha^2 A, cached read-only."""
+    factor = 1.0 + alpha**2 * basis.eigenvalues
+    factor.setflags(write=False)
+    return factor
+
+
 def helmholtz(u: SpectralField, alpha: float, mode: str = "apply") -> SpectralField:
     """Apply or invert I + alpha^2 A (diagonal, always invertible)."""
-    factor = 1.0 + alpha**2 * u.basis.eigenvalues
+    factor = helmholtz_factor(u.basis, alpha)
     if mode == "apply":
         return SpectralField(u.basis, u.coeffs * factor)
     if mode == "solve":
@@ -121,8 +153,10 @@ def helmholtz(u: SpectralField, alpha: float, mode: str = "apply") -> SpectralFi
     raise ValueError(f"mode must be 'apply' or 'solve', got {mode!r}")
 
 
-# Smallest cutoff at which b_tilde_coeffs takes the pseudo-spectral route
-# (the measured crossover, see the module docstring).
+# Smallest cutoff at which the nonlinearity and b_tilde_coeffs take the
+# pseudo-spectral route (the measured crossover, see the module docstring);
+# below it the nonlinearity takes the triad route and b_tilde_coeffs the
+# dense one.
 FFT_MIN_CUTOFF = 5
 
 
@@ -200,30 +234,98 @@ def b_tilde_coeffs(basis: Basis, *pairs: tuple[np.ndarray, np.ndarray]) -> np.nd
     return functools.reduce(np.add, (b_tilde_dense(basis, cu, cv) for cu, cv in pairs))
 
 
+class TriadTable(NamedTuple):
+    """Nonzero interaction coefficients of the nonlinearity, sorted by output.
+
+    N(c)_j = sum_{k<=l} S_jkl c_k c_l, with T_jkl = Bt(e_k, e_l)_j and
+    f = 1 + alpha^2 lambda:
+        S_jkl = -(T_jkl f_l + T_jlk f_k) / f_j   (k < l)
+        S_jkk = -T_jkk f_k / f_j.
+    Triad t adds coeff[t] c_k[t] c_l[t] to mode rows[i] for
+    starts[i] <= t < starts[i + 1]; modes outside rows receive nothing.
+    """
+
+    rows: np.ndarray    # (J,) output modes with at least one triad, ascending
+    starts: np.ndarray  # (J,) first triad of each output mode
+    k: np.ndarray       # (T,)
+    l: np.ndarray       # (T,) >= k
+    coeff: np.ndarray   # (T,) S_jkl
+
+
+# Coefficients below this fraction of the largest are rounding left by the
+# dense route where S vanishes exactly (at most 2.4e-15 at cutoffs 1-4,
+# against a smallest true coefficient of 5e-3).
+_TRIAD_RTOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def triad_table(basis: Basis, alpha: float) -> TriadTable:
+    """The triad route's coefficients, built once per (basis, alpha)."""
+    n = basis.mode_count
+    eye = np.eye(n)
+    # T[k, l, j] = Bt(e_k, e_l)_j
+    T = np.stack([b_tilde_dense(basis, eye[k], eye) for k in range(n)])
+    f = helmholtz_factor(basis, alpha)
+    k, l = np.triu_indices(n)
+    half_on_diagonal = np.where(k == l, 0.5, 1.0)[:, None]
+    S = (-half_on_diagonal * (T[k, l] * f[l, None] + T[l, k] * f[k, None]) / f).T
+    j, t = np.nonzero(np.abs(S) > _TRIAD_RTOL * np.abs(S).max())
+    rows, starts = np.unique(j, return_index=True)
+    table = TriadTable(rows, starts, k[t], l[t], S[j, t])
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _triad_sum(basis: Basis, alpha: float, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum over pairs (a, b) of sum_{k<=l} S_jkl a_k b_l, batched.
+
+    Every a and b has one shape.  Mode-major: the gathers and products run
+    along the member axis, and np.add.reduceat sums each member's column on
+    its own, so a member's result does not depend on the batch it is in.
+    """
+    table = triad_table(basis, alpha)
+    shape = pairs[0][0].shape
+    n = shape[-1]
+    prod = None
+    for a, b in pairs:
+        term = a.reshape(-1, n).T.take(table.k, axis=0)
+        term *= b.reshape(-1, n).T.take(table.l, axis=0)
+        prod = term if prod is None else prod + term
+    prod *= table.coeff[:, None]
+    out = np.zeros((n, prod.shape[1]))
+    out[table.rows] = np.add.reduceat(prod, table.starts, axis=0)
+    return out.T.reshape(shape)
+
+
 def nonlinear_coeffs(basis: Basis, coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched."""
-    factor = 1.0 + alpha**2 * basis.eigenvalues
-    return -b_tilde_coeffs(basis, (coeffs, coeffs * factor)) / factor
+    if basis.cutoff < FFT_MIN_CUTOFF:
+        return _triad_sum(basis, alpha, (coeffs, coeffs))
+    factor = helmholtz_factor(basis, alpha)
+    return -b_tilde_fft(basis, (coeffs, coeffs * factor)) / factor
 
 
 def linearized_nonlinear_coeffs(
     basis: Basis, cu: np.ndarray, ceta: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Derivative of nonlinear_coeffs at u in direction eta, batched."""
-    factor = 1.0 + alpha**2 * basis.eigenvalues
-    return -b_tilde_coeffs(basis, (ceta, cu * factor), (cu, ceta * factor)) / factor
+    """Derivative of nonlinear_coeffs at u in direction eta, batched
+    (cu and ceta of one shape)."""
+    if basis.cutoff < FFT_MIN_CUTOFF:
+        return _triad_sum(basis, alpha, (cu, ceta), (ceta, cu))
+    factor = helmholtz_factor(basis, alpha)
+    return -b_tilde_fft(basis, (ceta, cu * factor), (cu, ceta * factor)) / factor
 
 
 def alpha_energy(coeffs: np.ndarray, basis: Basis, alpha: float) -> np.ndarray:
     """F(u) = |u|_2^2 + alpha^2 |grad u|_2^2 over the last axis."""
-    factor = 1.0 + alpha**2 * basis.eigenvalues
-    return np.sum(factor * np.asarray(coeffs) ** 2, axis=-1)
+    return np.sum(helmholtz_factor(basis, alpha) * np.asarray(coeffs) ** 2, axis=-1)
 
 
 def alpha_dissipation(coeffs: np.ndarray, basis: Basis, alpha: float) -> np.ndarray:
     """|grad u|_2^2 + alpha^2 |Au|_2^2 over the last axis."""
-    lam = basis.eigenvalues
-    return np.sum(lam * (1.0 + alpha**2 * lam) * np.asarray(coeffs) ** 2, axis=-1)
+    weight = basis.eigenvalues * helmholtz_factor(basis, alpha)
+    return np.sum(weight * np.asarray(coeffs) ** 2, axis=-1)
 
 
 # -- public field-level operations ------------------------------------------

@@ -239,10 +239,12 @@ BAD_CONFIGS = [
     ("convergence", "dts = 2e-3", "3 distinct"),
     ("convergence", "dts = 3e-3 2e-3 1e-3", "dt=0.003"),
     ("convergence", "scheme = exponential_em", "semi_implicit_em"),
+    ("convergence", "t_end = 0", "t_end=0.0"),
     ("mc-expmoments", "eps_exp = 5", "inadmissible eps_exp"),
     ("mc-moments", "t_end = 0", "t_end=0.0"),
     ("mc-expmoments", "t_end = 0", "t_end=0.0"),
     ("ou-test", "burn_in = 1", "burn_in"),
+    ("ou-test", "t_end = 0.1\nburn_in = 0.095", "leaves 1 recorded sample"),
     ("invariant", "T_long = 1\nburn_in = 2", "burn_in"),
     ("invariant", "T_long = 0.05\nburn_in = 0", "batch means"),
     ("invariant", "x0_list = ,", "x0_list"),

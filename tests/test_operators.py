@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lans_alpha import (
+    IntegratorConfig,
     PhysicalParams,
     SpectralField,
     apply_stokes,
@@ -16,16 +19,44 @@ from lans_alpha import (
     helmholtz,
     inner_product,
     linearized_drift,
+    make_noise,
+    run_ensemble,
     sobolev_norms,
 )
+from lans_alpha import operators
 from lans_alpha.operators import (
     FFT_MIN_CUTOFF,
     b_tilde_dense,
     b_tilde_fft,
+    helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
+    triad_table,
 )
 from conftest import rand_field, vnorm
+
+
+def assert_members_independent_of_batch(basis, alpha=0.5):
+    # member i is bit-identical for any batch size and any two-block split
+    rng = np.random.default_rng(29)
+    C, E = rng.standard_normal((2, 7, basis.mode_count))
+    N7 = nonlinear_coeffs(basis, C, alpha)
+    L7 = linearized_nonlinear_coeffs(basis, C, E, alpha)
+    for i in range(7):
+        assert np.array_equal(nonlinear_coeffs(basis, C[i], alpha), N7[i])
+        assert np.array_equal(linearized_nonlinear_coeffs(basis, C[i], E[i], alpha), L7[i])
+    for M in (2, 3):
+        assert np.array_equal(nonlinear_coeffs(basis, C[:M], alpha), N7[:M])
+        assert np.array_equal(linearized_nonlinear_coeffs(basis, C[:M], E[:M], alpha), L7[:M])
+    for split in range(1, 7):
+        parts = [slice(0, split), slice(split, 7)]
+        assert np.array_equal(
+            np.concatenate([nonlinear_coeffs(basis, C[s], alpha) for s in parts]), N7
+        )
+        assert np.array_equal(
+            np.concatenate([linearized_nonlinear_coeffs(basis, C[s], E[s], alpha) for s in parts]),
+            L7,
+        )
 
 
 class TestStokesAndHelmholtz:
@@ -390,26 +421,116 @@ class TestPseudoSpectralRoute:
         assert np.abs(fd - lin).max() < 1e-7 * (1 + np.abs(lin).max())
 
     def test_member_result_independent_of_batch(self, basis8):
-        # member i is bit-identical for any batch size and any two-block split
-        rng = np.random.default_rng(29)
-        C, E = rng.standard_normal((2, 7, basis8.mode_count))
-        N7 = nonlinear_coeffs(basis8, C, 0.5)
-        L7 = linearized_nonlinear_coeffs(basis8, C, E, 0.5)
-        for i in range(7):
-            assert np.array_equal(nonlinear_coeffs(basis8, C[i], 0.5), N7[i])
-            assert np.array_equal(linearized_nonlinear_coeffs(basis8, C[i], E[i], 0.5), L7[i])
-        for M in (2, 3):
-            assert np.array_equal(nonlinear_coeffs(basis8, C[:M], 0.5), N7[:M])
-            assert np.array_equal(linearized_nonlinear_coeffs(basis8, C[:M], E[:M], 0.5), L7[:M])
-        for split in range(1, 7):
-            parts = [slice(0, split), slice(split, 7)]
-            assert np.array_equal(
-                np.concatenate([nonlinear_coeffs(basis8, C[s], 0.5) for s in parts]), N7
-            )
-            assert np.array_equal(
-                np.concatenate([linearized_nonlinear_coeffs(basis8, C[s], E[s], 0.5) for s in parts]),
-                L7,
-            )
+        assert_members_independent_of_batch(basis8)
+
+
+class TestTriadRoute:
+    """The stepping path's route below the FFT cutoff against the dense
+    route and the independent oracles."""
+
+    CUTOFFS = [1, 2, 3, FFT_MIN_CUTOFF - 1]
+
+    @staticmethod
+    def via(route, u, alpha):
+        # N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u) through one b_tilde route
+        f = helmholtz_factor(u.basis, alpha)
+        return -route(u, SpectralField(u.basis, f * u.coeffs)).coeffs / f
+
+    @pytest.mark.parametrize("cutoff, triads", [(1, 16), (2, 224), (3, 1056), (4, 3120)])
+    def test_triad_counts(self, cutoff, triads):
+        table = triad_table(build_basis(2 * np.pi, cutoff), 0.5)
+        assert len(table.coeff) == triads
+        assert np.all(table.k <= table.l)
+        assert np.all(np.diff(table.rows) > 0)
+
+    def test_modes_without_triads_stay_zero(self, basis1):
+        table = triad_table(basis1, 0.5)
+        assert len(table.rows) == 4
+        idle = np.setdiff1d(np.arange(basis1.mode_count), table.rows)
+        c = np.random.default_rng(30).standard_normal((3, basis1.mode_count))
+        assert np.all(nonlinear_coeffs(basis1, c, 0.5)[:, idle] == 0.0)
+        assert np.all(linearized_nonlinear_coeffs(basis1, c, c[::-1], 0.5)[:, idle] == 0.0)
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    def test_agrees_with_every_route(self, cutoff):
+        basis = build_basis(1.7, cutoff)
+        rng = np.random.default_rng(31 + cutoff)
+        alpha = 0.8
+
+        def dense(u, v):
+            return SpectralField(u.basis, b_tilde_dense(u.basis, u.coeffs, v.coeffs))
+
+        for _ in range(2):
+            u = rand_field(basis, rng)
+            ours = nonlinear_coeffs(basis, u.coeffs, alpha)
+            for route in (b_tilde_convolution, b_tilde_matrix, dense):
+                ref = self.via(route, u, alpha)
+                assert np.abs(ours - ref).max() < 1e-12 * np.abs(ref).max(), route
+        # the first variation: Bt(eta, f u) + Bt(u, f eta)
+        cu, ceta = rng.standard_normal((2, 3, basis.mode_count))
+        f = helmholtz_factor(basis, alpha)
+        ref = -(b_tilde_dense(basis, ceta, f * cu) + b_tilde_dense(basis, cu, f * ceta)) / f
+        lin = linearized_nonlinear_coeffs(basis, cu, ceta, alpha)
+        assert np.abs(lin - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+    def test_no_alpha_energy_work(self, cutoff, alpha):
+        # <N(c), (I+a^2 A) c> = 0
+        basis = build_basis(2 * np.pi, cutoff)
+        c = np.random.default_rng(35).standard_normal((4, basis.mode_count))
+        helm_c = helmholtz_factor(basis, alpha) * c
+        N = nonlinear_coeffs(basis, c, alpha)
+        work = np.sum(N * helm_c, axis=-1)
+        scale = np.linalg.norm(N, axis=-1) * np.linalg.norm(helm_c, axis=-1)
+        assert np.all(np.abs(work) < 1e-12 * scale)
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    def test_linearized_central_difference(self, cutoff):
+        basis = build_basis(2 * np.pi, cutoff)
+        u, h = np.random.default_rng(36).standard_normal((2, basis.mode_count))
+        delta = 1e-4
+        fd = (
+            nonlinear_coeffs(basis, u + delta * h, 0.5) - nonlinear_coeffs(basis, u - delta * h, 0.5)
+        ) / (2 * delta)
+        lin = linearized_nonlinear_coeffs(basis, u, h, 0.5)
+        # quadratic map: the difference quotient is exact up to rounding
+        assert np.abs(fd - lin).max() < 1e-9 * (1 + np.abs(lin).max())
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    def test_member_result_independent_of_batch(self, cutoff):
+        assert_members_independent_of_batch(build_basis(2 * np.pi, cutoff))
+
+    def test_thread_split_is_bit_identical(self, basis2, monkeypatch):
+        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        spec, _ = make_noise(1.5, 0.5, basis2, alpha=p.alpha, seed=37)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_every=2)
+        x0 = rand_field(basis2, np.random.default_rng(38), scale=0.5).coeffs
+        h = SpectralField.unit(basis2, 0).coeffs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        serial = run_ensemble(x0, p, spec, cfg, 5, eta0_coeffs=h, collect_be=True)
+        monkeypatch.setenv("LANS_THREADS", "2")
+        threaded = run_ensemble(x0, p, spec, cfg, 5, eta0_coeffs=h, collect_be=True)
+        for name in ("final_coeffs", "F", "dissipation", "martingale", "eta_final", "be_accumulator"):
+            assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
+    def test_stepping_path_skips_the_dense_route(self, cutoff, monkeypatch):
+        basis = build_basis(2 * np.pi, cutoff)
+        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        spec, _ = make_noise(1.5, 0.5, basis, alpha=p.alpha, seed=39)
+        triad_table(basis, p.alpha)  # the one-off build uses the dense route
+
+        def refuse(*args):
+            raise AssertionError("dense route called while stepping")
+
+        monkeypatch.setattr(operators, "b_tilde_dense", refuse)
+        x0 = rand_field(basis, np.random.default_rng(40), scale=0.3).coeffs
+        h = SpectralField.unit(basis, 0).coeffs
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.005)
+        paths = run_ensemble(x0, p, spec, cfg, 3, eta0_coeffs=h)
+        assert np.all(np.isfinite(paths.eta_final))
 
 
 class TestPhysicalParams:

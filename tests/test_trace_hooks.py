@@ -17,6 +17,8 @@ REQUIRED = [
     (integrator, "substream"),
     (integrator, "alpha_energy"),
     (integrator, "nonlinear_coeffs"),
+    (integrator, "linearized_nonlinear_coeffs"),
+    (integrator, "alpha_dissipation"),
     (diagnostics, "substream"),
     (diagnostics, "run_ensemble"),
     (diagnostics, "integrate"),
