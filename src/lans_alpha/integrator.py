@@ -29,6 +29,30 @@ the strong-convergence study passes its common-path increments in place
 of the substream draws.  Each step computes the alpha-energy once; it
 updates the running sup, is recorded as F and detects blow-up, being
 non-finite whenever a coefficient is (and when it overflows).
+
+At M <= 2 a step is mostly Python dispatch, so what does not change from
+step to step is fixed once:
+
+  StepKernel   picks the scheme's one-step and first-variation maps and
+               binds the nonlinearity's route data (triad table or
+               Helmholtz factor) and the energy and dissipation weights;
+               no step walks the scheme branches or looks up a
+               (basis, alpha) cache.
+  noise        each chunk of _NOISE_CHUNK steps is drawn straight into
+               one buffer per block.  When the block draws its own
+               increments and nothing else reads them (no Bismut-Elworthy
+               accumulation), the chunk is scaled to the injected noise
+               in place by noise_injected's own operations.  Caller
+               increments are never written; they, and BE runs, are
+               scaled per step.
+  reductions   the per-step energy and the recorded dissipation are
+               np.square, np.multiply and np.add.reduce into preallocated
+               (M, n) and (M,) buffers, the bits of np.sum(w * c**2, -1).
+
+The stepping path still calls the names the benchmark's tracer patches
+(nonlinear_coeffs, linearized_nonlinear_coeffs, alpha_energy,
+alpha_dissipation, StepKernel.step and step_variation, substream), and
+every result equals the plain maps bit for bit.
 """
 
 from __future__ import annotations
@@ -43,12 +67,14 @@ import numpy as np
 from .basis import Basis, ConfigError, SpectralField
 from .noise import NoiseSpec, substream
 from .operators import (
+    FFT_MIN_CUTOFF,
     PhysicalParams,
     alpha_dissipation,
     alpha_energy,
     helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
+    triad_table,
 )
 
 __all__ = [
@@ -136,7 +162,14 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 class StepKernel:
-    """Batched one-step map for a fixed (basis, params, noise, config)."""
+    """Batched one-step map for a fixed (basis, params, noise, config).
+
+    Construction is the step plan: it picks the scheme's one-step and
+    first-variation maps and binds the nonlinearity's route data (the triad
+    table below FFT_MIN_CUTOFF, else the Helmholtz factor) and the energy
+    and dissipation weights, so a step neither walks the scheme branches
+    nor looks up a (basis, alpha) cache.
+    """
 
     def __init__(
         self,
@@ -159,15 +192,23 @@ class StepKernel:
         self.sigma = sigma
         self.n = basis.mode_count
         lam = basis.eigenvalues
-        dt = cfg.dt
+        dt = self.dt = cfg.dt
         self.sqrt_dt = np.sqrt(dt)
         self.helm = helmholtz_factor(basis, p.alpha)
+        self.dissipation_weight = lam * self.helm
+        self.triad = None
+        if cfg.nonlinearity and basis.cutoff < FFT_MIN_CUTOFF:
+            self.triad = triad_table(basis, p.alpha)
         q = spec.q if spec is not None else np.zeros(self.n)
 
+        # the scheme's maps, which step and step_variation call
+        self._step, self._variation = self._rk4_step, self._rk4_variation
         if cfg.scheme == "semi_implicit_em":
+            self._step, self._variation = self._semi_implicit_step, self._semi_implicit_variation
             self.implicit_denom = 1.0 + dt * p.nu * lam
             self.noise_scale = q
         elif cfg.scheme == "exponential_em":
+            self._step, self._variation = self._exponential_step, self._exponential_variation
             z = -p.nu * lam * dt
             self.decay = np.exp(z)
             self.phi1_dt = dt * _phi1(z)
@@ -181,12 +222,14 @@ class StepKernel:
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinearity:
             return np.zeros_like(c)
-        return nonlinear_coeffs(self.basis, c, self.p.alpha)
+        return nonlinear_coeffs(self.basis, c, self.p.alpha, table=self.triad, factor=self.helm)
 
     def _linearized(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinearity:
             return np.zeros_like(ceta)
-        return linearized_nonlinear_coeffs(self.basis, cu, ceta, self.p.alpha)
+        return linearized_nonlinear_coeffs(
+            self.basis, cu, ceta, self.p.alpha, table=self.triad, factor=self.helm
+        )
 
     def _full_drift(self, c: np.ndarray) -> np.ndarray:
         return -self.p.nu * self.basis.eigenvalues * c + self.nonlinear(c)
@@ -197,35 +240,53 @@ class StepKernel:
     def step(self, c: np.ndarray, zeta: np.ndarray | None) -> np.ndarray:
         """Advance coefficients by one step; zeta is the injected noise,
         `noise_injected(dW)` (None without noise)."""
-        cfg = self.cfg
-        if cfg.scheme == "semi_implicit_em":
-            rhs = c + cfg.dt * self.nonlinear(c) if cfg.nonlinearity else c
-            if zeta is not None:
-                rhs = rhs + zeta
-            return rhs / self.implicit_denom
-        if cfg.scheme == "exponential_em":
-            out = self.decay * c
-            if cfg.nonlinearity:
-                out = out + self.phi1_dt * self.nonlinear(c)
-            if zeta is not None:
-                out = out + zeta
-            return out
-        # rk4_deterministic
-        dt = cfg.dt
+        return self._step(c, zeta)
+
+    def step_variation(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
+        """Exact Jacobian action of the one-step map at the pre-step state."""
+        return self._variation(cu, ceta)
+
+    # The nonlinearity returns a fresh array, which the steps update in place
+    # by the same operations, on the same operands, as the expressions
+    # c + dt * N(c) + zeta and so on.
+
+    def _semi_implicit_step(self, c, zeta):
+        if self.cfg.nonlinearity:
+            rhs = self.nonlinear(c)
+            rhs *= self.dt
+            np.add(c, rhs, out=rhs)
+        else:
+            rhs = c
+        if zeta is not None:
+            rhs = rhs + zeta
+        return rhs / self.implicit_denom
+
+    def _semi_implicit_variation(self, cu, ceta):
+        return (ceta + self.dt * self._linearized(cu, ceta)) / self.implicit_denom
+
+    def _exponential_step(self, c, zeta):
+        out = self.decay * c
+        if self.cfg.nonlinearity:
+            nl = self.nonlinear(c)
+            nl *= self.phi1_dt
+            out += nl
+        if zeta is not None:
+            out += zeta
+        return out
+
+    def _exponential_variation(self, cu, ceta):
+        return self.decay * ceta + self.phi1_dt * self._linearized(cu, ceta)
+
+    def _rk4_step(self, c, zeta):
+        dt = self.dt
         k1 = self._full_drift(c)
         k2 = self._full_drift(c + 0.5 * dt * k1)
         k3 = self._full_drift(c + 0.5 * dt * k2)
         k4 = self._full_drift(c + dt * k3)
         return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def step_variation(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
-        """Exact Jacobian action of the one-step map at the pre-step state."""
-        cfg = self.cfg
-        if cfg.scheme == "semi_implicit_em":
-            return (ceta + cfg.dt * self._linearized(cu, ceta)) / self.implicit_denom
-        if cfg.scheme == "exponential_em":
-            return self.decay * ceta + self.phi1_dt * self._linearized(cu, ceta)
-        dt = cfg.dt
+    def _rk4_variation(self, cu, ceta):
+        dt = self.dt
         k1u = self._full_drift(cu)
         k1e = self._full_linearized_drift(cu, ceta)
         u2 = cu + 0.5 * dt * k1u
@@ -238,14 +299,17 @@ class StepKernel:
         k4e = self._full_linearized_drift(u4, ceta + dt * k3e)
         return ceta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
 
-    def noise_injected(self, dW: np.ndarray | None) -> np.ndarray | None:
-        """Coefficients of the noise term the scheme adds for increments dW."""
+    def noise_injected(
+        self, dW: np.ndarray | None, out: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """Coefficients of the noise term the scheme adds for increments dW,
+        written into `out` when given (which may be dW itself)."""
         if dW is None or self.sigma == 0.0:
             return None
         if self.cfg.scheme == "semi_implicit_em":
-            return self.noise_scale * dW
+            return np.multiply(self.noise_scale, dW, out=out)
         if self.cfg.scheme == "exponential_em":
-            return self.conv_std * (dW / self.sqrt_dt)
+            return np.multiply(self.conv_std, np.divide(dW, self.sqrt_dt, out=out), out=out)
         return None
 
 
@@ -447,6 +511,13 @@ def _run_ensemble_block(
 
     draw = kernel.sigma > 0 and increments is None
     gens = [substream(spec.seed, member_offset + i) for i in range(M)] if draw else None
+    # self-drawn increments nothing else reads are scaled to the injected
+    # noise a whole chunk at a time, in place; the others per step
+    scaled = draw and not collect_be
+    drawn = np.empty((M, min(_NOISE_CHUNK, num_steps), n)) if draw else None
+    # with M > 1 a step's slice of the chunk is strided across members, and
+    # the step runs faster on a contiguous copy
+    zeta_rows = np.empty((M, n)) if scaled and M > 1 else None
 
     R = len(rec)
     times = np.array([m * cfg.dt for m in rec])
@@ -455,7 +526,11 @@ def _run_ensemble_block(
     mart_series = np.empty((M, R))
     snaps = np.empty((M, R, n)) if store_fields else None
     mart = np.zeros(M)
-    E = alpha_energy(C, basis, p.alpha)
+    # the energy and dissipation reductions write into these
+    E = np.empty(M)
+    work = np.empty((M, n))
+    helm, alpha = kernel.helm, p.alpha
+    alpha_energy(C, basis, alpha, weight=helm, out=E, work=work)
     sup_F = E.copy()
 
     r = 0
@@ -463,7 +538,7 @@ def _run_ensemble_block(
     def record():
         nonlocal r
         F[:, r] = E
-        D[:, r] = alpha_dissipation(C, basis, p.alpha)
+        alpha_dissipation(C, basis, alpha, weight=kernel.dissipation_weight, out=D[:, r], work=work)
         mart_series[:, r] = mart
         if snaps is not None:
             snaps[:, r] = C
@@ -475,19 +550,25 @@ def _run_ensemble_block(
     with np.errstate(over="ignore", invalid="ignore"):
         while m < num_steps:
             chunk = min(_NOISE_CHUNK, num_steps - m)
-            dWs = None
+            noise = None  # (M, chunk, n): increments dW, or the injected noise if scaled
             if increments is not None:
-                dWs = increments[:, m : m + chunk]
+                noise = increments[:, m : m + chunk]
             elif draw:
-                dWs = np.empty((M, chunk, n))
+                noise = drawn[:, :chunk]
                 for i, g in enumerate(gens):
-                    dWs[i] = g.standard_normal((chunk, n))
-                dWs *= kernel.sqrt_dt
+                    g.standard_normal(out=noise[i])
+                noise *= kernel.sqrt_dt
+                if scaled:
+                    kernel.noise_injected(noise, out=noise)
             for i in range(chunk):
-                dW = dWs[:, i, :] if dWs is not None else None
-                zeta = kernel.noise_injected(dW)
+                dW = None if noise is None else noise[:, i]
+                if zeta_rows is not None:
+                    zeta = zeta_rows
+                    zeta[...] = dW
+                else:
+                    zeta = dW if scaled else kernel.noise_injected(dW)
                 if zeta is not None:
-                    mart += np.einsum("j,mj,mj->m", kernel.helm, C, zeta)
+                    mart += np.einsum("j,mj,mj->m", helm, C, zeta)
                 if be_acc is not None:
                     be_acc += np.einsum("mj,mj->m", Eta / spec.q, dW)
                 if Eta is not None:
@@ -496,7 +577,7 @@ def _run_ensemble_block(
                 m += 1
                 # energies are >= 0 and non-finite whenever C is, so the
                 # running max turns non-finite at the first bad step
-                E = alpha_energy(C, basis, p.alpha)
+                alpha_energy(C, basis, alpha, weight=helm, out=E, work=work)
                 np.maximum(sup_F, E, out=sup_F)
                 if not math.isfinite(sup_F.max(initial=0.0)):
                     bad = int(np.flatnonzero(~np.isfinite(E))[0])

@@ -277,14 +277,14 @@ def triad_table(basis: Basis, alpha: float) -> TriadTable:
     return table
 
 
-def _triad_sum(basis: Basis, alpha: float, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _triad_sum(table: TriadTable, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """sum over pairs (a, b) of sum_{k<=l} S_jkl a_k b_l, batched.
 
     Every a and b has one shape.  Mode-major: the gathers and products run
     along the member axis, and np.add.reduceat sums each member's column on
     its own, so a member's result does not depend on the batch it is in.
+    The result is C-contiguous, like the states it is added to.
     """
-    table = triad_table(basis, alpha)
     shape = pairs[0][0].shape
     n = shape[-1]
     prod = None
@@ -293,39 +293,94 @@ def _triad_sum(basis: Basis, alpha: float, *pairs: tuple[np.ndarray, np.ndarray]
         term *= b.reshape(-1, n).T.take(table.l, axis=0)
         prod = term if prod is None else prod + term
     prod *= table.coeff[:, None]
-    out = np.zeros((n, prod.shape[1]))
-    out[table.rows] = np.add.reduceat(prod, table.starts, axis=0)
-    return out.T.reshape(shape)
+    out = np.zeros((prod.shape[1], n))
+    out[:, table.rows] = np.add.reduceat(prod, table.starts, axis=0).T
+    return out.reshape(shape)
 
 
-def nonlinear_coeffs(basis: Basis, coeffs: np.ndarray, alpha: float) -> np.ndarray:
-    """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched."""
+# The stepping path binds its route data once (StepKernel) and passes it as
+# `table` and `factor`; other callers leave them out and the cache supplies them.
+
+
+def nonlinear_coeffs(
+    basis: Basis,
+    coeffs: np.ndarray,
+    alpha: float,
+    *,
+    table: TriadTable | None = None,
+    factor: np.ndarray | None = None,
+) -> np.ndarray:
+    """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched.
+
+    `table` is triad_table(basis, alpha) (triad route) and `factor`
+    helmholtz_factor(basis, alpha) (pseudo-spectral route)."""
     if basis.cutoff < FFT_MIN_CUTOFF:
-        return _triad_sum(basis, alpha, (coeffs, coeffs))
-    factor = helmholtz_factor(basis, alpha)
+        return _triad_sum(triad_table(basis, alpha) if table is None else table, (coeffs, coeffs))
+    factor = helmholtz_factor(basis, alpha) if factor is None else factor
     return -b_tilde_fft(basis, (coeffs, coeffs * factor)) / factor
 
 
 def linearized_nonlinear_coeffs(
-    basis: Basis, cu: np.ndarray, ceta: np.ndarray, alpha: float
+    basis: Basis,
+    cu: np.ndarray,
+    ceta: np.ndarray,
+    alpha: float,
+    *,
+    table: TriadTable | None = None,
+    factor: np.ndarray | None = None,
 ) -> np.ndarray:
     """Derivative of nonlinear_coeffs at u in direction eta, batched
-    (cu and ceta of one shape)."""
+    (cu and ceta of one shape; `table` and `factor` as there)."""
     if basis.cutoff < FFT_MIN_CUTOFF:
-        return _triad_sum(basis, alpha, (cu, ceta), (ceta, cu))
-    factor = helmholtz_factor(basis, alpha)
+        table = triad_table(basis, alpha) if table is None else table
+        return _triad_sum(table, (cu, ceta), (ceta, cu))
+    factor = helmholtz_factor(basis, alpha) if factor is None else factor
     return -b_tilde_fft(basis, (ceta, cu * factor), (cu, ceta * factor)) / factor
 
 
-def alpha_energy(coeffs: np.ndarray, basis: Basis, alpha: float) -> np.ndarray:
-    """F(u) = |u|_2^2 + alpha^2 |grad u|_2^2 over the last axis."""
-    return np.sum(helmholtz_factor(basis, alpha) * np.asarray(coeffs) ** 2, axis=-1)
+def _weighted_square_sum(coeffs, weight, out, work) -> np.ndarray:
+    # np.sum(weight * coeffs**2, axis=-1) bit for bit (np.sum is np.add.reduce),
+    # writing the squares into `work` and the sums into `out` when given
+    sq = np.multiply(weight, np.square(coeffs, out=work), out=work)
+    return np.add.reduce(sq, axis=-1, out=out)
 
 
-def alpha_dissipation(coeffs: np.ndarray, basis: Basis, alpha: float) -> np.ndarray:
-    """|grad u|_2^2 + alpha^2 |Au|_2^2 over the last axis."""
-    weight = basis.eigenvalues * helmholtz_factor(basis, alpha)
-    return np.sum(weight * np.asarray(coeffs) ** 2, axis=-1)
+def alpha_energy(
+    coeffs: np.ndarray,
+    basis: Basis,
+    alpha: float,
+    *,
+    weight: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """F(u) = |u|_2^2 + alpha^2 |grad u|_2^2 over the last axis.
+
+    `weight` is helmholtz_factor(basis, alpha).  `out` (shape (...,)) and
+    `work` (C-contiguous, shape (..., n)) are optional buffers for the sums
+    and the weighted squares; the sums have the same bits either way when
+    coeffs is C-contiguous."""
+    if weight is None:
+        weight = helmholtz_factor(basis, alpha)
+    return _weighted_square_sum(coeffs, weight, out, work)
+
+
+def alpha_dissipation(
+    coeffs: np.ndarray,
+    basis: Basis,
+    alpha: float,
+    *,
+    weight: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """|grad u|_2^2 + alpha^2 |Au|_2^2 over the last axis.
+
+    `weight` is basis.eigenvalues * helmholtz_factor(basis, alpha); `out`
+    and `work` as in alpha_energy."""
+    if weight is None:
+        weight = basis.eigenvalues * helmholtz_factor(basis, alpha)
+    return _weighted_square_sum(coeffs, weight, out, work)
 
 
 # -- public field-level operations ------------------------------------------

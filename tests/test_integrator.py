@@ -18,8 +18,11 @@ from lans_alpha import (
     step_variation,
     substream,
 )
+from lans_alpha import integrator
+from lans_alpha.basis import Basis, build_basis
 from lans_alpha.diagnostics import strong_convergence_study
 from lans_alpha.integrator import ensemble_threads
+from lans_alpha.operators import alpha_dissipation
 from conftest import rand_field
 
 
@@ -393,3 +396,141 @@ class TestEnsembleMachinery:
         monkeypatch.setenv("LANS_THREADS", value)
         with pytest.raises(ConfigError, match="LANS_THREADS"):
             ensemble_threads()
+
+
+def naive_ensemble(basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, increments=None):
+    """Every step through the plain maps, as the stepping loop once read:
+    per-step substream draws scaled by sqrt(dt), noise_injected, step,
+    step_variation and the cache-backed energy and dissipation."""
+    kernel = StepKernel(basis, p, cfg, spec)
+    steps, n = cfg.num_steps(), basis.mode_count
+    if increments is None and spec.sigma > 0:
+        increments = np.stack(
+            [kernel.sqrt_dt * substream(spec.seed, i).standard_normal((steps, n)) for i in range(M)]
+        )
+    record_at = set(range(0, steps + 1, cfg.record_every)) | {steps}
+    C = np.tile(x0, (M, 1))
+    Eta = None if eta0 is None else np.tile(eta0, (M, 1))
+    E = alpha_energy(C, basis, p.alpha)
+    sup_F, mart, be = E.copy(), np.zeros(M), np.zeros(M)
+    F, D, marts = [E], [alpha_dissipation(C, basis, p.alpha)], [mart.copy()]
+    for m in range(steps):
+        dW = None if increments is None else increments[:, m]
+        zeta = kernel.noise_injected(dW)
+        if zeta is not None:
+            mart = mart + np.einsum("j,mj,mj->m", kernel.helm, C, zeta)
+        if collect_be:
+            be = be + np.einsum("mj,mj->m", Eta / spec.q, dW)
+        if Eta is not None:
+            Eta = kernel.step_variation(C, Eta)
+        C = kernel.step(C, zeta)
+        E = alpha_energy(C, basis, p.alpha)
+        sup_F = np.maximum(sup_F, E)
+        if m + 1 in record_at:
+            F.append(E)
+            D.append(alpha_dissipation(C, basis, p.alpha))
+            marts.append(mart.copy())
+    return {
+        "F": np.stack(F, axis=1),
+        "dissipation": np.stack(D, axis=1),
+        "martingale": np.stack(marts, axis=1),
+        "sup_F": sup_F,
+        "final_coeffs": C,
+        "eta_final": Eta,
+        "be_accumulator": be if collect_be else None,
+    }
+
+
+class TestStepPlan:
+    """The step plan (scheme and route data bound once, noise scaled per
+    chunk, reductions into buffers) against the plain maps, bit for bit,
+    with chunks of 7 steps so that runs cross chunk boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def short_chunks(self, monkeypatch):
+        monkeypatch.setattr(integrator, "_NOISE_CHUNK", 7)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+
+    @staticmethod
+    def case(cutoff, scheme, nonlinearity):
+        basis = build_basis(2 * np.pi, cutoff)
+        sigma = 0.0 if scheme == "rk4_deterministic" else 0.8
+        spec, _ = make_noise(1.5, sigma, basis, seed=5)
+        cfg = IntegratorConfig(
+            scheme=scheme, dt=2e-3, t_end=0.04, record_every=3, nonlinearity=nonlinearity
+        )
+        rng = np.random.default_rng(cutoff)
+        x0, h = rng.standard_normal((2, basis.mode_count))
+        return basis, spec, cfg, x0, h
+
+    @pytest.mark.parametrize("cutoff", [1, 5])
+    @pytest.mark.parametrize("nonlinearity", [True, False])
+    @pytest.mark.parametrize(
+        "scheme, run",
+        [
+            (scheme, run)
+            for scheme in ("semi_implicit_em", "exponential_em", "rk4_deterministic")
+            for run in ("plain", "variation", "collect_be")
+            # Bismut-Elworthy accumulation needs noise, which rk4 does not take
+            if not (scheme == "rk4_deterministic" and run == "collect_be")
+        ],
+    )
+    def test_matches_plain_maps(self, cutoff, nonlinearity, scheme, run):
+        basis, spec, cfg, x0, h = self.case(cutoff, scheme, nonlinearity)
+        eta0 = None if run == "plain" else h
+        got = run_ensemble(
+            x0, params(), spec, cfg, 3, eta0_coeffs=eta0, collect_be=run == "collect_be"
+        )
+        want = naive_ensemble(basis, params(), spec, cfg, x0, 3, eta0, run == "collect_be")
+        for name, value in want.items():
+            if value is None:
+                assert getattr(got, name) is None, name
+            else:
+                assert np.array_equal(getattr(got, name), value), name
+
+    @pytest.mark.parametrize("scheme", ["semi_implicit_em", "exponential_em"])
+    def test_caller_increments_are_not_written(self, scheme):
+        basis, spec, cfg, x0, _ = self.case(1, scheme, True)
+        dW = np.sqrt(cfg.dt) * np.random.default_rng(3).standard_normal((3, cfg.num_steps(), 8))
+        before = dW.copy()
+        got = run_ensemble(x0, params(), spec, cfg, 3, increments=dW)
+        assert np.array_equal(dW, before)
+        want = naive_ensemble(basis, params(), spec, cfg, x0, 3, increments=before)
+        assert np.array_equal(got.final_coeffs, want["final_coeffs"])
+        assert np.array_equal(got.martingale, want["martingale"])
+
+
+@pytest.mark.parametrize("cutoff", [1, 5])
+def test_no_cache_lookup_per_step(monkeypatch, cutoff):
+    # the step plan binds every (basis, alpha)-keyed datum at set-up, so the
+    # number of Basis hashes and comparisons does not grow with the steps
+    basis = build_basis(2 * np.pi, cutoff)
+    spec, _ = make_noise(1.5, 0.5, build_basis(2 * np.pi, cutoff), seed=9)
+    h = np.random.default_rng(0).standard_normal(basis.mode_count)
+    monkeypatch.delenv("LANS_THREADS", raising=False)
+
+    def run(steps):
+        cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3, record_every=3)
+        run_ensemble(h, params(), spec, cfg, 2, basis=basis, eta0_coeffs=h, collect_be=True)
+        run_ensemble(h, params(), spec, cfg, 2, basis=basis)
+
+    run(10)  # build the cached tables first
+    calls = {"hash": 0, "eq": 0}
+    original_hash, original_eq = Basis.__hash__, Basis.__eq__
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return original_hash(self)
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return original_eq(self, other)
+
+    monkeypatch.setattr(Basis, "__hash__", counted_hash)
+    monkeypatch.setattr(Basis, "__eq__", counted_eq)
+    counts = []
+    for steps in (10, 200):
+        calls.update(hash=0, eq=0)
+        run(steps)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
