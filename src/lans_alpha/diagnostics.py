@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -652,16 +653,18 @@ def strong_convergence_study(
     basis = spec.basis
     n = basis.mode_count
 
-    xi = np.empty((M, steps_fine, n))
+    # one (M, steps, n) array of fine increments, scaled in place; the finest
+    # level steps on it directly and each coarser level on its block sums
+    dW_fine = np.empty((M, steps_fine, n))
     for i in range(M):
-        xi[i] = substream(spec.seed, i).standard_normal((steps_fine, n))
-    dW_fine = np.sqrt(finest) * xi
+        substream(spec.seed, i).standard_normal(out=dW_fine[i])
+    dW_fine *= np.sqrt(finest)
 
     finals = []
     for dt in dts:
         r = int(round(dt / finest))
         steps = steps_fine // r
-        dW = dW_fine[:, : steps * r, :].reshape(M, steps, r, n).sum(axis=2)
+        dW = dW_fine if r == 1 else dW_fine.reshape(M, steps, r, n).sum(axis=2)
         level_cfg = replace(cfg, dt=dt, record_every=max(1, steps))
         paths = run_ensemble(x0.coeffs, p, spec, level_cfg, M, basis=basis, increments=dW)
         finals.append(paths.final_coeffs)
@@ -690,7 +693,8 @@ def first_variation_check(
     Member 0 runs from x0 carrying eta(0) = h and again from x0 + delta h on
     the same noise.  Returns the verdict on the relative error
     |(u_delta(T) - u(T)) / delta - eta(T)| / |eta(T)|, which is O(delta),
-    and |eta(T)|.
+    and |eta(T)|.  Raises ConfigError when |eta(T)| is not a normal float:
+    over a long horizon eta(T) ~ e^{-nu lambda T} h underflows to 0.
     """
     if delta == 0 or not math.isfinite(delta):
         raise ConfigError(f"the finite-difference offset must be nonzero and finite, got {delta}")
@@ -698,5 +702,11 @@ def first_variation_check(
     bumped = run_ensemble(x0.coeffs + delta * h.coeffs, p, spec, cfg, 1)
     fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta
     eta = base.eta_final[0]
-    rel = float(np.linalg.norm(fd - eta) / np.linalg.norm(eta))
-    return Verdict("first variation rel error", rel, VARIATION_REL_TOL), float(np.linalg.norm(eta))
+    eta_norm = float(np.linalg.norm(eta))
+    if not sys.float_info.min <= eta_norm <= sys.float_info.max:
+        raise ConfigError(
+            f"|eta(T)| = {eta_norm:.3g} at the horizon t_end={cfg.t_end} is not a normal float, "
+            "so the relative error is undefined; shorten t_end"
+        )
+    rel = float(np.linalg.norm(fd - eta) / eta_norm)
+    return Verdict("first variation rel error", rel, VARIATION_REL_TOL), eta_norm

@@ -38,16 +38,41 @@ step to step is fixed once:
                Helmholtz factor) and the energy and dissipation weights;
                no step walks the scheme branches or looks up a
                (basis, alpha) cache.
-  noise        each chunk of _NOISE_CHUNK steps is drawn straight into
-               one buffer per block.  When the block draws its own
-               increments and nothing else reads them (no Bismut-Elworthy
-               accumulation), the chunk is scaled to the injected noise
-               in place by noise_injected's own operations.  Caller
-               increments are never written; they, and BE runs, are
-               scaled per step.
+  noise        each chunk of _NOISE_CHUNK steps is drawn member by member
+               into a tile of members that fits in L2 and copied from
+               there into one chunk buffer per block, laid out as the
+               state.  When the block draws its own increments and nothing
+               else reads them (no Bismut-Elworthy accumulation), the chunk
+               is scaled to the injected noise in place by noise_injected's
+               own operations.  Caller increments are never written; they,
+               and BE runs, are scaled per step into a buffer.
   reductions   the per-step energy and the recorded dissipation are
-               np.square, np.multiply and np.add.reduce into preallocated
-               (M, n) and (M,) buffers, the bits of np.sum(w * c**2, -1).
+               np.square, np.multiply and a sum into preallocated buffers,
+               the bits of np.sum(w * c**2, -1) over C-contiguous rows.
+
+The state steps in place.  A wide block (M >= _WIDE_MEMBERS) holds it,
+each step's noise slice and the squares mode-major, as C-contiguous (n, M)
+storage, so every gather, product and reduction runs over contiguous rows
+of members, into scratch allocated once per block (StepScratch).  The maps
+are handed the (M, n) views of that storage, so every signature keeps its
+(..., n) meaning, and EnsemblePaths is returned C-contiguous.  Narrow
+blocks keep C-contiguous (M, n) states, plain take and one np.add.reduceat
+per call, which win at few members.  A member's bits do not depend on the
+layout, because the wide block's row operations keep numpy's summation
+order (operators._pairwise_rows):
+
+  triad sums   np.add.reduceat adds segment [s, e) as P[s] + pairwise(P[s+1:e]),
+               not in sequence;
+  energies     np.add.reduce over a C-contiguous row is 0 + pairwise(row),
+               where pairwise adds under 8 terms in sequence and up to 128
+               in eight running sums, combined as
+               ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+               rest in sequence; a reduce over the transposed view would
+               add the rows in sequence;
+  martingale   the three-operand einsum adds over the modes in sequence in
+               either layout;
+  BE sum       the two-operand einsum does not, so it is handed
+               C-contiguous copies.
 
 The stepping path still calls the names the benchmark's tracer patches
 (nonlinear_coeffs, linearized_nonlinear_coeffs, alpha_energy,
@@ -61,6 +86,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +118,13 @@ __all__ = [
 SCHEMES = ("semi_implicit_em", "exponential_em", "rk4_deterministic")
 
 _NOISE_CHUNK = 2048  # steps of pre-drawn increments held in memory at once
+_TILE_BYTES = 1 << 21  # draws of one tile of members, copied into the chunk while in L2
+# From this many members a block is wide: it holds its state, noise and
+# squares mode-major and sums triads and energies by row operations into
+# scratch.  Against the member-major loop (2-core x86 VM, numpy 2.4, one BLAS
+# thread) the crossover lies near M = 256 at cutoff 1, 512 at cutoff 2 and
+# 100-200 at cutoffs 3-4; the bits are the same either way.
+_WIDE_MEMBERS = 512
 
 
 @dataclass(frozen=True)
@@ -148,10 +181,6 @@ class TrajectoryRecord:
     martingale_accumulator: np.ndarray
     snapshots: np.ndarray | None = None
 
-    def dissipation_integral(self) -> float:
-        """Trapezoidal rule on the recorded dissipation values."""
-        return float(np.trapezoid(self.dissipation_values, self.times))
-
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     # (e^z - 1)/z with a series fallback near zero
@@ -159,6 +188,13 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     small = np.abs(z) < 1e-6
     safe = np.where(small, 1.0, z)
     return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, np.expm1(safe) / safe)
+
+
+class StepScratch(NamedTuple):
+    """Temporaries of one (M, n) step, allocated once per ensemble block."""
+
+    nonlinear: np.ndarray       # (M, n): N(c), then the right-hand side built on it
+    triad: np.ndarray | None    # (2, T, M) triad-route scratch, or None (see _triad_sum)
 
 
 class StepKernel:
@@ -219,10 +255,13 @@ class StepKernel:
             var = dt * np.where(small, 1.0 - a / 2.0, -np.expm1(-safe) / safe)
             self.conv_std = q * np.sqrt(var)
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+    def nonlinear(self, c: np.ndarray, scratch: StepScratch | None = None) -> np.ndarray:
         if not self.cfg.nonlinearity:
             return np.zeros_like(c)
-        return nonlinear_coeffs(self.basis, c, self.p.alpha, table=self.triad, factor=self.helm)
+        out, work = (None, None) if scratch is None else scratch
+        return nonlinear_coeffs(
+            self.basis, c, self.p.alpha, table=self.triad, factor=self.helm, out=out, work=work
+        )
 
     def _linearized(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinearity:
@@ -237,38 +276,49 @@ class StepKernel:
     def _full_linearized_drift(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         return -self.p.nu * self.basis.eigenvalues * ceta + self._linearized(cu, ceta)
 
-    def step(self, c: np.ndarray, zeta: np.ndarray | None) -> np.ndarray:
+    def step(
+        self,
+        c: np.ndarray,
+        zeta: np.ndarray | None,
+        out: np.ndarray | None = None,
+        scratch: StepScratch | None = None,
+    ) -> np.ndarray:
         """Advance coefficients by one step; zeta is the injected noise,
-        `noise_injected(dW)` (None without noise)."""
-        return self._step(c, zeta)
+        `noise_injected(dW)` (None without noise).  The result is written to
+        `out` when given, which may be c itself; `scratch` (see
+        `StepScratch`) holds the step's temporaries for (M, n) states."""
+        return self._step(c, zeta, out, scratch)
 
     def step_variation(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         """Exact Jacobian action of the one-step map at the pre-step state."""
         return self._variation(cu, ceta)
 
-    # The nonlinearity returns a fresh array, which the steps update in place
-    # by the same operations, on the same operands, as the expressions
-    # c + dt * N(c) + zeta and so on.
+    # The nonlinearity is a fresh array or scratch, which the steps update in
+    # place by the same operations, on the same operands, as the expressions
+    # c + dt * N(c) + zeta and so on.  Every read of c comes before the write
+    # to out, so out may be c.
 
-    def _semi_implicit_step(self, c, zeta):
+    def _semi_implicit_step(self, c, zeta, out, scratch):
         if self.cfg.nonlinearity:
-            rhs = self.nonlinear(c)
+            rhs = self.nonlinear(c, scratch)
             rhs *= self.dt
             np.add(c, rhs, out=rhs)
+            if zeta is not None:
+                rhs += zeta
         else:
-            rhs = c
-        if zeta is not None:
-            rhs = rhs + zeta
-        return rhs / self.implicit_denom
+            rhs = c if zeta is None else c + zeta
+        return np.divide(rhs, self.implicit_denom, out=out)
 
     def _semi_implicit_variation(self, cu, ceta):
         return (ceta + self.dt * self._linearized(cu, ceta)) / self.implicit_denom
 
-    def _exponential_step(self, c, zeta):
-        out = self.decay * c
+    def _exponential_step(self, c, zeta, out, scratch):
+        nl = None
         if self.cfg.nonlinearity:
-            nl = self.nonlinear(c)
+            nl = self.nonlinear(c, scratch)
             nl *= self.phi1_dt
+        out = np.multiply(self.decay, c, out=out)
+        if nl is not None:
             out += nl
         if zeta is not None:
             out += zeta
@@ -277,13 +327,13 @@ class StepKernel:
     def _exponential_variation(self, cu, ceta):
         return self.decay * ceta + self.phi1_dt * self._linearized(cu, ceta)
 
-    def _rk4_step(self, c, zeta):
+    def _rk4_step(self, c, zeta, out, scratch):
         dt = self.dt
         k1 = self._full_drift(c)
         k2 = self._full_drift(c + 0.5 * dt * k1)
         k3 = self._full_drift(c + 0.5 * dt * k2)
         k4 = self._full_drift(c + dt * k3)
-        return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.add(c, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out)
 
     def _rk4_variation(self, cu, ceta):
         dt = self.dt
@@ -477,6 +527,30 @@ def run_ensemble(
     return EnsemblePaths(**joined)
 
 
+def _states(M: int, n: int, mode_major: bool, lead: tuple[int, ...] = ()) -> np.ndarray:
+    # an (*lead, M, n) array; mode-major, each (M, n) slice is held as
+    # C-contiguous (n, M) storage, one contiguous row of members per mode
+    if mode_major:
+        return np.empty(lead + (n, M)).swapaxes(-1, -2)
+    return np.empty(lead + (M, n))
+
+
+def _draw_chunk(gens: list, tile: np.ndarray | None, noise: np.ndarray) -> None:
+    """Member i's next len(noise) steps of standard normals into noise[:, i],
+    drawn in its substream's own order (steps, then modes) into a tile of
+    members that fits in L2 and copied from there into noise's layout; a
+    single member (no tile) draws into its contiguous slice directly."""
+    if tile is None:
+        gens[0].standard_normal(out=noise[:, 0])
+        return
+    chunk = len(noise)
+    for a in range(0, len(gens), len(tile)):
+        block = gens[a : a + len(tile)]
+        for rows, g in zip(tile, block):
+            g.standard_normal(out=rows[:chunk])
+        noise[:, a : a + len(block)] = tile[: len(block), :chunk].swapaxes(0, 1)
+
+
 def _run_ensemble_block(
     x0_coeffs: np.ndarray,
     p: PhysicalParams,
@@ -497,11 +571,15 @@ def _run_ensemble_block(
     num_steps = cfg.num_steps()
     rec = _record_indices(num_steps, cfg.record_every)
     rec_set = set(rec)
+    wide = M >= _WIDE_MEMBERS
 
-    C = np.broadcast_to(np.asarray(x0_coeffs, dtype=np.float64), (M, n)).copy()
+    # the state steps in place; the kernel sees (M, n) views of the storage
+    C = _states(M, n, wide)
+    C[...] = np.asarray(x0_coeffs, dtype=np.float64)
     Eta = None
     if eta0_coeffs is not None:
-        Eta = np.broadcast_to(np.asarray(eta0_coeffs, dtype=np.float64), (M, n)).copy()
+        Eta = _states(M, n, wide)
+        Eta[...] = np.asarray(eta0_coeffs, dtype=np.float64)
     if collect_be:
         if spec.sigma <= 0:
             raise ValueError("Bismut-Elworthy accumulation requires sigma > 0")
@@ -512,12 +590,20 @@ def _run_ensemble_block(
     draw = kernel.sigma > 0 and increments is None
     gens = [substream(spec.seed, member_offset + i) for i in range(M)] if draw else None
     # self-drawn increments nothing else reads are scaled to the injected
-    # noise a whole chunk at a time, in place; the others per step
+    # noise a whole chunk at a time, in place; the others per step into zeta
     scaled = draw and not collect_be
-    drawn = np.empty((M, min(_NOISE_CHUNK, num_steps), n)) if draw else None
-    # with M > 1 a step's slice of the chunk is strided across members, and
-    # the step runs faster on a contiguous copy
-    zeta_rows = np.empty((M, n)) if scaled and M > 1 else None
+    chunk_len = min(_NOISE_CHUNK, num_steps)
+    drawn = tile = None
+    if draw:
+        # each step's (M, n) slice is laid out as the state
+        drawn = _states(M, n, wide, lead=(chunk_len,))
+        members = min(M, _TILE_BYTES // (8 * n * max(1, chunk_len)))
+        tile = None if M == 1 else np.empty((max(1, members), chunk_len, n))
+    zeta_buf = _states(M, n, wide) if kernel.sigma > 0 and not scaled else None
+    triad_work = None
+    if wide and kernel.triad is not None:
+        triad_work = np.empty((2, len(kernel.triad.k), M))
+    scratch = StepScratch(_states(M, n, wide), triad_work)
 
     R = len(rec)
     times = np.array([m * cfg.dt for m in rec])
@@ -526,9 +612,10 @@ def _run_ensemble_block(
     mart_series = np.empty((M, R))
     snaps = np.empty((M, R, n)) if store_fields else None
     mart = np.zeros(M)
-    # the energy and dissipation reductions write into these
+    # the energy and dissipation reductions write into these; mode-major
+    # squares are summed by row operations
     E = np.empty(M)
-    work = np.empty((M, n))
+    work = _states(M, n, wide)
     helm, alpha = kernel.helm, p.alpha
     alpha_energy(C, basis, alpha, weight=helm, out=E, work=work)
     sup_F = E.copy()
@@ -550,30 +637,29 @@ def _run_ensemble_block(
     with np.errstate(over="ignore", invalid="ignore"):
         while m < num_steps:
             chunk = min(_NOISE_CHUNK, num_steps - m)
-            noise = None  # (M, chunk, n): increments dW, or the injected noise if scaled
+            noise = None  # (chunk, M, n): increments dW, or the injected noise if scaled
             if increments is not None:
-                noise = increments[:, m : m + chunk]
+                noise = increments[:, m : m + chunk].swapaxes(0, 1)
             elif draw:
-                noise = drawn[:, :chunk]
-                for i, g in enumerate(gens):
-                    g.standard_normal(out=noise[i])
+                noise = drawn[:chunk]
+                _draw_chunk(gens, tile, noise)
                 noise *= kernel.sqrt_dt
                 if scaled:
                     kernel.noise_injected(noise, out=noise)
             for i in range(chunk):
-                dW = None if noise is None else noise[:, i]
-                if zeta_rows is not None:
-                    zeta = zeta_rows
-                    zeta[...] = dW
-                else:
-                    zeta = dW if scaled else kernel.noise_injected(dW)
+                dW = None if noise is None else noise[i]
+                zeta = dW if scaled else kernel.noise_injected(dW, out=zeta_buf)
                 if zeta is not None:
                     mart += np.einsum("j,mj,mj->m", helm, C, zeta)
                 if be_acc is not None:
-                    be_acc += np.einsum("mj,mj->m", Eta / spec.q, dW)
+                    # a two-operand einsum sums in an order that depends on the
+                    # layout, so it gets C-contiguous rows
+                    be_acc += np.einsum(
+                        "mj,mj->m", np.ascontiguousarray(Eta / spec.q), np.ascontiguousarray(dW)
+                    )
                 if Eta is not None:
                     Eta = kernel.step_variation(C, Eta)
-                C = kernel.step(C, zeta)
+                kernel.step(C, zeta, out=C, scratch=scratch)
                 m += 1
                 # energies are >= 0 and non-finite whenever C is, so the
                 # running max turns non-finite at the first bad step
@@ -591,8 +677,8 @@ def _run_ensemble_block(
         dissipation=D,
         martingale=mart_series,
         sup_F=sup_F,
-        final_coeffs=C,
-        eta_final=Eta,
+        final_coeffs=np.ascontiguousarray(C),
+        eta_final=None if Eta is None else np.ascontiguousarray(Eta),
         be_accumulator=be_acc,
         snapshots=snaps,
     )

@@ -16,7 +16,11 @@ the stepping path, choose theirs from basis.cutoff alone:
       coefficients at cutoffs 1-4).  triad_table builds S once per
       (basis, alpha) from the dense route, folding in the Helmholtz factors
       and the sign; a call is two gathers, a product and one
-      np.add.reduceat over the triads sorted by output mode.
+      np.add.reduceat over the triads sorted by output mode, all along
+      the member axis of (n, M) views.  Given scratch for many members, the
+      gathers and products run in place and the segment sums as row
+      operations in reduceat's own order (_segment_sums, _pairwise_rows),
+      over contiguous rows when the states are held mode-major.
   pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF)
       each wavevector's cos/sin coefficients are paired into one complex
       amplitude z_k = c_cos - i c_sin and scattered into rfft2
@@ -277,25 +281,103 @@ def triad_table(basis: Basis, alpha: float) -> TriadTable:
     return table
 
 
-def _triad_sum(table: TriadTable, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+# numpy's pairwise summation (pairwise_sum in its loops) sums blocks of up to
+# this many values with eight running sums, and splits longer ones in two
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_rows(X: np.ndarray) -> np.ndarray:
+    """Sum the rows of X in numpy's pairwise order; returns X[0] holding it.
+
+    X is overwritten.  This is the order np.add.reduce and np.add.reduceat
+    use along a contiguous axis, written as operations on whole rows so that
+    the sum runs over contiguous member rows of a mode-major (rows, M)
+    array: under 8 rows, in sequence; up to _PAIRWISE_BLOCK rows, eight
+    running sums r_i += X[8b + i] combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rows left
+    over in sequence; above that, the sums of two halves split at a
+    multiple of 8.  np.add.reduce over a transposed (M, rows) view would
+    add the rows in sequence instead and change the bits.
+    """
+    n = len(X)
+    if n < 8:
+        for i in range(1, n):
+            X[0] += X[i]
+    elif n <= _PAIRWISE_BLOCK:
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            X[:8] += X[i : i + 8]
+        np.add(X[0:8:2], X[1:8:2], out=X[0:8:2])
+        np.add(X[0:8:4], X[2:8:4], out=X[0:8:4])
+        X[0] += X[4]
+        for i in range(tail, n):
+            X[0] += X[i]
+    else:
+        half = n // 2
+        half -= half % 8
+        first = _pairwise_rows(X[:half])
+        first += _pairwise_rows(X[half:])
+    return X[0]
+
+
+def _segment_sums(P: np.ndarray, starts: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """np.add.reduceat(P, starts, axis=0)[i] into out[rows[i]], as row ops.
+
+    reduceat does not add a segment [s, e) in sequence: it computes
+    P[s] + pairwise(P[s+1:e]).  P is overwritten.
+    """
+    bounds = starts.tolist() + [len(P)]
+    for row, s, e in zip(rows.tolist(), bounds[:-1], bounds[1:]):
+        if e - s == 1:
+            out[row] = P[s]
+        else:
+            np.add(P[s], _pairwise_rows(P[s + 1 : e]), out=out[row])
+
+
+def _triad_sum(
+    table: TriadTable,
+    *pairs: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """sum over pairs (a, b) of sum_{k<=l} S_jkl a_k b_l, batched.
 
-    Every a and b has one shape.  Mode-major: the gathers and products run
-    along the member axis, and np.add.reduceat sums each member's column on
-    its own, so a member's result does not depend on the batch it is in.
-    The result is C-contiguous, like the states it is added to.
+    Every a and b has one shape (..., n).  Mode-major: the gathers, products
+    and segment sums run along the member axis of (n, M) views of them
+    (contiguous when the operands are (M, n) views of mode-major storage),
+    and each member's column is summed on its own, so a member's result does
+    not depend on the batch it is in.
+
+    Without `work`: plain take and one np.add.reduceat, the faster at a few
+    members.  `work`, a (2, T, M) scratch for T triads and a single pair,
+    takes the gathers and products in place and the segment sums as row
+    operations in reduceat's order, with the same bits.  The result goes to
+    `out` when given, else to a new array of the operands' shape.
     """
     shape = pairs[0][0].shape
     n = shape[-1]
-    prod = None
-    for a, b in pairs:
-        term = a.reshape(-1, n).T.take(table.k, axis=0)
-        term *= b.reshape(-1, n).T.take(table.l, axis=0)
-        prod = term if prod is None else prod + term
+    modes = [(a.reshape(-1, n).T, b.reshape(-1, n).T) for a, b in pairs]
+    if work is None:
+        prod = None
+        for a, b in modes:
+            term = a.take(table.k, axis=0)
+            term *= b.take(table.l, axis=0)
+            prod = term if prod is None else prod + term
+    else:
+        ((a, b),) = modes
+        prod, gathered = work
+        np.take(a, table.k, axis=0, out=prod, mode="clip")
+        np.take(b, table.l, axis=0, out=gathered, mode="clip")
+        prod *= gathered
     prod *= table.coeff[:, None]
-    out = np.zeros((prod.shape[1], n))
-    out[:, table.rows] = np.add.reduceat(prod, table.starts, axis=0).T
-    return out.reshape(shape)
+    out = np.empty(shape) if out is None else out
+    out_modes = out.reshape(-1, n).T
+    out_modes[...] = 0.0
+    if work is None:
+        out_modes[table.rows] = np.add.reduceat(prod, table.starts, axis=0)
+    else:
+        _segment_sums(prod, table.starts, table.rows, out_modes)
+    return out
 
 
 # The stepping path binds its route data once (StepKernel) and passes it as
@@ -309,15 +391,21 @@ def nonlinear_coeffs(
     *,
     table: TriadTable | None = None,
     factor: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched.
 
     `table` is triad_table(basis, alpha) (triad route) and `factor`
-    helmholtz_factor(basis, alpha) (pseudo-spectral route)."""
+    helmholtz_factor(basis, alpha) (pseudo-spectral route).  The result is
+    written to `out` when given; `work` is the triad route's scratch (see
+    _triad_sum), which coeffs of shape (M, n) may use."""
     if basis.cutoff < FFT_MIN_CUTOFF:
-        return _triad_sum(triad_table(basis, alpha) if table is None else table, (coeffs, coeffs))
+        table = triad_table(basis, alpha) if table is None else table
+        return _triad_sum(table, (coeffs, coeffs), out=out, work=work)
     factor = helmholtz_factor(basis, alpha) if factor is None else factor
-    return -b_tilde_fft(basis, (coeffs, coeffs * factor)) / factor
+    g = b_tilde_fft(basis, (coeffs, coeffs * factor))
+    return np.divide(np.negative(g, out=g), factor, out=out)
 
 
 def linearized_nonlinear_coeffs(
@@ -339,9 +427,13 @@ def linearized_nonlinear_coeffs(
 
 
 def _weighted_square_sum(coeffs, weight, out, work) -> np.ndarray:
-    # np.sum(weight * coeffs**2, axis=-1) bit for bit (np.sum is np.add.reduce),
-    # writing the squares into `work` and the sums into `out` when given
+    # np.sum(weight * coeffs**2, axis=-1) over C-contiguous rows, bit for bit,
+    # writing the squares into `work` and the sums into `out` when given.  A
+    # mode-major `work` (the (M, n) transpose of C-contiguous (n, M) storage)
+    # is summed by _pairwise_rows; np.add.reduce starts from its identity 0.
     sq = np.multiply(weight, np.square(coeffs, out=work), out=work)
+    if work is not None and work.ndim == 2 and not work.flags.c_contiguous:
+        return np.add(0.0, _pairwise_rows(work.T), out=out)
     return np.add.reduce(sq, axis=-1, out=out)
 
 
@@ -357,9 +449,10 @@ def alpha_energy(
     """F(u) = |u|_2^2 + alpha^2 |grad u|_2^2 over the last axis.
 
     `weight` is helmholtz_factor(basis, alpha).  `out` (shape (...,)) and
-    `work` (C-contiguous, shape (..., n)) are optional buffers for the sums
-    and the weighted squares; the sums have the same bits either way when
-    coeffs is C-contiguous."""
+    `work` (shape (..., n)) are optional buffers for the sums and the
+    weighted squares.  `work` is C-contiguous, or the (M, n) transpose of a
+    C-contiguous (n, M) array (mode-major); the sums have the bits of np.sum
+    over C-contiguous rows either way."""
     if weight is None:
         weight = helmholtz_factor(basis, alpha)
     return _weighted_square_sum(coeffs, weight, out, work)

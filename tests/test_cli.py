@@ -250,6 +250,8 @@ BAD_CONFIGS = [
     ("invariant", "x0_list = ,", "x0_list"),
     ("invariant", "x0_list = zero, mode abc 1", "an integer, got 'abc'"),
     ("variation", "delta_fd = 0", "offset"),
+    # eta(T) = e^{-nu lambda T} h underflows to 0 by the horizon
+    ("variation", "scheme = exponential_em\nnu = 20000", "at the horizon t_end=0.05"),
     ("be", "t = 1e-4", "t_end=0.0001"),
     ("be", "t = 0", "derivative time"),
     ("be", "sigma = 0", "sigma > 0"),

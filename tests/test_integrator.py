@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from lans_alpha import (
     step_variation,
     substream,
 )
-from lans_alpha import integrator
+from lans_alpha import diagnostics, integrator
 from lans_alpha.basis import Basis, build_basis
 from lans_alpha.diagnostics import strong_convergence_study
 from lans_alpha.integrator import ensemble_threads
-from lans_alpha.operators import alpha_dissipation
+from lans_alpha.operators import alpha_dissipation, triad_table
 from conftest import rand_field
 
 
@@ -303,6 +304,29 @@ class TestStrongConvergence:
         assert np.all(np.diff(res.errors) < 0)
         assert 0.7 <= res.order <= 1.3
 
+    def test_increments_are_the_block_sums_of_one_fine_path(self, basis1, monkeypatch):
+        # each level's increments equal the sums of r fine increments,
+        # sqrt(finest) * xi, that the study once built from three copies
+        p = params()
+        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
+        dts, M = [4e-3, 2e-3, 1e-3], 3
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.02)
+        seen = []
+
+        def capture(*args, increments, **kwargs):
+            seen.append(increments.copy())
+            return run_ensemble(*args, increments=increments, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "run_ensemble", capture)
+        strong_convergence_study(p, spec, cfg, SpectralField.unit(basis1, 0), dts, M)
+        steps_fine = 20
+        xi = np.stack([substream(42, i).standard_normal((steps_fine, 8)) for i in range(M)])
+        dW_fine = np.sqrt(1e-3) * xi
+        for dt, got in zip(dts, seen):
+            r = int(round(dt / 1e-3))
+            want = dW_fine[:, : steps_fine // r * r].reshape(M, steps_fine // r, r, 8).sum(axis=2)
+            assert np.array_equal(got, want), dt
+
     def test_blow_up_is_raised(self, basis1):
         p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
         spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
@@ -488,6 +512,35 @@ class TestStepPlan:
             else:
                 assert np.array_equal(getattr(got, name), value), name
 
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3, 257])
+    @pytest.mark.parametrize(
+        "scheme, run",
+        [
+            (scheme, run)
+            for scheme in ("semi_implicit_em", "exponential_em", "rk4_deterministic")
+            for run in ("plain", "variation", "collect_be")
+            if not (scheme == "rk4_deterministic" and run == "collect_be")
+        ],
+    )
+    def test_wide_blocks_match_plain_maps(self, monkeypatch, cutoff, M, scheme, run):
+        # from 3 members the block steps mode-major through its scratch, and
+        # a tile of draws holds a few members, so 257 members span many tiles
+        monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
+        monkeypatch.setattr(integrator, "_TILE_BYTES", 5000)
+        basis, spec, cfg, x0, h = self.case(cutoff, scheme, True)
+        eta0 = None if run == "plain" else h
+        got = run_ensemble(
+            x0, params(), spec, cfg, M, eta0_coeffs=eta0, collect_be=run == "collect_be"
+        )
+        want = naive_ensemble(basis, params(), spec, cfg, x0, M, eta0, run == "collect_be")
+        for name, value in want.items():
+            if value is None:
+                assert getattr(got, name) is None, name
+            else:
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+                assert getattr(got, name).flags.c_contiguous, name
+
     @pytest.mark.parametrize("scheme", ["semi_implicit_em", "exponential_em"])
     def test_caller_increments_are_not_written(self, scheme):
         basis, spec, cfg, x0, _ = self.case(1, scheme, True)
@@ -498,6 +551,61 @@ class TestStepPlan:
         want = naive_ensemble(basis, params(), spec, cfg, x0, 3, increments=before)
         assert np.array_equal(got.final_coeffs, want["final_coeffs"])
         assert np.array_equal(got.martingale, want["martingale"])
+
+
+@pytest.mark.parametrize("cutoff", [1, 5])
+def test_thread_split_across_the_wide_threshold(monkeypatch, cutoff):
+    # serially the 5 members step as one wide block; over two threads as a
+    # narrow block of 2 and a wide block of 3, with the same bytes
+    monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    basis = build_basis(2 * np.pi, cutoff)
+    spec, _ = make_noise(1.5, 0.5, basis, seed=21)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_every=3)
+    x0, h = np.random.default_rng(22).standard_normal((2, basis.mode_count))
+    monkeypatch.delenv("LANS_THREADS", raising=False)
+    serial = run_ensemble(x0, params(), spec, cfg, 5, eta0_coeffs=h, collect_be=True)
+    monkeypatch.setenv("LANS_THREADS", "2")
+    threaded = run_ensemble(x0, params(), spec, cfg, 5, eta0_coeffs=h, collect_be=True)
+    for name in ("F", "dissipation", "martingale", "sup_F", "final_coeffs", "eta_final",
+                 "be_accumulator"):
+        assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
+
+
+def test_working_memory_is_the_declared_buffers(monkeypatch):
+    # a wide block allocates its buffers once: the peak of traced memory is
+    # the noise chunk, the (M, R) records and the step workspace, plus 10%
+    monkeypatch.delenv("LANS_THREADS", raising=False)
+    basis = build_basis(2 * np.pi, 1)
+    spec, _ = make_noise(1.5, 0.5, basis, seed=11)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_every=1)
+    M, n, steps = 2000, basis.mode_count, cfg.num_steps()
+    assert M >= integrator._WIDE_MEMBERS
+    x0 = SpectralField.unit(basis, 0).coeffs
+    run_ensemble(x0, params(), spec, cfg, 2)  # build the cached tables first
+
+    tracemalloc.start()
+    try:
+        gens = [substream(spec.seed, i) for i in range(M)]
+        substreams = tracemalloc.get_traced_memory()[0]
+        del gens
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_ensemble(x0, params(), spec, cfg, M)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+    chunk = min(integrator._NOISE_CHUNK, steps)
+    noise = chunk * n * M
+    records = 3 * M * (steps + 1)
+    tile = min(M, integrator._TILE_BYTES // (8 * n * chunk)) * chunk * n
+    triads = len(triad_table(basis, params().alpha).k)
+    # state, squares, nonlinearity and the returned copy; triad scratch;
+    # energy, running max and martingale
+    workspace = tile + 4 * n * M + 2 * triads * M + 3 * M
+    declared = 8 * (noise + records + workspace) + substreams
+    assert peak <= 1.1 * declared, (peak / 1e6, declared / 1e6)
 
 
 @pytest.mark.parametrize("cutoff", [1, 5])

@@ -9,6 +9,7 @@ from lans_alpha import (
     IntegratorConfig,
     PhysicalParams,
     SpectralField,
+    alpha_energy,
     apply_stokes,
     b_form,
     b_tilde,
@@ -531,6 +532,64 @@ class TestTriadRoute:
         cfg = IntegratorConfig(dt=1e-3, t_end=0.005)
         paths = run_ensemble(x0, p, spec, cfg, 3, eta0_coeffs=h)
         assert np.all(np.isfinite(paths.eta_final))
+
+
+def signed_rows(rng, n, M):
+    # normals over many magnitudes, with zeros of both signs and one member
+    # column of -0.0 only, whose sum keeps or drops its sign by the order
+    X = rng.standard_normal((n, M)) * 10.0 ** rng.integers(-3, 4, (n, M))
+    X[rng.random((n, M)) < 0.1] = 0.0
+    X[rng.random((n, M)) < 0.1] = -0.0
+    X[:, -1] = -0.0
+    return X
+
+
+class TestExactOrder:
+    """The mode-major row operations against the numpy reductions whose bits
+    they reproduce, byte for byte (so signed zeros count)."""
+
+    @pytest.mark.parametrize("n", [8, 24, 48, 80, 200])
+    @pytest.mark.parametrize("M", [1, 2, 3, 64, 5000])
+    def test_pairwise_rows_is_numpy_reduce(self, n, M):
+        X = signed_rows(np.random.default_rng(n + M), n, M)
+        want = np.add.reduce(np.ascontiguousarray(X.T), axis=-1)
+        got = np.add(0.0, operators._pairwise_rows(X.copy()))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3, 64, 5000])
+    def test_segment_sums_are_numpy_reduceat(self, cutoff, M):
+        table = triad_table(build_basis(2 * np.pi, cutoff), 0.5)
+        P = signed_rows(np.random.default_rng(cutoff * M), len(table.k), M)
+        want = np.add.reduceat(P, table.starts, axis=0)
+        out = np.full((table.rows[-1] + 1, M), np.nan)
+        operators._segment_sums(P.copy(), table.starts, table.rows, out)
+        assert out[table.rows].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_scratch_route_equals_plain_route(self, cutoff, M):
+        basis = build_basis(2 * np.pi, cutoff)
+        n, table = basis.mode_count, triad_table(basis, 0.5)
+        c = np.empty((n, M)).T  # mode-major storage
+        c[...] = np.random.default_rng(M).standard_normal((M, n))
+        c[0, : n // 2] = 0.0
+        out = np.full((n, M), np.nan).T
+        work = np.empty((2, len(table.k), M))
+        got = nonlinear_coeffs(basis, c, 0.5, out=out, work=work)
+        assert got is out
+        assert got.tobytes() == nonlinear_coeffs(basis, np.ascontiguousarray(c), 0.5).tobytes()
+
+    @pytest.mark.parametrize("cutoff", [1, 4, FFT_MIN_CUTOFF])
+    @pytest.mark.parametrize("M", [1, 2, 3, 64])
+    def test_mode_major_energy_equals_row_sums(self, cutoff, M):
+        basis = build_basis(2 * np.pi, cutoff)
+        n = basis.mode_count
+        c = np.random.default_rng(M).standard_normal((M, n))
+        want = alpha_energy(c, basis, 0.5)
+        got = np.empty(M)
+        alpha_energy(c, basis, 0.5, out=got, work=np.empty((n, M)).T)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPhysicalParams:
