@@ -650,24 +650,18 @@ def strong_convergence_study(
                 f"t_end={T} is not an integer number of dt={dt} steps; "
                 "all resolutions must reach the same final time"
             )
-    basis = spec.basis
-    n = basis.mode_count
 
-    # one (M, steps, n) array of fine increments, scaled in place; the finest
-    # level steps on it directly and each coarser level on its block sums
-    dW_fine = np.empty((M, steps_fine, n))
+    # one (M, steps, n) array of fine increments, scaled in place; each level
+    # steps on the sums of dt / finest of them and records only its two ends
+    dW_fine = np.empty((M, steps_fine, spec.basis.mode_count))
     for i in range(M):
         substream(spec.seed, i).standard_normal(out=dW_fine[i])
     dW_fine *= np.sqrt(finest)
 
     finals = []
     for dt in dts:
-        r = int(round(dt / finest))
-        steps = steps_fine // r
-        dW = dW_fine if r == 1 else dW_fine.reshape(M, steps, r, n).sum(axis=2)
-        level_cfg = replace(cfg, dt=dt, record_every=max(1, steps))
-        paths = run_ensemble(x0.coeffs, p, spec, level_cfg, M, basis=basis, increments=dW)
-        finals.append(paths.final_coeffs)
+        level = replace(cfg, dt=dt, record_every=steps_fine)
+        finals.append(run_ensemble(x0.coeffs, p, spec, level, M, increments=dW_fine).final_coeffs)
 
     errors = np.array(
         [np.mean(np.linalg.norm(finals[i] - finals[i + 1], axis=1)) for i in range(len(dts) - 1)]

@@ -25,9 +25,9 @@ to it at the finite-difference rate with no scheme mismatch.
 One batched loop (`_run_ensemble_block`) steps every trajectory the
 package computes.  `integrate` is that loop at M=1 on substream
 (seed, member); `run_ensemble` splits members into blocks over threads;
-the strong-convergence study passes its common-path increments in place
-of the substream draws.  Each step computes the alpha-energy once; it
-updates the running sup, is recorded as F and detects blow-up, being
+the strong-convergence study passes every level its one fine path in
+place of the substream draws.  Each step computes the alpha-energy once;
+it updates the running sup, is recorded as F and detects blow-up, being
 non-finite whenever a coefficient is (and when it overflows).
 
 At M <= 2 a step is mostly Python dispatch, so what does not change from
@@ -38,14 +38,13 @@ step to step is fixed once:
                Helmholtz factor) and the energy and dissipation weights;
                no step walks the scheme branches or looks up a
                (basis, alpha) cache.
-  noise        each chunk of _NOISE_CHUNK steps is drawn member by member
-               into a tile of members that fits in L2 and copied from
-               there into one chunk buffer per block, laid out as the
-               state.  When the block draws its own increments and nothing
-               else reads them (no Bismut-Elworthy accumulation), the chunk
-               is scaled to the injected noise in place by noise_injected's
-               own operations.  Caller increments are never written; they,
-               and BE runs, are scaled per step into a buffer.
+  noise        one buffer per block, laid out as the state, holds the
+               increments dW of a chunk of at most _NOISE_CHUNK steps and
+               _NOISE_BYTES bytes: drawn member by member through a tile
+               that fits in L2 and scaled by sqrt(dt), or each the sum of
+               r increments of a caller's fine path.  noise_injected scales
+               the chunk once, in place or, when the Bismut-Elworthy sum
+               reads dW, into a second chunk buffer.
   reductions   the per-step energy and the recorded dissipation are
                np.square, np.multiply and a sum into preallocated buffers,
                the bits of np.sum(w * c**2, -1) over C-contiguous rows.
@@ -117,7 +116,8 @@ __all__ = [
 
 SCHEMES = ("semi_implicit_em", "exponential_em", "rk4_deterministic")
 
-_NOISE_CHUNK = 2048  # steps of pre-drawn increments held in memory at once
+_NOISE_CHUNK = 2048  # most steps of increments held in memory at once
+_NOISE_BYTES = 64 << 20  # and most bytes of them, over the block's chunk buffers
 _TILE_BYTES = 1 << 21  # draws of one tile of members, copied into the chunk while in L2
 # From this many members a block is wide: it holds its state, noise and
 # squares mode-major and sums triads and energies by row operations into
@@ -354,13 +354,11 @@ class StepKernel:
     ) -> np.ndarray | None:
         """Coefficients of the noise term the scheme adds for increments dW,
         written into `out` when given (which may be dW itself)."""
-        if dW is None or self.sigma == 0.0:
+        if dW is None or self.sigma == 0.0:  # so always for rk4_deterministic
             return None
         if self.cfg.scheme == "semi_implicit_em":
             return np.multiply(self.noise_scale, dW, out=out)
-        if self.cfg.scheme == "exponential_em":
-            return np.multiply(self.conv_std, np.divide(dW, self.sqrt_dt, out=out), out=out)
-        return None
+        return np.multiply(self.conv_std, np.divide(dW, self.sqrt_dt, out=out), out=out)
 
 
 def step(
@@ -415,9 +413,10 @@ def integrate(
     record equals row `member` of any batched run bit for bit.  Raises
     BlowUpError with the first bad time if the energy stops being finite.
     """
+    if x0.basis != spec.basis:
+        raise ValueError("noise spec basis does not match integration basis")
     paths = _run_ensemble_block(
-        x0.coeffs, p, spec, cfg, 1,
-        basis=x0.basis, member_offset=member, store_fields=store_fields,
+        x0.coeffs, p, spec, cfg, 1, member_offset=member, store_fields=store_fields
     )
     return TrajectoryRecord(
         times=paths.times,
@@ -472,36 +471,36 @@ def run_ensemble(
     cfg: IntegratorConfig,
     M: int,
     *,
-    basis: Basis | None = None,
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
     member_offset: int = 0,
     store_fields: bool = False,
     increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
-    """Step M members in lockstep, each on its own noise substream.
+    """Step M members in lockstep on spec.basis, each on its own noise substream.
 
     `x0_coeffs` is (n,) (shared start) or (M, n).  When `eta0_coeffs` is
     given (a single direction of shape (n,), shared by all members), the
     first variation is co-integrated with shared increments; `collect_be`
     additionally accumulates sum_m <Q^{-1} eta(t_m), dW_m>.
     `store_fields` keeps the recorded states in `snapshots`.
-    `increments`, an (M, steps, n) array of sqrt(dt)-scaled normals,
-    replaces the substream draws (common-path coupling across step sizes).
+    `increments`, (M, r * steps, n) normals scaled to sqrt(dt / r), replace
+    the substream draws, r of them summed per step (common-path coupling).
     LANS_THREADS > 1 splits the members into contiguous blocks run on a
     thread pool; per-member substreams make the result identical either way.
     """
-    x0_arr = np.asarray(x0_coeffs, dtype=np.float64)
-    n = x0_arr.shape[-1]
-    x0_arr = np.broadcast_to(x0_arr, (M, n))
-    expected = (M, cfg.num_steps(), n)
-    if increments is not None and increments.shape != expected:
-        raise ValueError(f"increments have shape {increments.shape}, expected {expected}")
+    n = spec.basis.mode_count
+    x0_arr = np.broadcast_to(np.asarray(x0_coeffs, dtype=np.float64), (M, n))
+    if increments is not None:
+        steps = cfg.num_steps()
+        r = increments.shape[1] // steps if steps and increments.ndim == 3 else 1
+        if r < 1 or increments.shape != (M, r * steps, n):
+            raise ValueError(f"increments of shape {increments.shape} not ({M}, r * {steps}, {n})")
 
     def run_block(a: int, b: int) -> EnsemblePaths:
         return _run_ensemble_block(
             x0_arr[a:b], p, spec, cfg, b - a,
-            basis=basis, eta0_coeffs=eta0_coeffs, collect_be=collect_be,
+            eta0_coeffs=eta0_coeffs, collect_be=collect_be,
             member_offset=member_offset + a, store_fields=store_fields,
             increments=None if increments is None else increments[a:b],
         )
@@ -543,12 +542,16 @@ def _draw_chunk(gens: list, tile: np.ndarray | None, noise: np.ndarray) -> None:
     if tile is None:
         gens[0].standard_normal(out=noise[:, 0])
         return
-    chunk = len(noise)
     for a in range(0, len(gens), len(tile)):
         block = gens[a : a + len(tile)]
         for rows, g in zip(tile, block):
-            g.standard_normal(out=rows[:chunk])
-        noise[:, a : a + len(block)] = tile[: len(block), :chunk].swapaxes(0, 1)
+            g.standard_normal(out=rows[: len(noise)])
+        noise[:, a : a + len(block)] = tile[: len(block), : len(noise)].swapaxes(0, 1)
+
+
+def _chunk_len(num_steps: int, M: int, n: int, buffers: int) -> int:
+    """Steps per noise chunk: <= _NOISE_CHUNK, `buffers` of them <= _NOISE_BYTES, >= 1."""
+    return min(_NOISE_CHUNK, num_steps, max(1, _NOISE_BYTES // (8 * M * n * buffers)))
 
 
 def _run_ensemble_block(
@@ -558,14 +561,13 @@ def _run_ensemble_block(
     cfg: IntegratorConfig,
     M: int,
     *,
-    basis: Basis | None = None,
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
     member_offset: int = 0,
     store_fields: bool = False,
     increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
-    basis = basis if basis is not None else spec.basis
+    basis = spec.basis
     kernel = StepKernel(basis, p, cfg, spec)
     n = basis.mode_count
     num_steps = cfg.num_steps()
@@ -580,26 +582,21 @@ def _run_ensemble_block(
     if eta0_coeffs is not None:
         Eta = _states(M, n, wide)
         Eta[...] = np.asarray(eta0_coeffs, dtype=np.float64)
-    if collect_be:
-        if spec.sigma <= 0:
-            raise ValueError("Bismut-Elworthy accumulation requires sigma > 0")
-        if Eta is None:
-            raise ValueError("collect_be requires eta0_coeffs")
+    if collect_be and (spec.sigma <= 0 or Eta is None):
+        raise ValueError("Bismut-Elworthy accumulation requires sigma > 0 and eta0_coeffs")
     be_acc = np.zeros(M) if collect_be else None
 
-    draw = kernel.sigma > 0 and increments is None
-    gens = [substream(spec.seed, member_offset + i) for i in range(M)] if draw else None
-    # self-drawn increments nothing else reads are scaled to the injected
-    # noise a whole chunk at a time, in place; the others per step into zeta
-    scaled = draw and not collect_be
-    chunk_len = min(_NOISE_CHUNK, num_steps)
-    drawn = tile = None
-    if draw:
-        # each step's (M, n) slice is laid out as the state
-        drawn = _states(M, n, wide, lead=(chunk_len,))
-        members = min(M, _TILE_BYTES // (8 * n * max(1, chunk_len)))
-        tile = None if M == 1 else np.empty((max(1, members), chunk_len, n))
-    zeta_buf = _states(M, n, wide) if kernel.sigma > 0 and not scaled else None
+    # a chunk's increments dW and its injected noise, laid out as the state;
+    # one buffer unless the BE sum reads dW
+    chunk_len = _chunk_len(num_steps, M, n, buffers=2 if collect_be else 1)
+    noise = injected = gens = tile = None
+    if kernel.sigma > 0:
+        noise = _states(M, n, wide, lead=(chunk_len,))
+        injected = _states(M, n, wide, lead=(chunk_len,)) if collect_be else noise
+        members = max(1, min(M, _TILE_BYTES // (8 * n * max(1, chunk_len))))
+        if increments is None:
+            gens = [substream(spec.seed, member_offset + i) for i in range(M)]
+            tile = None if M == 1 else np.empty((members, chunk_len, n))
     triad_work = None
     if wide and kernel.triad is not None:
         triad_work = np.empty((2, len(kernel.triad.k), M))
@@ -636,26 +633,32 @@ def _run_ensemble_block(
     # overflow shows up as a non-finite energy and is raised as BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         while m < num_steps:
-            chunk = min(_NOISE_CHUNK, num_steps - m)
-            noise = None  # (chunk, M, n): increments dW, or the injected noise if scaled
-            if increments is not None:
-                noise = increments[:, m : m + chunk].swapaxes(0, 1)
-            elif draw:
-                noise = drawn[:chunk]
-                _draw_chunk(gens, tile, noise)
-                noise *= kernel.sqrt_dt
-                if scaled:
-                    kernel.noise_injected(noise, out=noise)
+            chunk = min(chunk_len, num_steps - m)
+            dW = zetas = (None,) * chunk
+            if noise is not None:
+                dW = noise[:chunk]
+                if gens is not None:
+                    _draw_chunk(gens, tile, dW)
+                    dW *= kernel.sqrt_dt
+                else:  # a tile of members at a time, so a mode-major write stays in cache
+                    k = increments.shape[1] // num_steps
+                    for a in range(0, M, members):
+                        fine = increments[a : a + members, m * k : (m + chunk) * k]
+                        rows = dW[:, a : a + members].swapaxes(0, 1)
+                        if k == 1:  # a copy keeps the sign of a zero
+                            rows[...] = fine
+                        else:  # the bits of the whole path's reshape(M, steps, k, n).sum(axis=2)
+                            np.sum(fine.reshape(len(fine), chunk, k, n), axis=2, out=rows)
+                zetas = kernel.noise_injected(dW, out=injected[:chunk])
             for i in range(chunk):
-                dW = None if noise is None else noise[i]
-                zeta = dW if scaled else kernel.noise_injected(dW, out=zeta_buf)
+                zeta = zetas[i]
                 if zeta is not None:
                     mart += np.einsum("j,mj,mj->m", helm, C, zeta)
                 if be_acc is not None:
                     # a two-operand einsum sums in an order that depends on the
                     # layout, so it gets C-contiguous rows
                     be_acc += np.einsum(
-                        "mj,mj->m", np.ascontiguousarray(Eta / spec.q), np.ascontiguousarray(dW)
+                        "mj,mj->m", np.ascontiguousarray(Eta / spec.q), np.ascontiguousarray(dW[i])
                     )
                 if Eta is not None:
                     Eta = kernel.step_variation(C, Eta)

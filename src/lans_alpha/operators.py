@@ -245,12 +245,11 @@ class TriadTable(NamedTuple):
     f = 1 + alpha^2 lambda:
         S_jkl = -(T_jkl f_l + T_jlk f_k) / f_j   (k < l)
         S_jkk = -T_jkk f_k / f_j.
-    Triad t adds coeff[t] c_k[t] c_l[t] to mode rows[i] for
-    starts[i] <= t < starts[i + 1]; modes outside rows receive nothing.
+    Triad t adds coeff[t] c_k[t] c_l[t] to mode i for starts[i] <= t <
+    starts[i + 1]; modes from len(starts) on receive nothing.
     """
 
-    rows: np.ndarray    # (J,) output modes with at least one triad, ascending
-    starts: np.ndarray  # (J,) first triad of each output mode
+    starts: np.ndarray  # (J,) first triad of each output mode 0 .. J-1
     k: np.ndarray       # (T,)
     l: np.ndarray       # (T,) >= k
     coeff: np.ndarray   # (T,) S_jkl
@@ -275,7 +274,9 @@ def triad_table(basis: Basis, alpha: float) -> TriadTable:
     S = (-half_on_diagonal * (T[k, l] * f[l, None] + T[l, k] * f[k, None]) / f).T
     j, t = np.nonzero(np.abs(S) > _TRIAD_RTOL * np.abs(S).max())
     rows, starts = np.unique(j, return_index=True)
-    table = TriadTable(rows, starts, k[t], l[t], S[j, t])
+    if not np.array_equal(rows, np.arange(len(rows))):
+        raise RuntimeError(f"modes {rows.tolist()} receive triads; expected a leading range")
+    table = TriadTable(starts, k[t], l[t], S[j, t])
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -320,14 +321,14 @@ def _pairwise_rows(X: np.ndarray) -> np.ndarray:
     return X[0]
 
 
-def _segment_sums(P: np.ndarray, starts: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """np.add.reduceat(P, starts, axis=0)[i] into out[rows[i]], as row ops.
+def _segment_sums(P: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
+    """np.add.reduceat(P, starts, axis=0) into out[:len(starts)], as row ops.
 
     reduceat does not add a segment [s, e) in sequence: it computes
     P[s] + pairwise(P[s+1:e]).  P is overwritten.
     """
     bounds = starts.tolist() + [len(P)]
-    for row, s, e in zip(rows.tolist(), bounds[:-1], bounds[1:]):
+    for row, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
         if e - s == 1:
             out[row] = P[s]
         else:
@@ -372,11 +373,12 @@ def _triad_sum(
     prod *= table.coeff[:, None]
     out = np.empty(shape) if out is None else out
     out_modes = out.reshape(-1, n).T
-    out_modes[...] = 0.0
+    J = len(table.starts)
     if work is None:
-        out_modes[table.rows] = np.add.reduceat(prod, table.starts, axis=0)
+        np.add.reduceat(prod, table.starts, axis=0, out=out_modes[:J])
     else:
-        _segment_sums(prod, table.starts, table.rows, out_modes)
+        _segment_sums(prod, table.starts, out_modes)
+    out_modes[J:] = 0.0
     return out
 
 

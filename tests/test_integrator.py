@@ -186,6 +186,12 @@ class TestIntegrate:
         assert len(rec.times) == 1 and rec.times[0] == 0.0
         assert rec.F_values[0] == pytest.approx(alpha_energy(x0.coeffs, basis1, 0.5))
 
+    def test_start_must_share_the_noise_basis(self, basis1, basis2):
+        spec, _ = make_noise(1.5, 0.5, basis1)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        with pytest.raises(ValueError, match="basis"):
+            integrate(rand_field(basis2, np.random.default_rng(7)), params(), spec, cfg)
+
     def test_deterministic_dissipation(self, basis2):
         spec, _ = make_noise(1.5, 0.0, basis2)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=10)
@@ -304,28 +310,41 @@ class TestStrongConvergence:
         assert np.all(np.diff(res.errors) < 0)
         assert 0.7 <= res.order <= 1.3
 
-    def test_increments_are_the_block_sums_of_one_fine_path(self, basis1, monkeypatch):
-        # each level's increments equal the sums of r fine increments,
-        # sqrt(finest) * xi, that the study once built from three copies
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_increments_are_the_block_sums_of_one_fine_path(self, basis1, monkeypatch, wide):
+        # every level is handed the one fine path, sqrt(finest) * xi, and steps
+        # as on its whole-path block sums of r = 4, 2, 1 fine increments, with
+        # chunks of 7 steps and tiles of one member, so that the sums cross
+        # chunk and tile boundaries
+        monkeypatch.setattr(integrator, "_NOISE_CHUNK", 7)
+        monkeypatch.setattr(integrator, "_TILE_BYTES", 1)
+        if wide:
+            monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
         p = params()
         spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
-        dts, M = [4e-3, 2e-3, 1e-3], 3
-        cfg = IntegratorConfig(dt=1e-3, t_end=0.02)
+        dts, M, steps_fine, n = [4e-3, 2e-3, 1e-3], 3, 40, 8
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.04)
+        x0 = rand_field(basis1, np.random.default_rng(17), scale=0.5)
         seen = []
 
         def capture(*args, increments, **kwargs):
-            seen.append(increments.copy())
-            return run_ensemble(*args, increments=increments, **kwargs)
+            paths = run_ensemble(*args, increments=increments, **kwargs)
+            seen.append((args[3], increments, paths))
+            return paths
 
         monkeypatch.setattr(diagnostics, "run_ensemble", capture)
-        strong_convergence_study(p, spec, cfg, SpectralField.unit(basis1, 0), dts, M)
-        steps_fine = 20
-        xi = np.stack([substream(42, i).standard_normal((steps_fine, 8)) for i in range(M)])
+        strong_convergence_study(p, spec, cfg, x0, dts, M)
+        xi = np.stack([substream(42, i).standard_normal((steps_fine, n)) for i in range(M)])
         dW_fine = np.sqrt(1e-3) * xi
-        for dt, got in zip(dts, seen):
-            r = int(round(dt / 1e-3))
-            want = dW_fine[:, : steps_fine // r * r].reshape(M, steps_fine // r, r, 8).sum(axis=2)
-            assert np.array_equal(got, want), dt
+        for (level_cfg, increments, got), r in zip(seen, [4, 2, 1]):
+            assert np.array_equal(increments, dW_fine)
+            assert level_cfg.num_steps() * r == steps_fine
+            coarse = dW_fine.reshape(M, steps_fine // r, r, n).sum(axis=2)
+            want = naive_ensemble(basis1, p, spec, level_cfg, x0.coeffs, M, increments=coarse)
+            for name, value in want.items():
+                if value is not None:
+                    assert np.array_equal(getattr(got, name), value), (r, name)
 
     def test_blow_up_is_raised(self, basis1):
         p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
@@ -400,6 +419,12 @@ class TestEnsembleMachinery:
             run_ensemble(np.ones((6, 8)), params(), spec, cfg, 4)
         with pytest.raises(ValueError, match="increments"):
             run_ensemble(np.ones(8), params(), spec, cfg, 4, increments=np.zeros((6, 10, 8)))
+        # a fine path must hold a whole number r >= 1 of increments per step
+        for fine_steps in (5, 15):
+            with pytest.raises(ValueError, match="increments"):
+                run_ensemble(
+                    np.ones(8), params(), spec, cfg, 4, increments=np.zeros((4, fine_steps, 8))
+                )
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -572,17 +597,22 @@ def test_thread_split_across_the_wide_threshold(monkeypatch, cutoff):
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
 
-def test_working_memory_is_the_declared_buffers(monkeypatch):
+@pytest.mark.parametrize("case", ["steps_bound", "bytes_bound", "collect_be"])
+def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     # a wide block allocates its buffers once: the peak of traced memory is
-    # the noise chunk, the (M, R) records and the step workspace, plus 10%
+    # the noise chunk buffers, sized by the block's own chunk rule, the (M, R)
+    # records and the step workspace, plus 10%
     monkeypatch.delenv("LANS_THREADS", raising=False)
+    if case == "bytes_bound":
+        monkeypatch.setattr(integrator, "_NOISE_BYTES", 1 << 20)
     basis = build_basis(2 * np.pi, 1)
     spec, _ = make_noise(1.5, 0.5, basis, seed=11)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_every=1)
     M, n, steps = 2000, basis.mode_count, cfg.num_steps()
     assert M >= integrator._WIDE_MEMBERS
     x0 = SpectralField.unit(basis, 0).coeffs
-    run_ensemble(x0, params(), spec, cfg, 2)  # build the cached tables first
+    be = dict(eta0_coeffs=x0, collect_be=True) if case == "collect_be" else {}
+    run_ensemble(x0, params(), spec, cfg, 2, **be)  # build the cached tables first
 
     tracemalloc.start()
     try:
@@ -591,19 +621,26 @@ def test_working_memory_is_the_declared_buffers(monkeypatch):
         del gens
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        run_ensemble(x0, params(), spec, cfg, M)
+        run_ensemble(x0, params(), spec, cfg, M, **be)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
-    chunk = min(integrator._NOISE_CHUNK, steps)
-    noise = chunk * n * M
+    # the increments, and for the Bismut-Elworthy sum the injected noise apart
+    buffers = 2 if be else 1
+    chunk = integrator._chunk_len(steps, M, n, buffers)
+    assert chunk == (8 if case == "bytes_bound" else steps)
+    noise = buffers * chunk * n * M
     records = 3 * M * (steps + 1)
     tile = min(M, integrator._TILE_BYTES // (8 * n * chunk)) * chunk * n
     triads = len(triad_table(basis, params().alpha).k)
     # state, squares, nonlinearity and the returned copy; triad scratch;
     # energy, running max and martingale
     workspace = tile + 4 * n * M + 2 * triads * M + 3 * M
+    if be:
+        # the first variation's state, the narrow triad route's gathers and
+        # products (its successor among them) and the BE sums
+        workspace += n * M + 3 * triads * M + M
     declared = 8 * (noise + records + workspace) + substreams
     assert peak <= 1.1 * declared, (peak / 1e6, declared / 1e6)
 
@@ -619,8 +656,8 @@ def test_no_cache_lookup_per_step(monkeypatch, cutoff):
 
     def run(steps):
         cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3, record_every=3)
-        run_ensemble(h, params(), spec, cfg, 2, basis=basis, eta0_coeffs=h, collect_be=True)
-        run_ensemble(h, params(), spec, cfg, 2, basis=basis)
+        run_ensemble(h, params(), spec, cfg, 2, eta0_coeffs=h, collect_be=True)
+        run_ensemble(h, params(), spec, cfg, 2)
 
     run(10)  # build the cached tables first
     calls = {"hash": 0, "eq": 0}
