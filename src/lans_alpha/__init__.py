@@ -18,9 +18,9 @@ from .basis import (
 )
 from .integrator import (
     BlowUpError,
+    EnsemblePaths,
     IntegratorConfig,
     StepKernel,
-    TrajectoryRecord,
     integrate,
     run_ensemble,
     step,

@@ -25,7 +25,7 @@ from .basis import Basis, ConfigError, SpectralField, build_basis, save_snapshot
 # benchmarks/tracing.py patches that name on this module
 from .integrator import BlowUpError, IntegratorConfig, StepKernel, integrate, run_ensemble
 from .noise import AdmissibilityReport, NoiseSpec, make_noise
-from .operators import PhysicalParams
+from .operators import PhysicalParams, helmholtz_factor
 
 __all__ = ["SimConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -123,7 +123,7 @@ def _parse_x0(text: str, basis: Basis, alpha: float) -> SpectralField:
         target = _coerce(float, parts[1])
         if target < 0:
             raise ConfigError(f"x0 energy target must be >= 0, got {target}")
-        weight = 1.0 + alpha**2 * basis.eigenvalues
+        weight = helmholtz_factor(basis, alpha)
         c = np.full(basis.mode_count, 1.0 / np.sqrt(np.sum(weight)))
         return SpectralField(basis, c * np.sqrt(target))
     raise ConfigError(f"cannot parse x0 {text!r}; expected 'zero', 'mode J AMP' or 'iso F'")
@@ -253,19 +253,13 @@ def _cmd_validate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, 
 
 
 def _cmd_simulate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
-    want_snapshot = bool(cfg.snapshot_out)
-    rec = integrate(
-        cfg.initial_state(spec.basis), cfg.params(), spec, cfg.integrator(),
-        store_fields=want_snapshot,
-    )
-    rows = list(
-        zip(rec.times, rec.F_values, rec.dissipation_values, rec.martingale_accumulator)
-    )
+    paths = integrate(cfg.initial_state(spec.basis), cfg.params(), spec, cfg.integrator())
+    rows = list(zip(paths.times, paths.F[0], paths.dissipation[0], paths.martingale[0]))
     write_csv(out, ["time", "F", "dissipation", "martingale_accumulator"], rows)
-    if want_snapshot:
-        save_snapshot(SpectralField(spec.basis, rec.snapshots[-1]), cfg.snapshot_out)
+    if cfg.snapshot_out:
+        save_snapshot(SpectralField(spec.basis, paths.final_coeffs[0]), cfg.snapshot_out)
         print(f"final snapshot written to {cfg.snapshot_out}")
-    print(f"simulated {len(rec.times) - 1} records to t={rec.times[-1]:.6g}")
+    print(f"simulated {len(paths.times) - 1} records to t={paths.times[-1]:.6g}")
     return []
 
 
@@ -284,12 +278,16 @@ def _cmd_mc_energy(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport,
     return [dg.ito_balance_verdict(r1, r1, r2)]
 
 
+def _write_series(out: str, report: dg.SeriesReport) -> None:
+    rows = list(zip(report.times, report.series, report.series_standard_error, report.envelope))
+    write_csv(out, ["time", "estimate", "standard_error", "envelope"], rows)
+
+
 def _cmd_mc_moments(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
     mr = dg.moment_report(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), cfg.k, cfg.M
     )
-    rows = list(zip(mr.times, mr.series, mr.series_standard_error, mr.envelope))
-    write_csv(out, ["time", "estimate", "standard_error", "envelope"], rows)
+    _write_series(out, mr)
     print(
         f"k={cfg.k}: sup-moment {mr.sup_estimate:.6g} (se {mr.sup_standard_error:.6g}), "
         f"fitted slope {mr.fit_slope:.6g}"
@@ -301,8 +299,7 @@ def _cmd_mc_expmoments(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityRep
     er = dg.exp_moment_report(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), cfg.eps_exp, cfg.M
     )
-    rows = list(zip(er.times, er.series, er.series_standard_error, er.envelope))
-    write_csv(out, ["time", "estimate", "standard_error", "envelope"], rows)
+    _write_series(out, er)
     print(
         f"eps_exp={cfg.eps_exp}: margin {er.admissibility_margin:.6g}, "
         f"weighted dissipation {er.weighted_dissipation_estimate:.6g} "

@@ -22,14 +22,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import Basis, ConfigError, SpectralField
-from .integrator import IntegratorConfig, integrate, run_ensemble
+from .integrator import EnsemblePaths, IntegratorConfig, integrate, run_ensemble
 from .noise import NoiseSpec, SingularOperatorError, substream
-from .operators import PhysicalParams, alpha_energy
+from .operators import PhysicalParams, alpha_energy, helmholtz_factor
 
 __all__ = [
     "Verdict",
     "agreement",
     "EnsembleReport",
+    "SeriesReport",
     "MomentReport",
     "ExpMomentReport",
     "BEEstimate",
@@ -111,6 +112,13 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def _paths(p, spec, cfg, x0: SpectralField, M: int, **kw) -> EnsemblePaths:
+    """run_ensemble of M >= 2 members from x0, enough for a standard error."""
+    if M < 2:
+        raise ConfigError(f"need at least 2 samples, got M={M}")
+    return run_ensemble(x0.coeffs, p, spec, cfg, M, **kw)
+
+
 # -- energy balance ----------------------------------------------------------
 
 
@@ -129,9 +137,7 @@ def ito_balance_report(
     a control variate; the report's estimate converges to the O(dt)
     discretization bias of the scheme.
     """
-    if M < 2:
-        raise ConfigError(f"need at least 2 samples, got M={M}")
-    paths = run_ensemble(x0.coeffs, p, spec, cfg, M)
+    paths = _paths(p, spec, cfg, x0, M)
     t_final = paths.times[-1]
     F0 = alpha_energy(x0.coeffs, x0.basis, p.alpha)
     trace = spec.trace_alpha(p.alpha)
@@ -171,32 +177,51 @@ def ito_halving_verdict(coarse: EnsembleReport, fine: EnsembleReport) -> Verdict
 
 
 @dataclass
-class MomentReport:
-    k: int
+class SeriesReport:
+    """E[phi(F(t))] on the recording grid, checked against an affine envelope."""
+
     times: np.ndarray
     series: np.ndarray
     series_standard_error: np.ndarray
-    sup_estimate: float
-    sup_standard_error: float
     fit_slope: float
     envelope: np.ndarray
     verdict: Verdict
 
 
-def _require_steps(cfg: IntegratorConfig) -> None:
+def _series(p, spec, cfg, x0: SpectralField, M: int, phi):
+    """Run M members from x0 and estimate E[phi(F)] at each recorded time.
+
+    The growth constant is unspecified, so the check is structural: the
+    series must stay below phi(F(0)) + max(c_hat, 0) * t for the
+    least-squares slope c_hat, within N_SIGMA standard errors pointwise.
+    Returns the run, phi of its energies and the SeriesReport fields.
+    """
     if cfg.num_steps() < 1:
         raise ConfigError(f"t_end={cfg.t_end} is below dt={cfg.dt}: the envelope needs a step")
-
-
-def _affine_envelope(times, series, series_se, start_value):
+    paths = _paths(p, spec, cfg, x0, M)
+    times = paths.times
+    values = phi(paths.F)
+    series = values.mean(axis=0)
+    series_se = values.std(axis=0, ddof=1) / np.sqrt(M)
+    start = float(phi(float(alpha_energy(x0.coeffs, x0.basis, p.alpha))))
     slope = float(np.polyfit(times, series, 1)[0])
-    envelope = start_value + max(slope, 0.0) * times
+    envelope = start + max(slope, 0.0) * times
     # F(0) lies on the envelope by construction, so only t > 0 has a margin;
     # the series is >= 0, so a NaN or infinite entry makes the excess NaN or +inf
-    bound = envelope + N_SIGMA * series_se + 1e-12 * abs(start_value)
+    bound = envelope + N_SIGMA * series_se + 1e-12 * abs(start)
     excess = np.max((series - bound)[times > 0])
     verdict = Verdict("excess over the affine envelope", float(excess), 0.0)
-    return slope, envelope, verdict
+    return paths, values, dict(
+        times=times, series=series, series_standard_error=series_se,
+        fit_slope=slope, envelope=envelope, verdict=verdict,
+    )
+
+
+@dataclass
+class MomentReport(SeriesReport):
+    k: int
+    sup_estimate: float
+    sup_standard_error: float
 
 
 def moment_report(
@@ -207,52 +232,24 @@ def moment_report(
     k: int,
     M: int,
 ) -> MomentReport:
-    """E[F^k] on the recording grid plus E[sup F^k], with the affine check.
-
-    The growth constant is unspecified, so the check is structural: the
-    series must stay below F^k(0) + max(c_hat, 0) * t for the
-    least-squares slope c_hat, within N_SIGMA standard errors pointwise.
-    """
+    """E[F^k] on the recording grid plus E[sup F^k], with the affine check
+    of `_series`."""
     if k < 1:
         raise ConfigError(f"moment order k must be >= 1, got {k}")
-    if M < 2:
-        raise ConfigError(f"need at least 2 samples, got M={M}")
-    _require_steps(cfg)
-    paths = run_ensemble(x0.coeffs, p, spec, cfg, M)
-    Fk = paths.F**k
-    series = Fk.mean(axis=0)
-    series_se = Fk.std(axis=0, ddof=1) / np.sqrt(M)
+    paths, _, fields = _series(p, spec, cfg, x0, M, lambda F: F**k)
     sup_est, sup_se = _mean_se(paths.sup_F**k)
-    F0 = float(alpha_energy(x0.coeffs, x0.basis, p.alpha)) ** k
-    slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, F0)
-    return MomentReport(
-        k=k,
-        times=paths.times,
-        series=series,
-        series_standard_error=series_se,
-        sup_estimate=sup_est,
-        sup_standard_error=sup_se,
-        fit_slope=slope,
-        envelope=envelope,
-        verdict=verdict,
-    )
+    return MomentReport(k=k, sup_estimate=sup_est, sup_standard_error=sup_se, **fields)
 
 
 # -- exponential moments --------------------------------------------------------
 
 
 @dataclass
-class ExpMomentReport:
+class ExpMomentReport(SeriesReport):
     eps_exp: float
     admissibility_margin: float
-    times: np.ndarray
-    series: np.ndarray
-    series_standard_error: np.ndarray
     weighted_dissipation_estimate: float
     weighted_dissipation_standard_error: float
-    fit_slope: float
-    envelope: np.ndarray
-    verdict: Verdict
 
 
 def exp_moment_margin(p: PhysicalParams, spec: NoiseSpec, eps_exp: float) -> float:
@@ -286,7 +283,8 @@ def exp_moment_report(
     eps_exp: float,
     M: int,
 ) -> ExpMomentReport:
-    """E[exp(eps F(t))] series and the weighted dissipation integral.
+    """E[exp(eps F(t))] series, with the affine check of `_series`, and the
+    weighted dissipation integral.
 
     Refuses to run when eps_exp violates the sign condition; the error
     message names the failing bound.
@@ -294,28 +292,15 @@ def exp_moment_report(
     if eps_exp < 0:
         raise ConfigError(f"eps_exp must be >= 0, got {eps_exp}")
     margin = _require_admissible(p, spec, eps_exp)
-    if M < 2:
-        raise ConfigError(f"need at least 2 samples, got M={M}")
-    _require_steps(cfg)
-    paths = run_ensemble(x0.coeffs, p, spec, cfg, M)
-    expF = np.exp(eps_exp * paths.F)
-    series = expF.mean(axis=0)
-    series_se = expF.std(axis=0, ddof=1) / np.sqrt(M)
+    paths, expF, fields = _series(p, spec, cfg, x0, M, lambda F: np.exp(eps_exp * F))
     weighted = np.trapezoid(expF * paths.dissipation, paths.times, axis=1)
     w_est, w_se = _mean_se(weighted)
-    start = float(np.exp(eps_exp * alpha_energy(x0.coeffs, x0.basis, p.alpha)))
-    slope, envelope, verdict = _affine_envelope(paths.times, series, series_se, start)
     return ExpMomentReport(
         eps_exp=eps_exp,
         admissibility_margin=margin,
-        times=paths.times,
-        series=series,
-        series_standard_error=series_se,
         weighted_dissipation_estimate=w_est,
         weighted_dissipation_standard_error=w_se,
-        fit_slope=slope,
-        envelope=envelope,
-        verdict=verdict,
+        **fields,
     )
 
 
@@ -338,7 +323,7 @@ def ou_mean_energy(
     var_t = spec.q[None, :] ** 2 * (
         -np.expm1(-2.0 * p.nu * lam[None, :] * np.asarray(times)[:, None])
     ) / (2.0 * p.nu * lam[None, :])
-    return np.sum((1.0 + alpha**2 * lam[None, :]) * var_t, axis=1)
+    return np.sum(helmholtz_factor(spec.basis, alpha)[None, :] * var_t, axis=1)
 
 
 def ou_variance_comparison(
@@ -357,10 +342,10 @@ def ou_variance_comparison(
     if not burn_in < cfg.t_end:
         raise ConfigError(f"burn_in={burn_in} must be below t_end={cfg.t_end}")
     basis = spec.basis
-    rec = integrate(
+    paths = integrate(
         SpectralField.zeros(basis), p, spec, cfg, member=member, store_fields=True
     )
-    samples = rec.snapshots[rec.times >= burn_in]
+    samples = paths.snapshots[0, paths.times >= burn_in]
     if len(samples) < 2:
         raise ConfigError(
             f"burn_in={burn_in} leaves {len(samples)} recorded sample(s), "
@@ -463,14 +448,10 @@ def bismut_elworthy(
         raise ConfigError(f"derivative time t must be positive, got {t}")
     if spec.sigma <= 0:
         raise SingularOperatorError("Bismut-Elworthy requires invertible Q (sigma > 0)")
-    if M < 2:
-        raise ConfigError(f"need at least 2 samples, got M={M}")
     basis = x.basis
     steps_cfg = replace(cfg, t_end=t)
     steps_cfg = replace(steps_cfg, record_every=max(1, steps_cfg.num_steps()))
-    paths = run_ensemble(
-        x.coeffs, p, spec, steps_cfg, M, eta0_coeffs=h.coeffs, collect_be=True
-    )
+    paths = _paths(p, spec, steps_cfg, x, M, eta0_coeffs=h.coeffs, collect_be=True)
     t_final = paths.times[-1]
     vals = observable.evaluate(paths.final_coeffs, basis, p.alpha)
     prods = vals * paths.be_accumulator / t_final

@@ -71,7 +71,8 @@ order (operators._pairwise_rows):
   martingale   the three-operand einsum adds over the modes in sequence in
                either layout;
   BE sum       the two-operand einsum does not, so it is handed
-               C-contiguous copies.
+               C-contiguous rows: the first variation is held as (M, n)
+               in every block, and dW[i] is copied.
 
 The stepping path still calls the names the benchmark's tracer patches
 (nonlinear_coeffs, linearized_nonlinear_coeffs, alpha_energy,
@@ -104,7 +105,6 @@ from .operators import (
 
 __all__ = [
     "IntegratorConfig",
-    "TrajectoryRecord",
     "BlowUpError",
     "StepKernel",
     "step",
@@ -164,22 +164,6 @@ class BlowUpError(RuntimeError):
         self.member = member
         where = f" (member {member})" if member is not None else ""
         super().__init__(f"non-finite energy at t={time:.6g}{where}")
-
-
-@dataclass
-class TrajectoryRecord:
-    """Recorded time series along one trajectory.
-
-    `martingale_accumulator[r]` is the running sum of
-    <(I + alpha^2 A) u_m, zeta_m> over all steps m before recorded time r,
-    with zeta_m the noise actually injected at step m.
-    """
-
-    times: np.ndarray
-    F_values: np.ndarray
-    dissipation_values: np.ndarray
-    martingale_accumulator: np.ndarray
-    snapshots: np.ndarray | None = None
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -406,24 +390,18 @@ def integrate(
     *,
     member: int = 0,
     store_fields: bool = False,
-) -> TrajectoryRecord:
-    """Iterate the one-step map and record the energy bookkeeping.
+) -> EnsemblePaths:
+    """Iterate the one-step map from x0 and record the energy bookkeeping.
 
-    The ensemble loop at M=1 on substream (spec.seed, member), so the
-    record equals row `member` of any batched run bit for bit.  Raises
-    BlowUpError with the first bad time if the energy stops being finite.
+    The ensemble loop at M=1 on substream (spec.seed, member): its
+    EnsemblePaths has one row, which equals row `member` of any batched run
+    bit for bit.  Raises BlowUpError with the first bad time if the energy
+    stops being finite.
     """
     if x0.basis != spec.basis:
         raise ValueError("noise spec basis does not match integration basis")
-    paths = _run_ensemble_block(
+    return _run_ensemble_block(
         x0.coeffs, p, spec, cfg, 1, member_offset=member, store_fields=store_fields
-    )
-    return TrajectoryRecord(
-        times=paths.times,
-        F_values=paths.F[0],
-        dissipation_values=paths.dissipation[0],
-        martingale_accumulator=paths.martingale[0],
-        snapshots=None if paths.snapshots is None else paths.snapshots[0],
     )
 
 
@@ -432,11 +410,12 @@ def integrate(
 
 @dataclass
 class EnsemblePaths:
-    """Per-member recorded series for a batched ensemble run.
+    """Per-member recorded series of a run, one row per member.
 
-    Member i of an ensemble started at member_offset uses the noise
-    substream (seed, member_offset + i); reductions over members are done
-    with numpy pairwise summation in fixed member order.
+    `martingale[:, r]` is the running sum of <(I + alpha^2 A) u_m, zeta_m>
+    over all steps m before recorded time r, with zeta_m the noise actually
+    injected at step m.  Reductions over members are done with numpy
+    pairwise summation in fixed member order.
     """
 
     times: np.ndarray                 # (R,)
@@ -473,11 +452,11 @@ def run_ensemble(
     *,
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
-    member_offset: int = 0,
     store_fields: bool = False,
     increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
-    """Step M members in lockstep on spec.basis, each on its own noise substream.
+    """Step M members in lockstep on spec.basis, member i on the noise
+    substream (spec.seed, i).
 
     `x0_coeffs` is (n,) (shared start) or (M, n).  When `eta0_coeffs` is
     given (a single direction of shape (n,), shared by all members), the
@@ -488,6 +467,8 @@ def run_ensemble(
     the substream draws, r of them summed per step (common-path coupling).
     LANS_THREADS > 1 splits the members into contiguous blocks run on a
     thread pool; per-member substreams make the result identical either way.
+    `integrate` runs one member on any substream, with the same bits as its
+    row here.
     """
     n = spec.basis.mode_count
     x0_arr = np.broadcast_to(np.asarray(x0_coeffs, dtype=np.float64), (M, n))
@@ -501,7 +482,7 @@ def run_ensemble(
         return _run_ensemble_block(
             x0_arr[a:b], p, spec, cfg, b - a,
             eta0_coeffs=eta0_coeffs, collect_be=collect_be,
-            member_offset=member_offset + a, store_fields=store_fields,
+            member_offset=a, store_fields=store_fields,
             increments=None if increments is None else increments[a:b],
         )
 
@@ -578,9 +559,11 @@ def _run_ensemble_block(
     # the state steps in place; the kernel sees (M, n) views of the storage
     C = _states(M, n, wide)
     C[...] = np.asarray(x0_coeffs, dtype=np.float64)
+    # the first variation stays C-contiguous (M, n) in every block:
+    # step_variation returns fresh C-contiguous arrays
     Eta = None
     if eta0_coeffs is not None:
-        Eta = _states(M, n, wide)
+        Eta = np.empty((M, n))
         Eta[...] = np.asarray(eta0_coeffs, dtype=np.float64)
     if collect_be and (spec.sigma <= 0 or Eta is None):
         raise ValueError("Bismut-Elworthy accumulation requires sigma > 0 and eta0_coeffs")
@@ -656,10 +639,8 @@ def _run_ensemble_block(
                     mart += np.einsum("j,mj,mj->m", helm, C, zeta)
                 if be_acc is not None:
                     # a two-operand einsum sums in an order that depends on the
-                    # layout, so it gets C-contiguous rows
-                    be_acc += np.einsum(
-                        "mj,mj->m", np.ascontiguousarray(Eta / spec.q), np.ascontiguousarray(dW[i])
-                    )
+                    # layout, so a mode-major dW[i] is copied to C-contiguous rows
+                    be_acc += np.einsum("mj,mj->m", Eta / spec.q, np.ascontiguousarray(dW[i]))
                 if Eta is not None:
                     Eta = kernel.step_variation(C, Eta)
                 kernel.step(C, zeta, out=C, scratch=scratch)
@@ -681,7 +662,7 @@ def _run_ensemble_block(
         martingale=mart_series,
         sup_F=sup_F,
         final_coeffs=np.ascontiguousarray(C),
-        eta_final=None if Eta is None else np.ascontiguousarray(Eta),
+        eta_final=Eta,
         be_accumulator=be_acc,
         snapshots=snaps,
     )

@@ -104,11 +104,11 @@ def test_criterion_2_energy_conservation():
     cfg = IntegratorConfig(scheme="rk4_deterministic", dt=1e-3, t_end=1.0, record_every=50)
     x0 = SpectralField(basis, 0.5 * np.random.default_rng(42).standard_normal(24))
     rec = integrate(x0, p, spec, cfg, store_fields=True)
-    drift_rel = abs(rec.F_values[-1] - rec.F_values[0]) / rec.F_values[0]
+    drift_rel = abs(rec.F[0][-1] - rec.F[0][0]) / rec.F[0][0]
 
     helm = 1.0 + p.alpha**2 * basis.eigenvalues
     worst_orth = 0.0
-    for c in rec.snapshots:
+    for c in rec.snapshots[0]:
         N = nonlinear_coeffs(basis, c, p.alpha)
         val = abs(float(N @ (helm * c)))
         scale = np.linalg.norm(N) * np.linalg.norm(helm * c) + 1e-300

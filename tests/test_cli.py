@@ -9,6 +9,7 @@ from lans_alpha import (
     SpectralField,
     StepKernel,
     build_basis,
+    integrate,
     load_snapshot,
     make_noise,
 )
@@ -121,13 +122,25 @@ class TestRun:
         assert len(lines) > 2
         restored = load_snapshot(str(snap))
         assert restored.basis.cutoff == 1
+        # 17 significant digits give the final state back bit for bit
+        spec, _ = cfg.noise(cfg.basis())
+        paths = integrate(
+            cfg.initial_state(spec.basis), cfg.params(), spec, cfg.integrator(), store_fields=True
+        )
+        assert np.array_equal(restored.coeffs, paths.snapshots[0, -1])
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = happy(cutoff=1, t_end=0.1, M=20)
+        cfg = happy(cutoff=1, t_end=0.1, M=20, eps_exp=0.1)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for sub in ("simulate", "mc-energy"):
             assert run(sub, cfg, str(a)) == 0
             assert run(sub, cfg, str(b)) == 0
+            assert a.read_bytes() == b.read_bytes()
+        # from the zero start the affine envelope may be violated (exit 1)
+        for sub in ("mc-moments", "mc-expmoments"):
+            code = run(sub, cfg, str(a))
+            assert code in (0, 1)
+            assert run(sub, cfg, str(b)) == code
             assert a.read_bytes() == b.read_bytes()
 
     def test_ou_test_exit_codes(self, tmp_path):

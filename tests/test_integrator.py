@@ -88,7 +88,7 @@ class TestStep:
         cfg = IntegratorConfig(scheme="rk4_deterministic", dt=1e-3, t_end=1.0, record_every=100)
         x0 = rand_field(basis2, np.random.default_rng(0), scale=0.5)
         rec = integrate(x0, p, spec, cfg)
-        drift_rel = abs(rec.F_values[-1] - rec.F_values[0]) / rec.F_values[0]
+        drift_rel = abs(rec.F[0][-1] - rec.F[0][0]) / rec.F[0][0]
         assert drift_rel <= 1e-8
 
     def test_rk4_conservation_error_is_fourth_order(self, basis2):
@@ -100,7 +100,7 @@ class TestStep:
         for dt in (0.02, 0.01):
             cfg = IntegratorConfig(scheme="rk4_deterministic", dt=dt, t_end=0.2, record_every=1)
             rec = integrate(x0, p, spec, cfg)
-            errs.append(abs(rec.F_values[-1] - rec.F_values[0]))
+            errs.append(abs(rec.F[0][-1] - rec.F[0][0]))
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 32.0  # nominal 16x per halving
 
@@ -109,8 +109,8 @@ class TestStep:
         spec, _ = make_noise(1.5, 0.0, basis2)
         cfg = IntegratorConfig(dt=0.5, t_end=5.0, nonlinearity=False)
         rec = integrate(rand_field(basis2, np.random.default_rng(2)), p, spec, cfg)
-        assert rec.F_values[-1] < rec.F_values[0]
-        assert np.all(np.isfinite(rec.F_values))
+        assert rec.F[0][-1] < rec.F[0][0]
+        assert np.all(np.isfinite(rec.F[0]))
 
     def test_step_requires_rng_for_noise(self, basis1):
         spec, _ = make_noise(1.5, 1.0, basis1)
@@ -184,7 +184,7 @@ class TestIntegrate:
         x0 = rand_field(basis1, np.random.default_rng(7))
         rec = integrate(x0, params(), spec, cfg)
         assert len(rec.times) == 1 and rec.times[0] == 0.0
-        assert rec.F_values[0] == pytest.approx(alpha_energy(x0.coeffs, basis1, 0.5))
+        assert rec.F[0][0] == pytest.approx(alpha_energy(x0.coeffs, basis1, 0.5))
 
     def test_start_must_share_the_noise_basis(self, basis1, basis2):
         spec, _ = make_noise(1.5, 0.5, basis1)
@@ -196,7 +196,7 @@ class TestIntegrate:
         spec, _ = make_noise(1.5, 0.0, basis2)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=10)
         rec = integrate(rand_field(basis2, np.random.default_rng(8)), params(), spec, cfg)
-        assert np.all(np.diff(rec.F_values) <= 1e-14)
+        assert np.all(np.diff(rec.F[0]) <= 1e-14)
 
     def test_bit_identical_replay(self, basis1):
         spec, _ = make_noise(1.5, 0.5, basis1, seed=21)
@@ -204,9 +204,9 @@ class TestIntegrate:
         x0 = rand_field(basis1, np.random.default_rng(9))
         r1 = integrate(x0, params(), spec, cfg, store_fields=True)
         r2 = integrate(x0, params(), spec, cfg, store_fields=True)
-        assert np.array_equal(r1.F_values, r2.F_values)
-        assert np.array_equal(r1.martingale_accumulator, r2.martingale_accumulator)
-        assert np.array_equal(r1.snapshots, r2.snapshots)
+        assert np.array_equal(r1.F[0], r2.F[0])
+        assert np.array_equal(r1.martingale[0], r2.martingale[0])
+        assert np.array_equal(r1.snapshots[0], r2.snapshots[0])
 
     def test_blow_up_reported_with_time(self, basis1):
         p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
@@ -243,9 +243,9 @@ class TestIntegrate:
         rec = integrate(rand_field(basis1, np.random.default_rng(16)), params(), spec, cfg)
         n = len(rec.times)
         assert (
-            len(rec.F_values)
-            == len(rec.dissipation_values)
-            == len(rec.martingale_accumulator)
+            len(rec.F[0])
+            == len(rec.dissipation[0])
+            == len(rec.martingale[0])
             == n
         )
         assert np.all(np.diff(rec.times) > 0)
@@ -374,10 +374,10 @@ class TestEnsembleMachinery:
         paths = run_ensemble(x0.coeffs, p, spec, cfg, 3, store_fields=True)
         for i in range(3):
             rec = integrate(x0, p, spec, cfg, member=i, store_fields=True)
-            assert np.array_equal(paths.F[i], rec.F_values)
-            assert np.array_equal(paths.dissipation[i], rec.dissipation_values)
-            assert np.array_equal(paths.martingale[i], rec.martingale_accumulator)
-            assert np.array_equal(paths.snapshots[i], rec.snapshots)
+            assert np.array_equal(paths.F[i], rec.F[0])
+            assert np.array_equal(paths.dissipation[i], rec.dissipation[0])
+            assert np.array_equal(paths.martingale[i], rec.martingale[0])
+            assert np.array_equal(paths.snapshots[i], rec.snapshots[0])
 
     def test_thread_split_is_bit_identical(self, basis1, monkeypatch):
         p = params()
