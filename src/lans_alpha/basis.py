@@ -16,18 +16,17 @@ The basis also owns a uniform collocation grid with M = 4*cutoff points
 per axis.  The rectangle rule on that grid integrates trigonometric
 polynomials of degree < M exactly, which covers products of up to three
 truncated fields, so all quadratures used here are exact to rounding.
-That grid serves the dense collocation route of `operators.py` (used by
-`b_tilde`, `b_form` and the one-off build of the triad table), the
-cross-check oracles and `leray_project`; the stepping path does not touch
-it.
+That grid serves the reference routes of `oracles.py` (the dense route
+among them builds the triad table once) and `leray_project`; the stepping
+path does not touch it.
 
-Above the crossover cutoff the nonlinearity takes the pseudo-spectral
-route of `operators.py`.  Its grid has the smallest 5-smooth size
-N >= 3*cutoff + 1 per axis (the 3/2 rule): a quadratic product reaches
-|k|_inf <= 2*cutoff, and testing it against a mode with |k|_inf <= cutoff
-aliases only through wavenumbers >= N - cutoff > 2*cutoff, so projection
-is still exact.  `Basis.fft_layout` holds that route's index arrays and
-scale factors.
+Above the crossover cutoff the nonlinearity, and `b_tilde` at every
+cutoff, take the pseudo-spectral route of `operators.py`.  Its grid has
+the smallest 5-smooth size N >= 3*cutoff + 1 per axis (the 3/2 rule): a
+quadratic product reaches |k|_inf <= 2*cutoff, and testing it against a
+mode with |k|_inf <= cutoff aliases only through wavenumbers
+>= N - cutoff > 2*cutoff, so projection is still exact.
+`Basis.fft_layout` holds that route's index arrays and scale factors.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ class SimConfig:
         return PhysicalParams(nu=self.nu, alpha=self.alpha, L=self.L)
 
     def noise(self, basis: Basis) -> tuple[NoiseSpec, AdmissibilityReport]:
-        return make_noise(self.epsilon, self.sigma, basis, alpha=self.alpha, seed=self.seed)
+        return make_noise(self.epsilon, self.sigma, basis, seed=self.seed)
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(

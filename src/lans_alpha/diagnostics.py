@@ -331,7 +331,6 @@ def ou_variance_comparison(
     spec: NoiseSpec,
     cfg: IntegratorConfig,
     burn_in: float,
-    member: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Long-run per-mode variances against the stationary oracle.
 
@@ -342,9 +341,7 @@ def ou_variance_comparison(
     if not burn_in < cfg.t_end:
         raise ConfigError(f"burn_in={burn_in} must be below t_end={cfg.t_end}")
     basis = spec.basis
-    paths = integrate(
-        SpectralField.zeros(basis), p, spec, cfg, member=member, store_fields=True
-    )
+    paths = integrate(SpectralField.zeros(basis), p, spec, cfg, store_fields=True)
     samples = paths.snapshots[0, paths.times >= burn_in]
     if len(samples) < 2:
         raise ConfigError(

@@ -74,7 +74,7 @@ class NoiseSpec:
 
 
 def make_noise(
-    epsilon: float, sigma: float, basis: Basis, alpha: float = 0.0, seed: int = 0
+    epsilon: float, sigma: float, basis: Basis, seed: int = 0
 ) -> tuple[NoiseSpec, AdmissibilityReport]:
     """Build the diagonal covariance and its admissibility report.
 

@@ -1,12 +1,12 @@
-"""Stokes and Helmholtz operators, the trilinear form b, the rotational
-bilinear term, and the Galerkin drift of the alpha-model.
+"""Stokes and Helmholtz operators, the rotational bilinear term, and the
+Galerkin drift of the alpha-model.
 
 The advection machinery evaluates the 2D rotational nonlinearity
 
     Bt(u, v) = -P( u x (curl v) ),    u x (curl v) = (w v) read as
                                       (w*u2, -w*u1) with w = d1 v2 - d2 v1,
 
-by one of three routes.  nonlinear_coeffs and linearized_nonlinear_coeffs,
+by one of two routes.  nonlinear_coeffs and linearized_nonlinear_coeffs,
 the stepping path, choose theirs from basis.cutoff alone:
 
   triad route (cutoff < FFT_MIN_CUTOFF)
@@ -14,13 +14,14 @@ the stepping path, choose theirs from basis.cutoff alone:
       quadratic, N(c)_j = sum_{k<=l} S_jkl c_k c_l, and S is sparse (only
       wavevector triads k_j = +-k_k +- k_l interact: 16 / 224 / 1056 / 3120
       coefficients at cutoffs 1-4).  triad_table builds S once per
-      (basis, alpha) from the dense route, folding in the Helmholtz factors
-      and the sign; a call is two gathers, a product and one
-      np.add.reduceat over the triads sorted by output mode, all along
-      the member axis of (n, M) views.  Given scratch for many members, the
-      gathers and products run in place and the segment sums as row
-      operations in reduceat's own order (_segment_sums, _pairwise_rows),
-      over contiguous rows when the states are held mode-major.
+      (basis, alpha) from the dense route (oracles.b_tilde_dense), folding
+      in the Helmholtz factors and the sign; a call is two gathers, a
+      product and one np.add.reduceat over the triads sorted by output
+      mode, all along the member axis of (n, M) views.  Given scratch for
+      many members, the gathers and products run in place and the segment
+      sums as row operations in reduceat's own order (_segment_sums,
+      _pairwise_rows), over contiguous rows when the states are held
+      mode-major.
   pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF)
       each wavevector's cos/sin coefficients are paired into one complex
       amplitude z_k = c_cos - i c_sin and scattered into rfft2
@@ -31,17 +32,15 @@ the stepping path, choose theirs from basis.cutoff alone:
       smallest 5-smooth size >= 3*cutoff + 1 per axis (the 3/2 rule,
       Orszag 1971), on which the projection is still exact.  Cost grows
       as cutoff^2 log cutoff and no (modes x grid) tensor is built.
-  dense route (b_tilde below FFT_MIN_CUTOFF, and the oracles)
-      collocation on the 4*cutoff basis grid through the dense
-      (modes x grid) tensors, then exact quadrature projection.  Cost and
-      memory grow as cutoff^4; it builds the triad table and serves
-      b_tilde, b_form and the cross-checks, not the stepping path.
+      b_tilde takes this route at every cutoff.
 
-All routes are exact to rounding and agree to about 1e-14 relative.  The
-crossovers were measured on a 2-core x86 VM (numpy 2.4, one BLAS thread),
-as median microseconds per nonlinear_coeffs call on M members, dense /
-triad (cutoffs 1-4) and dense / pseudo-spectral (cutoffs 3 and up, per
-b_tilde_coeffs call):
+The reference routes (the dense collocation route, the gradient-matrix
+route and b_form, and the grid-free convolution oracle) live in oracles
+and are re-exported here.  All routes are exact to rounding and agree to
+about 1e-14 relative.  The crossovers were measured on a 2-core x86 VM
+(numpy 2.4, one BLAS thread), as median microseconds per call on M
+members: dense / triad per nonlinear_coeffs call (cutoffs 1-4), and
+dense / pseudo-spectral per Bt(u, v) evaluation (cutoffs 3 and up):
 
     cutoff   M=1        M=2         M=200          M=5000
       1      23 / 7     27 / 12     133 / 39       4885 / 601
@@ -59,17 +58,13 @@ b_tilde_coeffs call):
 
 Below cutoff 5 the triad route beats both other routes, except at cutoff 4
 with M=5000, where it ties the dense one (0.90x and 1.03x in two runs); at
-cutoff 5 the pseudo-spectral
-route ties the dense route at M=1 and wins at every larger M, so it starts
-there.  linearized_nonlinear_coeffs crosses at the same cutoff.  The choice
-ignores the batch size on purpose: a member's result then cannot depend on
-how many members share its batch, on the split into thread blocks, or on
-LANS_THREADS.  For the same reason no route uses a BLAS matmul, whose
-per-row rounding changes with the batch size.
-
-Two independent evaluation routes are kept for cross-checking: the
-antisymmetrized velocity-gradient matrix applied to u, and a direct
-mode-by-mode trigonometric convolution that never touches a grid.
+cutoff 5 the pseudo-spectral route ties the dense route at M=1 and wins at
+every larger M, so it starts there.  linearized_nonlinear_coeffs crosses
+at the same cutoff.  The choice ignores the batch size on purpose: a
+member's result then cannot depend on how many members share its batch,
+on the split into thread blocks, or on LANS_THREADS.  For the same reason
+no route uses a BLAS matmul, whose per-row rounding changes with the batch
+size.
 
 With F(u) = |u|_2^2 + alpha^2 |grad u|_2^2 the nonlinearity does no work
 on the alpha-energy: <Bt(u, (I+a^2 A)u), u> vanishes identically, which
@@ -85,6 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import Basis, ConfigError, SpectralField, _check_same_basis
+from .oracles import b_form, b_tilde_convolution, b_tilde_dense, b_tilde_matrix
 
 __all__ = [
     "PhysicalParams",
@@ -157,41 +153,9 @@ def helmholtz(u: SpectralField, alpha: float, mode: str = "apply") -> SpectralFi
     raise ValueError(f"mode must be 'apply' or 'solve', got {mode!r}")
 
 
-# Smallest cutoff at which the nonlinearity and b_tilde_coeffs take the
-# pseudo-spectral route (the measured crossover, see the module docstring);
-# below it the nonlinearity takes the triad route and b_tilde_coeffs the
-# dense one.
+# Smallest cutoff at which the nonlinearity takes the pseudo-spectral route
+# (the measured crossover, see the module docstring); below it the triad one.
 FFT_MIN_CUTOFF = 5
-
-
-# -- batched grid kernels ---------------------------------------------------
-#
-# These operate on raw coefficient arrays of shape (..., n) so integrators
-# and Monte-Carlo drivers can step whole ensembles at once.
-
-
-def velocity_on_grid(basis: Basis, coeffs: np.ndarray) -> np.ndarray:
-    """Velocities at the collocation points, shape (..., G, 2)."""
-    return np.einsum("...j,jgm->...gm", coeffs, basis.grid_mode_values)
-
-
-def curl_on_grid(basis: Basis, coeffs: np.ndarray) -> np.ndarray:
-    """Scalar curl at the collocation points, shape (..., G)."""
-    return np.einsum("...j,jg->...g", coeffs, basis.grid_mode_curls)
-
-
-def project_grid_field(basis: Basis, values: np.ndarray) -> np.ndarray:
-    """Quadrature L^2 projection of grid velocities back to coefficients."""
-    return basis.quad_weight() * np.einsum("jgm,...gm->...j", basis.grid_mode_values, values)
-
-
-def b_tilde_dense(basis: Basis, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Bt(u, v) by collocation on the 4*cutoff grid (dense route)."""
-    w = curl_on_grid(basis, cv)
-    ug = velocity_on_grid(basis, cu)
-    # -(u x curl v) = (-w*u2, +w*u1)
-    integrand = np.stack([-w * ug[..., 1], w * ug[..., 0]], axis=-1)
-    return project_grid_field(basis, integrand)
 
 
 def _as_pair_amplitudes(c: np.ndarray) -> np.ndarray:
@@ -226,16 +190,10 @@ def b_tilde_fft(basis: Basis, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     return np.ascontiguousarray(proj).view(np.float64)
 
 
-def b_tilde_coeffs(basis: Basis, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """sum_i Bt(u_i, v_i) for batched coefficient pairs (cu, cv).
-
-    The route depends on basis.cutoff alone, so a member's result does not
-    depend on the batch it is evaluated in.  The dense route adds its terms
-    left to right from the first, not from 0, which would turn -0.0 into +0.0.
-    """
-    if basis.cutoff >= FFT_MIN_CUTOFF:
-        return b_tilde_fft(basis, *pairs)
-    return functools.reduce(np.add, (b_tilde_dense(basis, cu, cv) for cu, cv in pairs))
+def b_tilde(u: SpectralField, v: SpectralField) -> SpectralField:
+    """Bt(u, v) = -P(u x curl v) by the pseudo-spectral route, at every cutoff."""
+    _check_same_basis(u, v)
+    return SpectralField(u.basis, b_tilde_fft(u.basis, (u.coeffs, v.coeffs)))
 
 
 class TriadTable(NamedTuple):
@@ -325,14 +283,12 @@ def _segment_sums(P: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
     """np.add.reduceat(P, starts, axis=0) into out[:len(starts)], as row ops.
 
     reduceat does not add a segment [s, e) in sequence: it computes
-    P[s] + pairwise(P[s+1:e]).  P is overwritten.
+    P[s] + pairwise(P[s+1:e]).  Every segment of a triad table holds at
+    least two triads, so s + 1 < e.  P is overwritten.
     """
     bounds = starts.tolist() + [len(P)]
     for row, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if e - s == 1:
-            out[row] = P[s]
-        else:
-            np.add(P[s], _pairwise_rows(P[s + 1 : e]), out=out[row])
+        np.add(P[s], _pairwise_rows(P[s + 1 : e]), out=out[row])
 
 
 def _triad_sum(
@@ -476,132 +432,6 @@ def alpha_dissipation(
     if weight is None:
         weight = basis.eigenvalues * helmholtz_factor(basis, alpha)
     return _weighted_square_sum(coeffs, weight, out, work)
-
-
-# -- public field-level operations ------------------------------------------
-
-
-def b_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
-    """Trilinear form b(u, v, w) = <(u.grad)v, w> by exact grid quadrature."""
-    _check_same_basis(u, v)
-    _check_same_basis(u, w)
-    basis = u.basis
-    ug = velocity_on_grid(basis, u.coeffs)
-    wg = velocity_on_grid(basis, w.coeffs)
-    gradv = np.einsum("j,jgim->gim", v.coeffs, basis.grid_mode_gradients)
-    return float(basis.quad_weight() * np.einsum("gi,gim,gm->", ug, gradv, wg))
-
-
-def b_tilde(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Bt(u, v) = -P(u x curl v) via the scalar-curl collocation route."""
-    _check_same_basis(u, v)
-    return SpectralField(u.basis, b_tilde_coeffs(u.basis, (u.coeffs, v.coeffs)))
-
-
-def b_tilde_matrix(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Bt(u, v) via the antisymmetrized gradient matrix -P[(grad v - grad v^T) u].
-
-    Index convention: (grad v)_{im} = d_i v_m, so the cross product reads
-    (u x curl v)_m = sum_i (d_m v_i - d_i v_m) u_i.  Cross-check route for
-    b_tilde; the two must agree to rounding.
-    """
-    _check_same_basis(u, v)
-    basis = u.basis
-    ug = velocity_on_grid(basis, u.coeffs)
-    gradv = np.einsum("j,jgim->gim", v.coeffs, basis.grid_mode_gradients)
-    cross = np.einsum("gmi,gi->gm", gradv, ug) - np.einsum("gim,gi->gm", gradv, ug)
-    return SpectralField(basis, project_grid_field(basis, -cross))
-
-
-# -- grid-free convolution oracle --------------------------------------------
-#
-# Scalar trigonometric polynomials are dicts mapping a canonical half-space
-# wavevector to [cos, sin] amplitudes of theta_k = (2 pi / L) k.x; products
-# reduce to sums via the product-to-sum identities, and the box integral
-# reads off the zero-frequency cosine amplitude.  Quadratic cost in the mode
-# count; intended as a small-instance oracle, not a production path.
-
-
-def _canon_key(k1: int, k2: int) -> tuple[int, int, float]:
-    if k1 > 0 or (k1 == 0 and k2 > 0) or (k1 == 0 and k2 == 0):
-        return k1, k2, 1.0
-    return -k1, -k2, -1.0
-
-
-def _add_atom(poly: dict, k1: int, k2: int, cos_amp: float, sin_amp: float) -> None:
-    k1, k2, flip = _canon_key(k1, k2)
-    slot = poly.setdefault((k1, k2), [0.0, 0.0])
-    slot[0] += cos_amp
-    slot[1] += flip * sin_amp
-
-
-def _trig_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (a1, a2), (cf, sf) in f.items():
-        for (b1, b2), (cg, sg) in g.items():
-            d1, d2 = a1 - b1, a2 - b2
-            s1, s2 = a1 + b1, a2 + b2
-            # cos A cos B, sin A sin B -> cosines at A-B and A+B
-            _add_atom(out, d1, d2, 0.5 * (cf * cg + sf * sg), 0.0)
-            _add_atom(out, s1, s2, 0.5 * (cf * cg - sf * sg), 0.0)
-            # sin A cos B, cos A sin B -> sines at A+B and A-B
-            _add_atom(out, s1, s2, 0.0, 0.5 * (sf * cg + cf * sg))
-            _add_atom(out, d1, d2, 0.0, 0.5 * (sf * cg - cf * sg))
-    return out
-
-
-def _component_polys(u: SpectralField) -> tuple[dict, dict]:
-    basis = u.basis
-    polys: tuple[dict, dict] = ({}, {})
-    for j, ((k, par), c) in enumerate(zip(basis.modes, u.coeffs)):
-        if c == 0.0:
-            continue
-        for m in range(2):
-            amp = basis.amp * c * basis.polarizations[j, m]
-            if par == 0:
-                _add_atom(polys[m], k.k1, k.k2, amp, 0.0)
-            else:
-                _add_atom(polys[m], k.k1, k.k2, 0.0, amp)
-    return polys
-
-
-def _curl_poly(v: SpectralField) -> dict:
-    basis = v.basis
-    poly: dict = {}
-    two_pi_over_L = 2.0 * np.pi / basis.L
-    for j, ((k, par), c) in enumerate(zip(basis.modes, v.coeffs)):
-        if c == 0.0:
-            continue
-        knorm = float(np.hypot(k.k1, k.k2))
-        f = basis.amp * c * two_pi_over_L * knorm
-        if par == 0:
-            _add_atom(poly, k.k1, k.k2, 0.0, -f)
-        else:
-            _add_atom(poly, k.k1, k.k2, f, 0.0)
-    return poly
-
-
-def b_tilde_convolution(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Bt(u, v) by exact trigonometric convolution (grid-free oracle)."""
-    _check_same_basis(u, v)
-    basis = u.basis
-    u1, u2 = _component_polys(u)
-    w = _curl_poly(v)
-    # -(u x curl v) = (-w*u2, +w*u1)
-    g1 = _trig_mul(w, u2)
-    g2 = _trig_mul(w, u1)
-    coeffs = np.zeros(basis.mode_count)
-    half_box = 0.5 * basis.L**2
-    for j, (k, par) in enumerate(basis.modes):
-        acc = 0.0
-        slot1 = g1.get((k.k1, k.k2))
-        slot2 = g2.get((k.k1, k.k2))
-        if slot1 is not None:
-            acc -= basis.polarizations[j, 0] * slot1[par]
-        if slot2 is not None:
-            acc += basis.polarizations[j, 1] * slot2[par]
-        coeffs[j] = basis.amp * half_box * acc
-    return SpectralField(basis, coeffs)
 
 
 # -- full drift ---------------------------------------------------------------

@@ -312,7 +312,7 @@ def test_moment_envelope_margin_is_taken_after_t0():
 
 _B = build_basis(2 * np.pi, 1)
 _P = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
-_SPEC = make_noise(1.5, 0.5, _B, alpha=0.5)[0]
+_SPEC = make_noise(1.5, 0.5, _B)[0]
 _QUIET = make_noise(1.5, 0.0, _B)[0]
 _CFG = IntegratorConfig(dt=1e-3, t_end=0.1)
 _STILL = IntegratorConfig(dt=1e-3, t_end=0.0)

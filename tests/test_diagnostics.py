@@ -90,7 +90,7 @@ class TestItoBalance:
     def test_linear_case_within_mc_error(self, basis1):
         # nonlinearity suppressed: the identity is the exact OU balance
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=5)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.5, record_every=1, nonlinearity=False)
         rep = ito_balance_report(p, spec, cfg, SpectralField.zeros(basis1), 200)
         o_dt_slack = rep.details["trace_alpha"] * cfg.dt
@@ -98,7 +98,7 @@ class TestItoBalance:
 
     def test_full_system_residual_budget(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.5, record_every=1)
         x0 = rand_field(basis1, np.random.default_rng(2), scale=0.3)
         r1 = ito_balance_report(p, spec, cfg, x0, 200)
@@ -120,7 +120,7 @@ class TestMomentReport:
 
     def test_zero_start_is_trace_bounded(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=6)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=6)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=50)
         rep = moment_report(p, spec, cfg, SpectralField.zeros(basis1), 1, 400)
         bound = spec.trace_alpha(p.alpha) * rep.times
@@ -130,7 +130,7 @@ class TestMomentReport:
         # nonlinearity suppressed, alpha = 0: exact closed form
         basis = build_basis(2 * np.pi, 1)
         p = PhysicalParams(nu=1.0, alpha=0.0, L=2 * np.pi)
-        spec, _ = make_noise(1.5, 0.5, basis, alpha=0.0, seed=7)
+        spec, _ = make_noise(1.5, 0.5, basis, seed=7)
         cfg = IntegratorConfig(
             scheme="exponential_em", dt=5e-3, t_end=1.0, record_every=20, nonlinearity=False
         )
@@ -141,7 +141,7 @@ class TestMomentReport:
 
     def test_k2_finite_and_bounded(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=8)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=8)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=50)
         x0 = rand_field(basis1, np.random.default_rng(4), scale=0.5)
         rep = moment_report(p, spec, cfg, x0, 2, 300)
@@ -162,7 +162,7 @@ class TestMomentReport:
 class TestExpMomentReport:
     def test_zero_eps_is_identity(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=9)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=9)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.2, record_every=20)
         rep = exp_moment_report(p, spec, cfg, SpectralField.zeros(basis1), 0.0, 10)
         assert np.all(rep.series == 1.0)
@@ -180,7 +180,7 @@ class TestExpMomentReport:
 
     def test_admissible_is_bounded(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=10)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=10)
         cfg = IntegratorConfig(dt=1e-3, t_end=2.0, record_every=100)
         x0 = rand_field(basis1, np.random.default_rng(6), scale=0.3)
         rep = exp_moment_report(p, spec, cfg, x0, 0.2, 300)
@@ -190,7 +190,7 @@ class TestExpMomentReport:
 
     def test_inadmissible_refused_with_bound_named(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha)
+        spec, _ = make_noise(1.5, 0.5, basis1)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
         eps_bad = 2.0 * p.nu * basis1.lambda_min() / spec.trace_alpha(p.alpha)
         with pytest.raises(ValueError, match="2\\*eps\\*Tr"):
@@ -198,7 +198,7 @@ class TestExpMomentReport:
 
     def test_margin_formula(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha)
+        spec, _ = make_noise(1.5, 0.5, basis1)
         eps = 0.1
         expected = p.nu - 2 * eps * spec.trace_alpha(p.alpha) / basis1.lambda_min()
         assert exp_moment_margin(p, spec, eps) == pytest.approx(expected, rel=1e-15)
@@ -219,7 +219,7 @@ class TestOUOracles:
     def test_long_run_variances_match(self):
         basis = build_basis(1.0, 1)
         p = PhysicalParams(nu=2.0, alpha=0.5, L=1.0)
-        spec, _ = make_noise(1.5, 0.5, basis, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis, seed=42)
         cfg = IntegratorConfig(
             scheme="exponential_em", dt=0.005, t_end=200.0, record_every=2, nonlinearity=False
         )
@@ -238,7 +238,7 @@ class TestBismutElworthy:
     def setup_ou(self, sigma=2.0, seed=42):
         basis = build_basis(2 * np.pi, 1)
         p = params()
-        spec, _ = make_noise(1.5, sigma, basis, alpha=p.alpha, seed=seed)
+        spec, _ = make_noise(1.5, sigma, basis, seed=seed)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, nonlinearity=False)
         return basis, p, spec, cfg
 
@@ -273,7 +273,7 @@ class TestBismutElworthy:
     def test_nonlinear_agrees_with_fd(self):
         basis = build_basis(2 * np.pi, 1)
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis, seed=42)
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, nonlinearity=True)
         x = rand_field(basis, np.random.default_rng(10), scale=0.3)
         h = SpectralField.unit(basis, 0)
@@ -308,7 +308,7 @@ class TestInvariantStats:
 
     def test_linear_case_matches_ou_energy(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=12)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=12)
         cfg = IntegratorConfig(
             scheme="exponential_em", dt=5e-3, t_end=1.0, record_every=4, nonlinearity=False
         )
@@ -322,7 +322,7 @@ class TestInvariantStats:
 
     def test_two_initial_conditions_agree(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
         cfg = IntegratorConfig(dt=2e-3, t_end=1.0, record_every=5)
         weight = 1 + p.alpha**2 * basis1.eigenvalues
         c = np.full(8, 1.0 / np.sqrt(np.sum(weight)))

@@ -153,7 +153,7 @@ class TestStepVariation:
         # common noise: the variation is the exact derivative of the
         # discrete map, so the FD error is O(delta)
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=11)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=11)
         cfg = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=0.1)
         x0 = rand_field(basis1, np.random.default_rng(5), scale=0.4)
         h = SpectralField.unit(basis1, 2)
@@ -290,7 +290,7 @@ class TestDiscreteItoBalance:
 
     def test_pathwise_residual_shrinks_with_dt(self, basis1):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=33)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=33)
         r1 = self.residual_rms(2e-3, basis1, p, spec)
         r2 = self.residual_rms(5e-4, basis1, p, spec)
         order = np.log(r1 / r2) / np.log(4.0)
@@ -303,7 +303,7 @@ class TestDiscreteItoBalance:
 class TestStrongConvergence:
     def test_order_near_one(self, basis2):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis2, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis2, seed=42)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.5)
         x0 = rand_field(basis2, np.random.default_rng(13), scale=0.3)
         res = strong_convergence_study(p, spec, cfg, x0, [4e-3, 2e-3, 1e-3, 5e-4], 30)
@@ -322,7 +322,7 @@ class TestStrongConvergence:
             monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
         monkeypatch.delenv("LANS_THREADS", raising=False)
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
         dts, M, steps_fine, n = [4e-3, 2e-3, 1e-3], 3, 40, 8
         cfg = IntegratorConfig(dt=1e-3, t_end=0.04)
         x0 = rand_field(basis1, np.random.default_rng(17), scale=0.5)
@@ -348,7 +348,7 @@ class TestStrongConvergence:
 
     def test_blow_up_is_raised(self, basis1):
         p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
-        spec, _ = make_noise(1.5, 0.5, basis1, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
         cfg = IntegratorConfig(dt=1.0, t_end=20.0)
         huge = SpectralField(basis1, 1e6 * np.ones(8))
         with pytest.raises(BlowUpError) as err:
@@ -357,7 +357,7 @@ class TestStrongConvergence:
 
     def test_final_time_must_divide_all_resolutions(self, basis2):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis2, alpha=p.alpha, seed=42)
+        spec, _ = make_noise(1.5, 0.5, basis2, seed=42)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.25)  # 0.25/4e-3 is not integer
         x0 = rand_field(basis2, np.random.default_rng(13), scale=0.3)
         with pytest.raises(ValueError):
@@ -395,7 +395,7 @@ class TestEnsembleMachinery:
 
     def test_thread_split_is_bit_identical_on_pseudo_spectral_route(self, basis8, monkeypatch):
         p = params()
-        spec, _ = make_noise(1.5, 0.5, basis8, alpha=p.alpha, seed=57)
+        spec, _ = make_noise(1.5, 0.5, basis8, seed=57)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01, record_every=2)
         x0 = rand_field(basis8, np.random.default_rng(16), scale=0.3).coeffs
         h = SpectralField.unit(basis8, 0).coeffs

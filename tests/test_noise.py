@@ -19,7 +19,7 @@ from conftest import rand_field
 class TestMakeNoise:
     def test_trace_example(self, basis1):
         # eps=1, sigma=1, alpha=0: q_j^2 = lambda_j^-2, eigenvalues {1x4, 2x4}
-        spec, _ = make_noise(1.0, 1.0, basis1, alpha=0.0)
+        spec, _ = make_noise(1.0, 1.0, basis1)
         assert spec.trace_Q == pytest.approx(4 * 1.0 + 4 * 0.25, rel=1e-15)
 
     def test_admissible_window(self, basis1):
@@ -156,8 +156,8 @@ class TestBoundedExtension:
     def test_helmholtz_weighted_bound(self, basis2):
         # |Q(I + a^2 A) x|^2 <= Tr[Q*(I+a^2 A)Q] (|x|^2 + a^2 |grad x|^2)
         rng = np.random.default_rng(2)
+        spec, _ = make_noise(1.5, 0.9, basis2)
         for alpha in (0.0, 0.5, 1.5):
-            spec, _ = make_noise(1.5, 0.9, basis2, alpha=alpha)
             trace = spec.trace_alpha(alpha)
             helm = 1 + alpha**2 * basis2.eigenvalues
             for _ in range(334):

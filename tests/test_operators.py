@@ -24,16 +24,17 @@ from lans_alpha import (
     run_ensemble,
     sobolev_norms,
 )
-from lans_alpha import operators
+import lans_alpha
+from lans_alpha import operators, oracles
 from lans_alpha.operators import (
     FFT_MIN_CUTOFF,
-    b_tilde_dense,
     b_tilde_fft,
     helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
     triad_table,
 )
+from lans_alpha.oracles import b_tilde_dense
 from conftest import rand_field, vnorm
 
 
@@ -369,16 +370,19 @@ class TestPseudoSpectralRoute:
         ref = dense + b_tilde_dense(basis, cv, cu)
         assert np.abs(both - ref).max() < 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("cutoff", [2, 8])
-    def test_route_chosen_by_cutoff(self, cutoff):
+    @pytest.mark.parametrize("cutoff", [1, 2, 8])
+    def test_b_tilde_takes_the_fft_route_at_every_cutoff(self, cutoff):
         basis = build_basis(2 * np.pi, cutoff)
         rng = np.random.default_rng(24)
         u, v = rand_field(basis, rng), rand_field(basis, rng)
-        if cutoff >= FFT_MIN_CUTOFF:
-            expected = b_tilde_fft(basis, (u.coeffs, v.coeffs))
-        else:
-            expected = b_tilde_dense(basis, u.coeffs, v.coeffs)
-        assert np.array_equal(b_tilde(u, v).coeffs, expected)
+        expected = b_tilde_fft(basis, (u.coeffs, v.coeffs))
+        assert b_tilde(u, v).coeffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["b_form", "b_tilde_matrix", "b_tilde_convolution"])
+    def test_reference_routes_are_reexported(self, name):
+        route = getattr(oracles, name)
+        assert getattr(operators, name) is route
+        assert getattr(lans_alpha, name) is route
 
     def test_stepping_path_builds_no_grid_tensors(self, basis8, monkeypatch):
         def refuse(*args):
@@ -444,6 +448,8 @@ class TestTriadRoute:
         assert np.all(table.k <= table.l)
         # the receiving modes are the leading ones, 0 .. J-1
         assert table.starts[0] == 0 and np.all(np.diff(table.starts) > 0)
+        # every segment holds at least two triads (_segment_sums relies on it)
+        assert np.all(np.diff(np.append(table.starts, len(table.k))) >= 2)
 
     def test_modes_without_triads_stay_zero(self, basis1):
         table = triad_table(basis1, 0.5)
@@ -506,7 +512,7 @@ class TestTriadRoute:
 
     def test_thread_split_is_bit_identical(self, basis2, monkeypatch):
         p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
-        spec, _ = make_noise(1.5, 0.5, basis2, alpha=p.alpha, seed=37)
+        spec, _ = make_noise(1.5, 0.5, basis2, seed=37)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_every=2)
         x0 = rand_field(basis2, np.random.default_rng(38), scale=0.5).coeffs
         h = SpectralField.unit(basis2, 0).coeffs
@@ -522,13 +528,14 @@ class TestTriadRoute:
     def test_stepping_path_skips_the_dense_route(self, cutoff, monkeypatch):
         basis = build_basis(2 * np.pi, cutoff)
         p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
-        spec, _ = make_noise(1.5, 0.5, basis, alpha=p.alpha, seed=39)
+        spec, _ = make_noise(1.5, 0.5, basis, seed=39)
         triad_table(basis, p.alpha)  # the one-off build uses the dense route
 
         def refuse(*args):
             raise AssertionError("dense route called while stepping")
 
         monkeypatch.setattr(operators, "b_tilde_dense", refuse)
+        monkeypatch.setattr(oracles, "b_tilde_dense", refuse)
         x0 = rand_field(basis, np.random.default_rng(40), scale=0.3).coeffs
         h = SpectralField.unit(basis, 0).coeffs
         cfg = IntegratorConfig(dt=1e-3, t_end=0.005)
