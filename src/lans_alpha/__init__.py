@@ -23,30 +23,23 @@ from .integrator import (
     StepKernel,
     integrate,
     run_ensemble,
-    step,
-    step_variation,
 )
 from .noise import (
     AdmissibilityReport,
     NoiseSpec,
     SingularOperatorError,
     make_noise,
-    q_apply,
-    sample_increment,
     substream,
 )
 from .operators import (
     PhysicalParams,
     alpha_dissipation,
     alpha_energy,
-    apply_stokes,
     b_form,
     b_tilde,
     b_tilde_convolution,
     b_tilde_matrix,
     drift,
-    helmholtz,
-    linearized_drift,
 )
 
 __version__ = "0.1.0"

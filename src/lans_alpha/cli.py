@@ -144,9 +144,12 @@ def _coerce(kind, raw: str):
         return raw
     what, parse = _PARSERS[kind]
     try:
-        return parse(raw)
+        value = parse(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"expected {what}, got {raw!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> SimConfig:

@@ -8,8 +8,7 @@ how the ensemble is scheduled.
 Where the linear theory gives closed forms (the Ornstein-Uhlenbeck
 regime with the nonlinearity suppressed), those are used as exact
 oracles; everything tied to unspecified constants is checked
-structurally: finiteness, affine growth in time, monotonicity, and sign
-conditions.
+structurally: finiteness, affine growth in time, and sign conditions.
 """
 
 from __future__ import annotations

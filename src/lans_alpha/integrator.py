@@ -107,8 +107,6 @@ __all__ = [
     "IntegratorConfig",
     "BlowUpError",
     "StepKernel",
-    "step",
-    "step_variation",
     "integrate",
     "EnsemblePaths",
     "run_ensemble",
@@ -343,36 +341,6 @@ class StepKernel:
         if self.cfg.scheme == "semi_implicit_em":
             return np.multiply(self.noise_scale, dW, out=out)
         return np.multiply(self.conv_std, np.divide(dW, self.sqrt_dt, out=out), out=out)
-
-
-def step(
-    u: SpectralField,
-    p: PhysicalParams,
-    spec: NoiseSpec,
-    cfg: IntegratorConfig,
-    rng: np.random.Generator | None = None,
-) -> SpectralField:
-    """Advance one step, drawing the increment from rng when sigma > 0."""
-    kernel = StepKernel(u.basis, p, cfg, spec)
-    dW = None
-    if kernel.sigma > 0:
-        if rng is None:
-            raise ValueError("sigma > 0 requires an rng to draw increments from")
-        dW = kernel.sqrt_dt * rng.standard_normal(u.basis.mode_count)
-    return SpectralField(u.basis, kernel.step(u.coeffs, kernel.noise_injected(dW)))
-
-
-def step_variation(
-    u_path_point: SpectralField,
-    eta: SpectralField,
-    p: PhysicalParams,
-    cfg: IntegratorConfig,
-) -> SpectralField:
-    """Advance the first variation one step along the stored u path point."""
-    if u_path_point.basis != eta.basis:
-        raise ValueError("u and eta must share a basis")
-    kernel = StepKernel(u_path_point.basis, p, cfg, None)
-    return SpectralField(eta.basis, kernel.step_variation(u_path_point.coeffs, eta.coeffs))
 
 
 def _record_indices(num_steps: int, record_every: int) -> list[int]:

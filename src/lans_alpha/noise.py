@@ -1,4 +1,4 @@
-"""Trace-class noise: diagonal covariance, admissibility checks, sampling.
+"""Trace-class noise: diagonal covariance, admissibility checks, substreams.
 
 The driving Wiener process is expanded in the same eigenbasis as the
 state, so the covariance Q = sigma * A^{-(1+eps)/2} acts diagonally with
@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, ConfigError, SpectralField
+from .basis import Basis, ConfigError
 
 __all__ = [
     "NoiseSpec",
     "AdmissibilityReport",
     "SingularOperatorError",
     "make_noise",
-    "sample_increment",
-    "q_apply",
     "substream",
 ]
 
@@ -83,6 +81,8 @@ def make_noise(
     """
     if sigma < 0:
         raise ConfigError(f"noise amplitude sigma must be >= 0, got {sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     lam = basis.eigenvalues
     q = sigma * lam ** (-(1.0 + epsilon) / 2.0)
     trace_Q = float(np.sum(q**2))
@@ -141,27 +141,6 @@ def _trace_tail_estimate(epsilon: float, basis: Basis) -> float:
     N = basis.cutoff
     prefactor = (2.0 * np.pi / basis.L) ** (-2.0 * epsilon)
     return float(prefactor * 2.0 * np.pi * N ** (2.0 - 2.0 * epsilon) / (2.0 * epsilon - 2.0))
-
-
-def sample_increment(spec: NoiseSpec, dt: float, rng: np.random.Generator) -> SpectralField:
-    """Draw Q dW over a step of length dt; advances rng deterministically."""
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    xi = rng.standard_normal(spec.basis.mode_count)
-    return SpectralField(spec.basis, spec.q * np.sqrt(dt) * xi)
-
-
-def q_apply(spec: NoiseSpec, u: SpectralField, power: int = 1) -> SpectralField:
-    """Apply Q (power=+1) or Q^{-1} (power=-1) coefficient-wise."""
-    if u.basis != spec.basis:
-        raise ValueError("field basis does not match the noise basis")
-    if power == 1:
-        return SpectralField(u.basis, spec.q * u.coeffs)
-    if power == -1:
-        if spec.sigma == 0.0:
-            raise SingularOperatorError("Q is singular for sigma = 0; Q^{-1} undefined")
-        return SpectralField(u.basis, u.coeffs / spec.q)
-    raise ValueError(f"power must be +1 or -1, got {power}")
 
 
 def substream(seed: int, member: int = 0) -> np.random.Generator:

@@ -1,5 +1,5 @@
-"""Stokes and Helmholtz operators, the rotational bilinear term, and the
-Galerkin drift of the alpha-model.
+"""The Helmholtz factor, the rotational bilinear term, and the Galerkin
+drift of the alpha-model.
 
 The advection machinery evaluates the 2D rotational nonlinearity
 
@@ -84,8 +84,6 @@ from .oracles import b_form, b_tilde_convolution, b_tilde_dense, b_tilde_matrix
 
 __all__ = [
     "PhysicalParams",
-    "apply_stokes",
-    "helmholtz",
     "helmholtz_factor",
     "TriadTable",
     "triad_table",
@@ -96,7 +94,6 @@ __all__ = [
     "b_tilde_matrix",
     "b_tilde_convolution",
     "drift",
-    "linearized_drift",
     "alpha_energy",
     "alpha_dissipation",
 ]
@@ -127,12 +124,7 @@ class PhysicalParams:
             raise ValueError(f"params have L={self.L}, basis has L={basis.L}")
 
 
-# -- diagonal operators -----------------------------------------------------
-
-
-def apply_stokes(u: SpectralField) -> SpectralField:
-    """A u: coefficient-wise multiplication by the eigenvalues."""
-    return SpectralField(u.basis, u.basis.eigenvalues * u.coeffs)
+# -- Helmholtz factor --------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,16 +133,6 @@ def helmholtz_factor(basis: Basis, alpha: float) -> np.ndarray:
     factor = 1.0 + alpha**2 * basis.eigenvalues
     factor.setflags(write=False)
     return factor
-
-
-def helmholtz(u: SpectralField, alpha: float, mode: str = "apply") -> SpectralField:
-    """Apply or invert I + alpha^2 A (diagonal, always invertible)."""
-    factor = helmholtz_factor(u.basis, alpha)
-    if mode == "apply":
-        return SpectralField(u.basis, u.coeffs * factor)
-    if mode == "solve":
-        return SpectralField(u.basis, u.coeffs / factor)
-    raise ValueError(f"mode must be 'apply' or 'solve', got {mode!r}")
 
 
 # Smallest cutoff at which the nonlinearity takes the pseudo-spectral route
@@ -448,13 +430,3 @@ def drift(u: SpectralField, p: PhysicalParams) -> SpectralField:
     c = -p.nu * basis.eigenvalues * u.coeffs + nonlinear_coeffs(basis, u.coeffs, p.alpha)
     return SpectralField(basis, c)
 
-
-def linearized_drift(u: SpectralField, eta: SpectralField, p: PhysicalParams) -> SpectralField:
-    """Drift of the first-variation equation along u, applied to eta."""
-    _check_same_basis(u, eta)
-    p.check_basis(u.basis)
-    basis = u.basis
-    c = -p.nu * basis.eigenvalues * eta.coeffs + linearized_nonlinear_coeffs(
-        basis, u.coeffs, eta.coeffs, p.alpha
-    )
-    return SpectralField(basis, c)

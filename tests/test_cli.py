@@ -248,6 +248,11 @@ BAD_CONFIGS = [
     ("simulate", "x0 = iso abc", "a number, got 'abc'"),
     ("simulate", "x0 = mode 99 1", "mode index 99"),
     ("simulate", "x0 = banana", "banana"),
+    ("simulate", "x0 = iso nan", "a finite number, got 'nan'"),
+    ("simulate", "t_end = nan", "a finite number, got 'nan'"),
+    ("simulate", "sigma = nan", "a finite number, got 'nan'"),
+    ("simulate", "nu = 1e999", "a finite number, got '1e999'"),
+    ("simulate", "seed = -1", "seed must be >= 0"),
     ("convergence", "dts = abc", "a number, got 'abc'"),
     ("convergence", "dts = 2e-3", "3 distinct"),
     ("convergence", "dts = 3e-3 2e-3 1e-3", "dt=0.003"),
@@ -332,6 +337,7 @@ PRECONDITIONS = {
     "alpha": lambda: PhysicalParams(nu=1.0, alpha=-1.0, L=1.0),
     "L": lambda: PhysicalParams(nu=1.0, alpha=0.5, L=0.0),
     "sigma": lambda: make_noise(1.5, -1.0, _B),
+    "seed": lambda: make_noise(1.5, 0.5, _B, seed=-1),
     "scheme": lambda: IntegratorConfig(scheme="euler"),
     "dt": lambda: IntegratorConfig(dt=0.0),
     "t_end": lambda: IntegratorConfig(t_end=-1.0),

@@ -15,8 +15,6 @@ from lans_alpha import (
     integrate,
     make_noise,
     run_ensemble,
-    step,
-    step_variation,
     substream,
 )
 from lans_alpha import diagnostics, integrator
@@ -64,9 +62,9 @@ class TestStep:
             scheme="exponential_em", dt=0.37, t_end=0.37, nonlinearity=False
         )
         j = 5
-        out = step(SpectralField.unit(basis1, j), p, spec, cfg)
-        assert out.coeffs[j] == np.exp(-p.nu * basis1.eigenvalues[j] * cfg.dt)
-        assert np.all(out.coeffs[np.arange(8) != j] == 0.0)
+        out = StepKernel(basis1, p, cfg, spec).step(SpectralField.unit(basis1, j).coeffs, None)
+        assert out[j] == np.exp(-p.nu * basis1.eigenvalues[j] * cfg.dt)
+        assert np.all(out[np.arange(8) != j] == 0.0)
 
     def test_exponential_one_step_variance(self, basis1):
         # from u = 0 the one-step law is the exact OU transition
@@ -112,20 +110,19 @@ class TestStep:
         assert rec.F[0][-1] < rec.F[0][0]
         assert np.all(np.isfinite(rec.F[0]))
 
-    def test_step_requires_rng_for_noise(self, basis1):
-        spec, _ = make_noise(1.5, 1.0, basis1)
-        cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
-        with pytest.raises(ValueError):
-            step(SpectralField.zeros(basis1), params(), spec, cfg, None)
-
     def test_stochastic_step_replays_with_same_stream(self, basis1):
         spec, _ = make_noise(1.5, 1.0, basis1, seed=77)
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
-        u0 = rand_field(basis1, np.random.default_rng(20))
-        a = step(u0, params(), spec, cfg, substream(77))
-        b = step(u0, params(), spec, cfg, substream(77))
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert not np.array_equal(a.coeffs, u0.coeffs)
+        kern = StepKernel(basis1, params(), cfg, spec)
+        c0 = rand_field(basis1, np.random.default_rng(20)).coeffs
+
+        def step_from(rng):
+            dW = kern.sqrt_dt * rng.standard_normal(basis1.mode_count)
+            return kern.step(c0, kern.noise_injected(dW))
+
+        a, b = step_from(substream(77)), step_from(substream(77))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c0)
 
 
 class TestStepVariation:
@@ -143,9 +140,10 @@ class TestStepVariation:
         p = params()
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
         rng = np.random.default_rng(4)
-        u, h = rand_field(basis1, rng), rand_field(basis1, rng)
-        one = step_variation(u, h, p, cfg).coeffs
-        scaled = step_variation(u, 3.0 * h, p, cfg).coeffs
+        u, h = rand_field(basis1, rng).coeffs, rand_field(basis1, rng).coeffs
+        kern = StepKernel(basis1, p, cfg)
+        one = kern.step_variation(u, h)
+        scaled = kern.step_variation(u, 3.0 * h)
         assert np.abs(scaled - 3.0 * one).max() < 1e-12 * (1 + np.abs(one).max())
 
     @pytest.mark.parametrize("scheme", ["semi_implicit_em", "exponential_em"])

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lans_alpha import (
-    SingularOperatorError,
+    IntegratorConfig,
+    PhysicalParams,
     SpectralField,
+    StepKernel,
     build_basis,
     make_noise,
-    q_apply,
-    sample_increment,
     sobolev_norms,
     substream,
 )
@@ -59,19 +59,24 @@ class TestMakeNoise:
             assert spec.trace_alpha(alpha) == spec.trace_Q + alpha**2 * spec.trace_QAQ
 
 
-class TestSampleIncrement:
-    def test_sigma_zero_gives_zero_field(self, basis1):
+class TestIncrements:
+    @staticmethod
+    def kernel(spec, dt):
+        p = PhysicalParams(nu=1.0, alpha=0.5, L=spec.basis.L)
+        return StepKernel(spec.basis, p, IntegratorConfig(dt=dt, t_end=dt), spec)
+
+    def test_sigma_zero_injects_nothing(self, basis1):
         spec, _ = make_noise(1.5, 0.0, basis1)
-        out = sample_increment(spec, 0.1, substream(0))
-        assert np.all(out.coeffs == 0.0)
+        kern = self.kernel(spec, 0.1)
+        assert kern.noise_injected(kern.sqrt_dt * substream(0).standard_normal(8)) is None
 
     def test_gaussian_moments(self, basis1):
+        # the injected noise Q dW of the semi-implicit step has law N(0, q^2 dt)
         spec, _ = make_noise(1.5, 0.8, basis1, seed=5)
         dt = 0.01
-        rng = substream(spec.seed)
-        draws = np.stack(
-            [sample_increment(spec, dt, rng).coeffs for _ in range(100_000)]
-        )
+        kern = self.kernel(spec, dt)
+        dW = np.sqrt(dt) * substream(spec.seed).standard_normal((100_000, basis1.mode_count))
+        draws = kern.noise_injected(dW)
         M = draws.shape[0]
         mean_tol = 4.0 * spec.q * np.sqrt(dt / M)
         assert np.all(np.abs(draws.mean(axis=0)) <= mean_tol)
@@ -89,14 +94,13 @@ class TestSampleIncrement:
         off = ~np.eye(basis1.mode_count, dtype=bool)
         assert np.all(np.abs(cov[off]) <= 4.0 * se[off])
 
-    def test_deterministic_replay(self, basis1):
-        spec, _ = make_noise(1.5, 1.0, basis1, seed=123)
-        a = [sample_increment(spec, 0.1, substream(123)).coeffs for _ in range(1)]
-        b = [sample_increment(spec, 0.1, substream(123)).coeffs for _ in range(1)]
-        assert np.array_equal(a[0], b[0])
+    def test_deterministic_replay(self):
+        assert np.array_equal(
+            substream(123).standard_normal(8), substream(123).standard_normal(8)
+        )
         r1, r2 = substream(123, 4), substream(123, 4)
-        seq1 = np.concatenate([sample_increment(spec, 0.1, r1).coeffs for _ in range(5)])
-        seq2 = np.concatenate([sample_increment(spec, 0.1, r2).coeffs for _ in range(5)])
+        seq1 = np.concatenate([r1.standard_normal(8) for _ in range(5)])
+        seq2 = np.concatenate([r2.standard_normal(8) for _ in range(5)])
         assert np.array_equal(seq1, seq2)
 
     def test_substreams_differ(self):
@@ -104,13 +108,9 @@ class TestSampleIncrement:
             substream(7, 0).standard_normal(8), substream(7, 1).standard_normal(8)
         )
 
-    def test_bad_dt(self, basis1):
-        spec, _ = make_noise(1.5, 1.0, basis1)
-        with pytest.raises(ValueError):
-            sample_increment(spec, 0.0, substream(0))
 
-
-class TestQApply:
+class TestQMultipliers:
+    # Q and Q^{-1} act as * spec.q and / spec.q
     @settings(max_examples=25, deadline=None)
     @given(
         eps=st.floats(min_value=0.2, max_value=3.0, allow_nan=False),
@@ -119,37 +119,28 @@ class TestQApply:
     def test_roundtrip(self, eps, sigma):
         basis = build_basis(2 * np.pi, 2)
         spec, _ = make_noise(eps, sigma, basis)
-        u = rand_field(basis, np.random.default_rng(0))
-        back = q_apply(spec, q_apply(spec, u, +1), -1)
-        assert np.abs(back.coeffs - u.coeffs).max() < 1e-13 * (1 + np.abs(u.coeffs).max())
+        u = rand_field(basis, np.random.default_rng(0)).coeffs
+        back = (spec.q * u) / spec.q
+        assert np.abs(back - u).max() < 1e-13 * (1 + np.abs(u).max())
 
     def test_unit_multiplier_mode(self, basis1):
         spec, _ = make_noise(1.0, 1.0, basis1)
         j = int(np.argmin(basis1.eigenvalues))  # lambda = 1 -> q = 1
-        out = q_apply(spec, SpectralField.unit(basis1, j), +1)
-        assert out.coeffs[j] == 1.0
+        assert spec.q[j] == 1.0
 
     def test_inverse_norm_bound_saturated_at_top_mode(self, basis2):
         spec, _ = make_noise(1.5, 0.7, basis2)
         bound = basis2.eigenvalues.max() ** ((1 + spec.epsilon) / 2) / spec.sigma
+
+        def q_inv(u):
+            return SpectralField(basis2, u.coeffs / spec.q)
+
         rng = np.random.default_rng(1)
         for _ in range(50):
             u = rand_field(basis2, rng)
-            assert sobolev_norms(q_apply(spec, u, -1))[0] <= bound * sobolev_norms(u)[0] * (
-                1 + 1e-12
-            )
+            assert sobolev_norms(q_inv(u))[0] <= bound * sobolev_norms(u)[0] * (1 + 1e-12)
         top = SpectralField.unit(basis2, int(np.argmax(basis2.eigenvalues)))
-        assert sobolev_norms(q_apply(spec, top, -1))[0] == pytest.approx(bound, rel=1e-12)
-
-    def test_singular_inverse(self, basis1):
-        spec, _ = make_noise(1.5, 0.0, basis1)
-        with pytest.raises(SingularOperatorError):
-            q_apply(spec, SpectralField.zeros(basis1), -1)
-
-    def test_power_validation(self, basis1):
-        spec, _ = make_noise(1.5, 1.0, basis1)
-        with pytest.raises(ValueError):
-            q_apply(spec, SpectralField.zeros(basis1), 2)
+        assert sobolev_norms(q_inv(top))[0] == pytest.approx(bound, rel=1e-12)
 
 
 class TestBoundedExtension:

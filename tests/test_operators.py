@@ -10,16 +10,13 @@ from lans_alpha import (
     PhysicalParams,
     SpectralField,
     alpha_energy,
-    apply_stokes,
     b_form,
     b_tilde,
     b_tilde_convolution,
     b_tilde_matrix,
     build_basis,
     drift,
-    helmholtz,
     inner_product,
-    linearized_drift,
     make_noise,
     run_ensemble,
     sobolev_norms,
@@ -62,40 +59,38 @@ def assert_members_independent_of_batch(basis, alpha=0.5):
 
 
 class TestStokesAndHelmholtz:
+    # A and I + a^2 A act as * basis.eigenvalues and * helmholtz_factor
     def test_eigenrelation(self, basis1):
         j = int(np.argmax(basis1.eigenvalues))  # lambda = 2
-        out = apply_stokes(SpectralField.unit(basis1, j))
-        assert out.coeffs[j] == 2.0
+        assert basis1.eigenvalues[j] == 2.0
 
     def test_zero_field(self, basis1):
-        assert np.all(apply_stokes(SpectralField.zeros(basis1)).coeffs == 0.0)
+        # no mean mode: A u = 0 only for u = 0
+        assert np.all(basis1.eigenvalues > 0.0)
 
     def test_norm_matches_sobolev(self, basis2):
         u = rand_field(basis2, np.random.default_rng(0))
-        au = apply_stokes(u)
+        au = SpectralField(basis2, basis2.eigenvalues * u.coeffs)
         assert sobolev_norms(au)[0] == pytest.approx(sobolev_norms(u)[2], rel=1e-14)
 
     def test_helmholtz_alpha_zero_identity(self, basis2):
-        u = rand_field(basis2, np.random.default_rng(1))
-        assert np.array_equal(helmholtz(u, 0.0, "apply").coeffs, u.coeffs)
-        assert np.array_equal(helmholtz(u, 0.0, "solve").coeffs, u.coeffs)
+        u = rand_field(basis2, np.random.default_rng(1)).coeffs
+        factor = helmholtz_factor(basis2, 0.0)
+        assert np.array_equal(u * factor, u)
+        assert np.array_equal(u / factor, u)
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
     def test_solve_inverts_apply(self, alpha):
         basis = build_basis(2 * np.pi, 2)
-        u = rand_field(basis, np.random.default_rng(2))
-        back = helmholtz(helmholtz(u, alpha, "apply"), alpha, "solve")
-        assert np.abs(back.coeffs - u.coeffs).max() < 1e-15 * (1 + np.abs(u.coeffs).max())
+        u = rand_field(basis, np.random.default_rng(2)).coeffs
+        factor = helmholtz_factor(basis, alpha)
+        back = (u * factor) / factor
+        assert np.abs(back - u).max() < 1e-15 * (1 + np.abs(u).max())
 
     def test_helmholtz_apply_mode(self, basis1):
         j = int(np.argmin(basis1.eigenvalues))  # lambda = 1
-        out = helmholtz(SpectralField.unit(basis1, j), 1.0, "apply")
-        assert out.coeffs[j] == 2.0
-
-    def test_bad_mode(self, basis1):
-        with pytest.raises(ValueError):
-            helmholtz(SpectralField.zeros(basis1), 1.0, "invert")
+        assert helmholtz_factor(basis1, 1.0)[j] == 2.0
 
 
 class TestBForm:
@@ -259,36 +254,34 @@ class TestDrift:
             drift(SpectralField.zeros(basis2), p)
 
 
-class TestLinearizedDrift:
-    def params(self):
-        return PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+def linearized_fd_error(basis, rng, delta, alpha=0.5):
+    # linearized_nonlinear_coeffs against a central difference of
+    # nonlinear_coeffs; the map is quadratic, so the O(delta^2) remainder
+    # vanishes and only rounding is left
+    u, h = rand_field(basis, rng).coeffs, rand_field(basis, rng).coeffs
+    fd = (
+        nonlinear_coeffs(basis, u + delta * h, alpha) - nonlinear_coeffs(basis, u - delta * h, alpha)
+    ) / (2 * delta)
+    lin = linearized_nonlinear_coeffs(basis, u, h, alpha)
+    return np.abs(fd - lin).max() / (1 + np.abs(lin).max())
 
+
+class TestLinearizedDrift:
     def test_zero_direction(self, basis2):
-        u = rand_field(basis2, np.random.default_rng(15))
-        out = linearized_drift(u, SpectralField.zeros(basis2), self.params())
-        assert np.all(out.coeffs == 0.0)
+        u = rand_field(basis2, np.random.default_rng(15)).coeffs
+        out = linearized_nonlinear_coeffs(basis2, u, np.zeros_like(u), 0.5)
+        assert np.all(out == 0.0)
 
     def test_euler_identity_for_quadratic_map(self, basis2):
         # derivative of the quadratic term at u in direction u doubles it
-        p = self.params()
-        u = rand_field(basis2, np.random.default_rng(16))
-        nu_au = p.nu * basis2.eigenvalues * u.coeffs
-        lhs = linearized_drift(u, u, p).coeffs + nu_au
-        rhs = 2.0 * (drift(u, p).coeffs + nu_au)
+        u = rand_field(basis2, np.random.default_rng(16)).coeffs
+        lhs = linearized_nonlinear_coeffs(basis2, u, u, 0.5)
+        rhs = 2.0 * nonlinear_coeffs(basis2, u, 0.5)
         assert np.abs(lhs - rhs).max() < 1e-11 * (1 + np.abs(rhs).max())
 
     @pytest.mark.parametrize("delta", [1e-4, 1e-5])
     def test_central_difference(self, basis2, delta):
-        p = self.params()
-        rng = np.random.default_rng(17)
-        u, h = rand_field(basis2, rng), rand_field(basis2, rng)
-        up = SpectralField(basis2, u.coeffs + delta * h.coeffs)
-        um = SpectralField(basis2, u.coeffs - delta * h.coeffs)
-        fd = (drift(up, p).coeffs - drift(um, p).coeffs) / (2 * delta)
-        lin = linearized_drift(u, h, p).coeffs
-        # the drift is quadratic, so the O(delta^2) remainder vanishes and
-        # only rounding is left
-        assert np.abs(fd - lin).max() < 1e-7 * (1 + np.abs(lin).max())
+        assert linearized_fd_error(basis2, np.random.default_rng(17), delta) < 1e-7
 
 
 class TestFFTCrossValidation:
@@ -416,14 +409,7 @@ class TestPseudoSpectralRoute:
 
     @pytest.mark.parametrize("delta", [1e-4, 1e-5])
     def test_linearized_central_difference(self, basis8, delta):
-        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
-        rng = np.random.default_rng(28)
-        u, h = rand_field(basis8, rng), rand_field(basis8, rng)
-        up = SpectralField(basis8, u.coeffs + delta * h.coeffs)
-        um = SpectralField(basis8, u.coeffs - delta * h.coeffs)
-        fd = (drift(up, p).coeffs - drift(um, p).coeffs) / (2 * delta)
-        lin = linearized_drift(u, h, p).coeffs
-        assert np.abs(fd - lin).max() < 1e-7 * (1 + np.abs(lin).max())
+        assert linearized_fd_error(basis8, np.random.default_rng(28), delta) < 1e-7
 
     def test_member_result_independent_of_batch(self, basis8):
         assert_members_independent_of_batch(basis8)
