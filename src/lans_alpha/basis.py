@@ -129,12 +129,17 @@ class Basis:
         self.wavevectors = np.array([[k.k1, k.k2] for k, _ in modes], dtype=np.int64)
         self.parities = np.array([par for _, par in modes], dtype=np.int64)
         ksq = np.sum(self.wavevectors.astype(np.float64) ** 2, axis=1)
-        self.eigenvalues = (2.0 * np.pi / self.L) ** 2 * ksq
+        L = np.float64(self.L)  # a finite L can still put these out of range
+        with np.errstate(over="ignore", divide="ignore"):
+            self.eigenvalues = (2.0 * np.pi / L) ** 2 * ksq
+            self.amp = np.sqrt(2.0 / L**2)
+        scales = np.append(self.eigenvalues, self.amp)
+        if not (np.isfinite(scales).all() and scales.min() > 0):
+            raise ConfigError(f"box size L={self.L} puts lambda_k or sqrt(2)/L out of range")
         knorm = np.sqrt(ksq)
         self.polarizations = (
             np.stack([-self.wavevectors[:, 1], self.wavevectors[:, 0]], axis=1) / knorm[:, None]
         )
-        self.amp = np.sqrt(2.0 / self.L**2)
 
         # collocation grid: exact for cubic products of truncated fields
         self.grid_size = 4 * self.cutoff

@@ -73,7 +73,7 @@ class SimConfig:
         return build_basis(self.L, self.cutoff)
 
     def params(self) -> PhysicalParams:
-        return PhysicalParams(nu=self.nu, alpha=self.alpha, L=self.L)
+        return PhysicalParams(nu=self.nu, alpha=self.alpha)
 
     def noise(self, basis: Basis) -> tuple[NoiseSpec, AdmissibilityReport]:
         return make_noise(self.epsilon, self.sigma, basis, seed=self.seed)
@@ -195,7 +195,7 @@ def parse_config(text: str) -> SimConfig:
 def _validate_ranges(cfg: SimConfig) -> None:
     # the constructors check the physics, the noise and the scheme
     basis = cfg.basis()
-    StepKernel(basis, cfg.params(), cfg.integrator(), cfg.noise(basis)[0])
+    StepKernel(cfg.params(), cfg.integrator(), cfg.noise(basis)[0])
     if cfg.M < 2:
         raise ConfigError(f"M must be >= 2, got {cfg.M}")
     if cfg.k < 1:

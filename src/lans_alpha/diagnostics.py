@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import Basis, ConfigError, SpectralField
-from .integrator import EnsemblePaths, IntegratorConfig, integrate, run_ensemble
+from .integrator import EnsemblePaths, IntegratorConfig, _coeffs_on, integrate, run_ensemble
 from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy, helmholtz_factor
 
@@ -112,10 +112,10 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _paths(p, spec, cfg, x0: SpectralField, M: int, **kw) -> EnsemblePaths:
-    """run_ensemble of M >= 2 members from x0, enough for a standard error."""
+    """run_ensemble of M >= 2 members from x0 on spec.basis, enough for a standard error."""
     if M < 2:
         raise ConfigError(f"need at least 2 samples, got M={M}")
-    return run_ensemble(x0.coeffs, p, spec, cfg, M, **kw)
+    return run_ensemble(_coeffs_on(x0, spec), p, spec, cfg, M, **kw)
 
 
 # -- energy balance ----------------------------------------------------------
@@ -138,7 +138,7 @@ def ito_balance_report(
     """
     paths = _paths(p, spec, cfg, x0, M)
     t_final = paths.times[-1]
-    F0 = alpha_energy(x0.coeffs, x0.basis, p.alpha)
+    F0 = alpha_energy(x0.coeffs, spec.basis, p.alpha)
     trace = spec.trace_alpha(p.alpha)
     residuals = (
         paths.F[:, -1]
@@ -202,7 +202,7 @@ def _series(p, spec, cfg, x0: SpectralField, M: int, phi):
     values = phi(paths.F)
     series = values.mean(axis=0)
     series_se = values.std(axis=0, ddof=1) / np.sqrt(M)
-    start = float(phi(float(alpha_energy(x0.coeffs, x0.basis, p.alpha))))
+    start = float(phi(float(alpha_energy(x0.coeffs, spec.basis, p.alpha))))
     slope = float(np.polyfit(times, series, 1)[0])
     envelope = start + max(slope, 0.0) * times
     # F(0) lies on the envelope by construction, so only t > 0 has a margin;
@@ -306,12 +306,12 @@ def exp_moment_report(
 # -- Ornstein-Uhlenbeck oracles ---------------------------------------------------
 
 
-def ou_stationary_oracle(spec: NoiseSpec, p: PhysicalParams, basis: Basis) -> np.ndarray:
+def ou_stationary_oracle(spec: NoiseSpec, p: PhysicalParams) -> np.ndarray:
     """Exact stationary variance q_j^2 / (2 nu lambda_j) of each mode
     for the linear equation dZ = -nu A Z dt + Q dW."""
     if not (p.nu > 0):
         raise ConfigError("OU stationary variances require nu > 0")
-    return spec.q**2 / (2.0 * p.nu * basis.eigenvalues)
+    return spec.q**2 / (2.0 * p.nu * spec.basis.eigenvalues)
 
 
 def ou_mean_energy(
@@ -339,8 +339,7 @@ def ou_variance_comparison(
     """
     if not burn_in < cfg.t_end:
         raise ConfigError(f"burn_in={burn_in} must be below t_end={cfg.t_end}")
-    basis = spec.basis
-    paths = integrate(SpectralField.zeros(basis), p, spec, cfg, store_fields=True)
+    paths = integrate(SpectralField.zeros(spec.basis), p, spec, cfg, store_fields=True)
     samples = paths.snapshots[0, paths.times >= burn_in]
     if len(samples) < 2:
         raise ConfigError(
@@ -348,7 +347,7 @@ def ou_variance_comparison(
             "a variance needs at least 2"
         )
     empirical = samples.var(axis=0, ddof=1)
-    oracle = ou_stationary_oracle(spec, p, basis)
+    oracle = ou_stationary_oracle(spec, p)
     rel = np.abs(empirical - oracle) / oracle
     return oracle, empirical, rel
 
@@ -444,10 +443,10 @@ def bismut_elworthy(
         raise ConfigError(f"derivative time t must be positive, got {t}")
     if spec.sigma <= 0:
         raise SingularOperatorError("Bismut-Elworthy requires invertible Q (sigma > 0)")
-    basis = x.basis
+    basis = spec.basis
     steps_cfg = replace(cfg, t_end=t)
     steps_cfg = replace(steps_cfg, record_every=max(1, steps_cfg.num_steps()))
-    paths = _paths(p, spec, steps_cfg, x, M, eta0_coeffs=h.coeffs, collect_be=True)
+    paths = _paths(p, spec, steps_cfg, x, M, eta0_coeffs=_coeffs_on(h, spec), collect_be=True)
     t_final = paths.times[-1]
     vals = observable.evaluate(paths.final_coeffs, basis, p.alpha)
     prods = vals * paths.be_accumulator / t_final
@@ -528,9 +527,8 @@ def invariant_stats(
         gate_margin = _require_admissible(p, spec, eps_exp)
         lam1 = spec.basis.lambda_min()
         margin = p.nu - eps_exp * spec.trace_alpha(p.alpha) / lam1
-    basis = spec.basis
     M = len(x0_list)
-    X0 = np.stack([x.coeffs for x in x0_list])
+    X0 = np.stack([_coeffs_on(x, spec) for x in x0_list])
     long_cfg = replace(cfg, t_end=T_long)
     paths = run_ensemble(X0, p, spec, long_cfg, M)
     mask = paths.times >= burn_in
@@ -545,7 +543,7 @@ def invariant_stats(
             avg_w, err_w = batch_means(np.exp(eps_exp * F_series) * D_series)
         out.append(
             InvariantStats(
-                x0_energy=float(alpha_energy(X0[i], basis, p.alpha)),
+                x0_energy=float(alpha_energy(X0[i], spec.basis, p.alpha)),
                 average_F=avg_F,
                 error_F=err_F,
                 average_dissipation=avg_D,
@@ -628,6 +626,7 @@ def strong_convergence_study(
                 "all resolutions must reach the same final time"
             )
 
+    c0 = _coeffs_on(x0, spec)
     # one (M, steps, n) array of fine increments, scaled in place; each level
     # steps on the sums of dt / finest of them and records only its two ends
     dW_fine = np.empty((M, steps_fine, spec.basis.mode_count))
@@ -638,7 +637,7 @@ def strong_convergence_study(
     finals = []
     for dt in dts:
         level = replace(cfg, dt=dt, record_every=steps_fine)
-        finals.append(run_ensemble(x0.coeffs, p, spec, level, M, increments=dW_fine).final_coeffs)
+        finals.append(run_ensemble(c0, p, spec, level, M, increments=dW_fine).final_coeffs)
 
     errors = np.array(
         [np.mean(np.linalg.norm(finals[i] - finals[i + 1], axis=1)) for i in range(len(dts) - 1)]
@@ -669,8 +668,9 @@ def first_variation_check(
     """
     if delta == 0 or not math.isfinite(delta):
         raise ConfigError(f"the finite-difference offset must be nonzero and finite, got {delta}")
-    base = run_ensemble(x0.coeffs, p, spec, cfg, 1, eta0_coeffs=h.coeffs)
-    bumped = run_ensemble(x0.coeffs + delta * h.coeffs, p, spec, cfg, 1)
+    c0, ch = _coeffs_on(x0, spec), _coeffs_on(h, spec)
+    base = run_ensemble(c0, p, spec, cfg, 1, eta0_coeffs=ch)
+    bumped = run_ensemble(c0 + delta * ch, p, spec, cfg, 1)
     fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta
     eta = base.eta_final[0]
     eta_norm = float(np.linalg.norm(eta))

@@ -90,7 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, ConfigError, SpectralField
+from .basis import ConfigError, SpectralField
 from .noise import NoiseSpec, substream
 from .operators import (
     FFT_MIN_CUTOFF,
@@ -144,6 +144,8 @@ class IntegratorConfig:
             raise ConfigError(f"dt={self.dt} exceeds t_end={self.t_end}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        if not self.t_end / self.dt < 2**63:
+            raise ConfigError(f"dt={self.dt} takes 2^63 or more steps to t_end={self.t_end}")
 
     def num_steps(self) -> int:
         raw = self.t_end / self.dt
@@ -180,35 +182,25 @@ class StepScratch(NamedTuple):
 
 
 class StepKernel:
-    """Batched one-step map for a fixed (basis, params, noise, config).
+    """Batched one-step map for fixed (params, config, noise), on spec.basis.
 
-    Construction is the step plan: it picks the scheme's one-step and
-    first-variation maps and binds the nonlinearity's route data (the triad
-    table below FFT_MIN_CUTOFF, else the Helmholtz factor) and the energy
-    and dissipation weights, so a step neither walks the scheme branches
-    nor looks up a (basis, alpha) cache.
+    The noise spec owns the basis the kernel steps on; a spec with
+    sigma = 0 gives the noiseless kernel.  Construction is the step plan: it
+    picks the scheme's one-step and first-variation maps and binds the
+    nonlinearity's route data (the triad table below FFT_MIN_CUTOFF, else
+    the Helmholtz factor) and the energy and dissipation weights, so a step
+    neither walks the scheme branches nor looks up a (basis, alpha) cache.
     """
 
-    def __init__(
-        self,
-        basis: Basis,
-        p: PhysicalParams,
-        cfg: IntegratorConfig,
-        spec: NoiseSpec | None = None,
-    ):
-        p.check_basis(basis)
-        if spec is not None and spec.basis != basis:
-            raise ValueError("noise spec basis does not match integration basis")
-        sigma = 0.0 if spec is None else spec.sigma
+    def __init__(self, p: PhysicalParams, cfg: IntegratorConfig, spec: NoiseSpec):
+        sigma = self.sigma = spec.sigma
         if cfg.scheme == "rk4_deterministic" and sigma > 0:
             raise ConfigError("rk4_deterministic requires sigma = 0")
         if sigma > 0 and p.nu <= 0:
             raise ConfigError("stochastic runs (sigma > 0) require nu > 0")
-        self.basis = basis
+        basis = self.basis = spec.basis
         self.p = p
         self.cfg = cfg
-        self.sigma = sigma
-        self.n = basis.mode_count
         lam = basis.eigenvalues
         dt = self.dt = cfg.dt
         self.sqrt_dt = np.sqrt(dt)
@@ -217,14 +209,13 @@ class StepKernel:
         self.triad = None
         if cfg.nonlinearity and basis.cutoff < FFT_MIN_CUTOFF:
             self.triad = triad_table(basis, p.alpha)
-        q = spec.q if spec is not None else np.zeros(self.n)
 
         # the scheme's maps, which step and step_variation call
         self._step, self._variation = self._rk4_step, self._rk4_variation
         if cfg.scheme == "semi_implicit_em":
             self._step, self._variation = self._semi_implicit_step, self._semi_implicit_variation
             self.implicit_denom = 1.0 + dt * p.nu * lam
-            self.noise_scale = q
+            self.noise_scale = spec.q
         elif cfg.scheme == "exponential_em":
             self._step, self._variation = self._exponential_step, self._exponential_variation
             z = -p.nu * lam * dt
@@ -235,7 +226,7 @@ class StepKernel:
             small = a < 1e-12
             safe = np.where(small, 1.0, a)
             var = dt * np.where(small, 1.0 - a / 2.0, -np.expm1(-safe) / safe)
-            self.conv_std = q * np.sqrt(var)
+            self.conv_std = spec.q * np.sqrt(var)
 
     def nonlinear(self, c: np.ndarray, scratch: StepScratch | None = None) -> np.ndarray:
         if not self.cfg.nonlinearity:
@@ -363,14 +354,19 @@ def integrate(
 
     The ensemble loop at M=1 on substream (spec.seed, member): its
     EnsemblePaths has one row, which equals row `member` of any batched run
-    bit for bit.  Raises BlowUpError with the first bad time if the energy
-    stops being finite.
+    bit for bit.  x0 must lie on spec.basis (ValueError otherwise).  Raises
+    BlowUpError with the first bad time if the energy stops being finite.
     """
-    if x0.basis != spec.basis:
-        raise ValueError("noise spec basis does not match integration basis")
     return _run_ensemble_block(
-        x0.coeffs, p, spec, cfg, 1, member_offset=member, store_fields=store_fields
+        _coeffs_on(x0, spec), p, spec, cfg, 1, member_offset=member, store_fields=store_fields
     )
+
+
+def _coeffs_on(x: SpectralField, spec: NoiseSpec) -> np.ndarray:
+    """x's coefficients; x, a run's start or direction, must lie on spec.basis."""
+    if x.basis != spec.basis:
+        raise ValueError(f"field basis {x.basis!r} is not the run's basis {spec.basis!r}")
+    return x.coeffs
 
 
 # -- batched ensemble driver ---------------------------------------------------
@@ -517,7 +513,7 @@ def _run_ensemble_block(
     increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
     basis = spec.basis
-    kernel = StepKernel(basis, p, cfg, spec)
+    kernel = StepKernel(p, cfg, spec)
     n = basis.mode_count
     num_steps = cfg.num_steps()
     rec = _record_indices(num_steps, cfg.record_every)

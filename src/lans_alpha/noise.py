@@ -38,7 +38,6 @@ class SingularOperatorError(ConfigError):
 class AdmissibilityReport:
     """Verdicts for the untruncated covariance behind a finite truncation."""
 
-    epsilon: float
     hyp_trace_ok: bool        # eps > d/2 = 1: Tr[Q*(I+A)Q] finite in the limit
     hyp_inverse_ok: bool      # eps <= 2: D(A^{3/2}) contained in D(Q^{-1})
     trace_tail_estimate: float  # integral-comparison tail of sum lambda_k^{-eps}
@@ -84,9 +83,12 @@ def make_noise(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     lam = basis.eigenvalues
-    q = sigma * lam ** (-(1.0 + epsilon) / 2.0)
-    trace_Q = float(np.sum(q**2))
-    trace_QAQ = float(np.sum(q**2 * lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = sigma * lam ** (-(1.0 + epsilon) / 2.0)
+        trace_Q = float(np.sum(q**2))
+        trace_QAQ = float(np.sum(q**2 * lam))
+    if not np.isfinite([trace_Q, trace_QAQ]).all():  # as they are when a q is not
+        raise ConfigError(f"sigma={sigma}, epsilon={epsilon} overflow q or its traces on {basis!r}")
     spec = NoiseSpec(
         epsilon=float(epsilon),
         sigma=float(sigma),
@@ -121,7 +123,6 @@ def make_noise(
     if sigma == 0.0:
         messages.append("sigma=0: noise disabled, Q is singular")
     report = AdmissibilityReport(
-        epsilon=float(epsilon),
         hyp_trace_ok=hyp_trace_ok,
         hyp_inverse_ok=hyp_inverse_ok,
         trace_tail_estimate=tail,

@@ -101,27 +101,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Viscosity, filter length and box side.
+    """Viscosity and filter length, the equation's two coefficients.
 
+    The box side belongs to the basis alone (in a run, NoiseSpec.basis).
     nu = 0 is allowed (conservation tests only; stochastic runs require
     nu > 0).  alpha = 0 selects the plain Navier-Stokes drift.
     """
 
     nu: float
     alpha: float
-    L: float
 
     def __post_init__(self):
         if self.nu < 0:
             raise ConfigError(f"viscosity nu must be >= 0, got {self.nu}")
         if self.alpha < 0:
             raise ConfigError(f"filter length alpha must be >= 0, got {self.alpha}")
-        if not (self.L > 0):
-            raise ConfigError(f"box size L must be positive, got {self.L}")
-
-    def check_basis(self, basis: Basis) -> None:
-        if basis.L != self.L:
-            raise ValueError(f"params have L={self.L}, basis has L={basis.L}")
 
 
 # -- Helmholtz factor --------------------------------------------------------
@@ -130,7 +124,11 @@ class PhysicalParams:
 @functools.lru_cache(maxsize=None)
 def helmholtz_factor(basis: Basis, alpha: float) -> np.ndarray:
     """Eigenvalues 1 + alpha^2 lambda of I + alpha^2 A, cached read-only."""
-    factor = 1.0 + alpha**2 * basis.eigenvalues
+    with np.errstate(over="ignore"):
+        factor = 1.0 + np.float64(alpha) ** 2 * basis.eigenvalues
+        # the factor and the dissipation weight lambda * factor must be finite
+        if not np.isfinite(basis.eigenvalues * factor).all():
+            raise ConfigError(f"alpha={alpha} overflows lambda (1 + alpha^2 lambda) on {basis!r}")
     factor.setflags(write=False)
     return factor
 
@@ -425,7 +423,6 @@ def drift(u: SpectralField, p: PhysicalParams) -> SpectralField:
     Returns the full drift including the viscous part; integrators that
     split stiff and nonlinear terms query A separately.
     """
-    p.check_basis(u.basis)
     basis = u.basis
     c = -p.nu * basis.eigenvalues * u.coeffs + nonlinear_coeffs(basis, u.coeffs, p.alpha)
     return SpectralField(basis, c)

@@ -107,7 +107,7 @@ def test_criterion_1_operator_identity_suite():
 def test_criterion_2_energy_conservation():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 2)
-    p = PhysicalParams(nu=0.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=0.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.0, basis, seed=42)
     cfg = IntegratorConfig(scheme="rk4_deterministic", dt=1e-3, t_end=1.0, record_every=50)
     x0 = SpectralField(basis, 0.5 * np.random.default_rng(42).standard_normal(24))
@@ -130,7 +130,7 @@ def test_criterion_2_energy_conservation():
 def test_criterion_3_ou_oracle():
     t0 = time.time()
     basis = build_basis(1.0, 1)
-    p = PhysicalParams(nu=2.0, alpha=0.5, L=1.0)
+    p = PhysicalParams(nu=2.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.5, basis, seed=42)
     cfg = IntegratorConfig(
         scheme="exponential_em", dt=0.005, t_end=200.0, record_every=2, nonlinearity=False
@@ -142,7 +142,7 @@ def test_criterion_3_ou_oracle():
 def test_criterion_4_ito_energy_balance():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 1)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.5, basis, seed=42)
     x0 = SpectralField(basis, 0.3 * np.random.default_rng(2).standard_normal(8))
     cfg = IntegratorConfig(dt=1e-3, t_end=0.5, record_every=1)
@@ -163,7 +163,7 @@ def test_criterion_4_ito_energy_balance():
 def test_criterion_5_strong_convergence_order():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 2)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.5, basis, seed=42)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.5)
     x0 = SpectralField(basis, 0.3 * np.random.default_rng(4).standard_normal(24))
@@ -175,7 +175,7 @@ def test_criterion_5_strong_convergence_order():
 def test_criterion_6_first_variation():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 1)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.5, basis, seed=11)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
     x0 = SpectralField(basis, 0.4 * np.random.default_rng(5).standard_normal(8))
@@ -187,7 +187,7 @@ def test_criterion_6_first_variation():
 def test_criterion_7_bismut_elworthy():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 1)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
 
     # OU regime: large sigma, nonlinearity suppressed, linear observable
     spec_ou, _ = make_noise(1.5, 2.0, basis, seed=42)
@@ -210,7 +210,7 @@ def test_criterion_7_bismut_elworthy():
 def test_criterion_8_moment_structure():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 1)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.5, basis, seed=42)
     cfg = IntegratorConfig(dt=1e-3, t_end=2.0, record_every=50)
     x0 = SpectralField(basis, 0.5 * np.random.default_rng(5).standard_normal(8))
@@ -226,7 +226,7 @@ def test_criterion_8_moment_structure():
 def test_criterion_9_invariant_measure_mixing():
     t0 = time.time()
     basis = build_basis(2 * np.pi, 1)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
     spec, _ = make_noise(1.5, 0.5, basis, seed=42)
     cfg = IntegratorConfig(dt=2e-3, t_end=1.0, record_every=5)
     weight = 1.0 + p.alpha**2 * basis.eigenvalues

@@ -14,6 +14,7 @@ from lans_alpha import (
     make_noise,
 )
 from lans_alpha import diagnostics as dg
+from lans_alpha.operators import helmholtz_factor
 from lans_alpha.cli import ConfigError, main, parse_config, run
 
 HAPPY = """\
@@ -244,6 +245,12 @@ BAD_CONFIGS = [
     ("validate", "obs_mode = 99", "obs_mode"),
     ("validate", "dt = 0", "dt"),
     ("validate", "cutoff = 0", "cutoff"),
+    # finite values whose derived quantities overflow
+    ("validate", "L = 1e-300", "box size L=1e-300"),
+    ("validate", "alpha = 1e200", "alpha=1e+200"),
+    ("validate", "sigma = 1e200", "sigma=1e+200"),
+    ("validate", "epsilon = -1e5", "epsilon=-100000.0"),
+    ("simulate", "dt = 1e-300", "dt=1e-300"),
     ("simulate", "x0 = mode abc 1", "an integer, got 'abc'"),
     ("simulate", "x0 = iso abc", "a number, got 'abc'"),
     ("simulate", "x0 = mode 99 1", "mode index 99"),
@@ -278,6 +285,8 @@ BAD_CONFIGS = [
 ]
 
 
+# a numpy warning would reach stderr ahead of the message
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sub, lines, message", BAD_CONFIGS)
 def test_bad_config_exits_2(tmp_path, capsys, sub, lines, message):
     path = tmp_path / "bad.cfg"
@@ -316,7 +325,7 @@ def test_moment_envelope_margin_is_taken_after_t0():
 
 
 _B = build_basis(2 * np.pi, 1)
-_P = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+_P = PhysicalParams(nu=1.0, alpha=0.5)
 _SPEC = make_noise(1.5, 0.5, _B)[0]
 _QUIET = make_noise(1.5, 0.0, _B)[0]
 _CFG = IntegratorConfig(dt=1e-3, t_end=0.1)
@@ -333,18 +342,23 @@ def _converge(dts, cfg=_CFG, spec=_SPEC):
 PRECONDITIONS = {
     "Basis L": lambda: build_basis(0.0, 1),
     "Basis cutoff": lambda: build_basis(1.0, 0),
-    "nu": lambda: PhysicalParams(nu=-1.0, alpha=0.5, L=1.0),
-    "alpha": lambda: PhysicalParams(nu=1.0, alpha=-1.0, L=1.0),
-    "L": lambda: PhysicalParams(nu=1.0, alpha=0.5, L=0.0),
+    "Basis eigenvalues": lambda: build_basis(1e-300, 1),
+    "nu": lambda: PhysicalParams(nu=-1.0, alpha=0.5),
+    "alpha": lambda: PhysicalParams(nu=1.0, alpha=-1.0),
     "sigma": lambda: make_noise(1.5, -1.0, _B),
+    "sigma overflow": lambda: make_noise(1.5, 1e200, _B),
+    "epsilon overflow": lambda: make_noise(-1e5, 0.5, _B),
+    "Helmholtz factor": lambda: helmholtz_factor(_B, 1e200),
+    "dissipation weight": lambda: StepKernel(PhysicalParams(1.0, 8e153), _CFG, _QUIET),
     "seed": lambda: make_noise(1.5, 0.5, _B, seed=-1),
     "scheme": lambda: IntegratorConfig(scheme="euler"),
     "dt": lambda: IntegratorConfig(dt=0.0),
     "t_end": lambda: IntegratorConfig(t_end=-1.0),
     "dt > t_end": lambda: IntegratorConfig(dt=2.0, t_end=1.0),
     "record_every": lambda: IntegratorConfig(record_every=0),
-    "rk4 noise": lambda: StepKernel(_B, _P, IntegratorConfig(scheme="rk4_deterministic"), _SPEC),
-    "noise nu": lambda: StepKernel(_B, PhysicalParams(0.0, 0.5, 2 * np.pi), _CFG, _SPEC),
+    "step count": lambda: IntegratorConfig(dt=1e-300),
+    "rk4 noise": lambda: StepKernel(_P, IntegratorConfig(scheme="rk4_deterministic"), _SPEC),
+    "noise nu": lambda: StepKernel(PhysicalParams(0.0, 0.5), _CFG, _SPEC),
     "ito M": lambda: dg.ito_balance_report(_P, _SPEC, _CFG, _X, 1),
     "moment k": lambda: dg.moment_report(_P, _SPEC, _CFG, _X, 0, 2),
     "moment M": lambda: dg.moment_report(_P, _SPEC, _CFG, _X, 1, 1),
@@ -353,7 +367,7 @@ PRECONDITIONS = {
     "exp admissible": lambda: dg.exp_moment_report(_P, _SPEC, _CFG, _X, 5.0, 2),
     "exp M": lambda: dg.exp_moment_report(_P, _SPEC, _CFG, _X, 0.0, 1),
     "exp steps": lambda: dg.exp_moment_report(_P, _SPEC, _STILL, _X, 0.0, 2),
-    "ou nu": lambda: dg.ou_stationary_oracle(_SPEC, PhysicalParams(0.0, 0.5, 2 * np.pi), _B),
+    "ou nu": lambda: dg.ou_stationary_oracle(_SPEC, PhysicalParams(0.0, 0.5)),
     "ou burn_in": lambda: dg.ou_variance_comparison(_P, _SPEC, _CFG, 1.0),
     "invariant burn_in": lambda: dg.invariant_stats(_P, _SPEC, _CFG, [_X], 1.0, 2.0),
     "observable kind": lambda: dg.Observable("bogus"),
@@ -377,3 +391,30 @@ PRECONDITIONS = {
 def test_library_preconditions_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+# a start or direction on another box than the noise spec's: a caller's bug
+_OFF = SpectralField.unit(build_basis(1.0, 1), 0, 0.3)
+_H = SpectralField.unit(_B, 0)
+_DTS = [4e-3, 2e-3, 1e-3]
+
+# each entry that takes a field, handed one on the wrong basis
+FIELD_ON_ANOTHER_BASIS = {
+    "integrate": lambda: integrate(_OFF, _P, _SPEC, _CFG),
+    "ito": lambda: dg.ito_balance_report(_P, _SPEC, _CFG, _OFF, 2),
+    "moment": lambda: dg.moment_report(_P, _SPEC, _CFG, _OFF, 1, 2),
+    "exp moment": lambda: dg.exp_moment_report(_P, _SPEC, _CFG, _OFF, 0.0, 2),
+    "convergence": lambda: dg.strong_convergence_study(_P, _SPEC, _CFG, _OFF, _DTS, 2),
+    "invariant": lambda: dg.invariant_stats(_P, _SPEC, _CFG, [_X, _OFF], 2.0, 1.0),
+    "be x": lambda: dg.bismut_elworthy(_LINEAR, _OFF, _H, 0.1, 2, _P, _SPEC, _CFG),
+    "be h": lambda: dg.bismut_elworthy(_LINEAR, _X, _OFF, 0.1, 2, _P, _SPEC, _CFG),
+    "variation x0": lambda: dg.first_variation_check(_P, _SPEC, _CFG, _OFF, _H, 1e-5),
+    "variation h": lambda: dg.first_variation_check(_P, _SPEC, _CFG, _X, _OFF, 1e-5),
+}
+
+
+@pytest.mark.parametrize("call", FIELD_ON_ANOTHER_BASIS.values(), ids=FIELD_ON_ANOTHER_BASIS.keys())
+def test_fields_must_share_the_noise_basis(call):
+    with pytest.raises(ValueError, match="basis") as caught:
+        call()
+    assert not isinstance(caught.value, ConfigError)

@@ -34,7 +34,7 @@ from conftest import rand_field
 
 
 def params(nu=1.0, alpha=0.5):
-    return PhysicalParams(nu=nu, alpha=alpha, L=2 * np.pi)
+    return PhysicalParams(nu=nu, alpha=alpha)
 
 
 class TestVerdict:
@@ -129,7 +129,7 @@ class TestMomentReport:
     def test_linear_case_matches_ou_mean_energy(self):
         # nonlinearity suppressed, alpha = 0: exact closed form
         basis = build_basis(2 * np.pi, 1)
-        p = PhysicalParams(nu=1.0, alpha=0.0, L=2 * np.pi)
+        p = PhysicalParams(nu=1.0, alpha=0.0)
         spec, _ = make_noise(1.5, 0.5, basis, seed=7)
         cfg = IntegratorConfig(
             scheme="exponential_em", dt=5e-3, t_end=1.0, record_every=20, nonlinearity=False
@@ -208,17 +208,17 @@ class TestOUOracles:
     def test_stationary_variance_formula(self, basis1):
         p = params(nu=1.0)
         spec, _ = make_noise(1.0, 1.0, basis1)
-        var = ou_stationary_oracle(spec, p, basis1)
+        var = ou_stationary_oracle(spec, p)
         j = int(np.argmin(basis1.eigenvalues))  # lambda=1, q=1
         assert var[j] == pytest.approx(0.5, rel=1e-15)
 
     def test_sigma_zero_gives_zeros(self, basis1):
         spec, _ = make_noise(1.5, 0.0, basis1)
-        assert np.all(ou_stationary_oracle(spec, params(), basis1) == 0.0)
+        assert np.all(ou_stationary_oracle(spec, params()) == 0.0)
 
     def test_long_run_variances_match(self):
         basis = build_basis(1.0, 1)
-        p = PhysicalParams(nu=2.0, alpha=0.5, L=1.0)
+        p = PhysicalParams(nu=2.0, alpha=0.5)
         spec, _ = make_noise(1.5, 0.5, basis, seed=42)
         cfg = IntegratorConfig(
             scheme="exponential_em", dt=0.005, t_end=200.0, record_every=2, nonlinearity=False
@@ -316,7 +316,7 @@ class TestInvariantStats:
             p, spec, cfg, [SpectralField.zeros(basis1)], T_long=400.0, burn_in=50.0
         )
         oracle = float(
-            np.sum((1 + p.alpha**2 * basis1.eigenvalues) * ou_stationary_oracle(spec, p, basis1))
+            np.sum((1 + p.alpha**2 * basis1.eigenvalues) * ou_stationary_oracle(spec, p))
         )
         assert abs(stats[0].average_F - oracle) / oracle <= 0.05
 

@@ -26,7 +26,7 @@ from conftest import rand_field
 
 
 def params(nu=1.0, alpha=0.5):
-    return PhysicalParams(nu=nu, alpha=alpha, L=2 * np.pi)
+    return PhysicalParams(nu=nu, alpha=alpha)
 
 
 class TestConfig:
@@ -45,13 +45,13 @@ class TestConfig:
         spec, _ = make_noise(1.5, 1.0, basis1)
         cfg = IntegratorConfig(scheme="rk4_deterministic", dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            StepKernel(basis1, params(), cfg, spec)
+            StepKernel(params(), cfg, spec)
 
     def test_stochastic_requires_viscosity(self, basis1):
         spec, _ = make_noise(1.5, 1.0, basis1)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
         with pytest.raises(ValueError):
-            StepKernel(basis1, PhysicalParams(nu=0.0, alpha=0.0, L=2 * np.pi), cfg, spec)
+            StepKernel(PhysicalParams(nu=0.0, alpha=0.0), cfg, spec)
 
 
 class TestStep:
@@ -62,7 +62,7 @@ class TestStep:
             scheme="exponential_em", dt=0.37, t_end=0.37, nonlinearity=False
         )
         j = 5
-        out = StepKernel(basis1, p, cfg, spec).step(SpectralField.unit(basis1, j).coeffs, None)
+        out = StepKernel(p, cfg, spec).step(SpectralField.unit(basis1, j).coeffs, None)
         assert out[j] == np.exp(-p.nu * basis1.eigenvalues[j] * cfg.dt)
         assert np.all(out[np.arange(8) != j] == 0.0)
 
@@ -72,7 +72,7 @@ class TestStep:
         spec, _ = make_noise(1.5, 1.0, basis1, seed=3)
         dt = 0.05
         cfg = IntegratorConfig(scheme="exponential_em", dt=dt, t_end=dt, nonlinearity=False)
-        kern = StepKernel(basis1, p, cfg, spec)
+        kern = StepKernel(p, cfg, spec)
         M = 100_000
         dW = np.sqrt(dt) * substream(3).standard_normal((M, basis1.mode_count))
         out = kern.step(np.zeros((M, basis1.mode_count)), kern.noise_injected(dW))
@@ -113,7 +113,7 @@ class TestStep:
     def test_stochastic_step_replays_with_same_stream(self, basis1):
         spec, _ = make_noise(1.5, 1.0, basis1, seed=77)
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
-        kern = StepKernel(basis1, params(), cfg, spec)
+        kern = StepKernel(params(), cfg, spec)
         c0 = rand_field(basis1, np.random.default_rng(20)).coeffs
 
         def step_from(rng):
@@ -141,7 +141,7 @@ class TestStepVariation:
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
         rng = np.random.default_rng(4)
         u, h = rand_field(basis1, rng).coeffs, rand_field(basis1, rng).coeffs
-        kern = StepKernel(basis1, p, cfg)
+        kern = StepKernel(p, cfg, make_noise(1.5, 0.0, basis1)[0])
         one = kern.step_variation(u, h)
         scaled = kern.step_variation(u, 3.0 * h)
         assert np.abs(scaled - 3.0 * one).max() < 1e-12 * (1 + np.abs(one).max())
@@ -207,7 +207,7 @@ class TestIntegrate:
         assert np.array_equal(r1.snapshots[0], r2.snapshots[0])
 
     def test_blow_up_reported_with_time(self, basis1):
-        p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
+        p = PhysicalParams(nu=1e-6, alpha=0.0)
         spec, _ = make_noise(1.5, 0.0, basis1)
         cfg = IntegratorConfig(dt=5.0, t_end=500.0, nonlinearity=True)
         huge = SpectralField(basis1, 1e6 * np.ones(8))
@@ -219,7 +219,7 @@ class TestIntegrate:
     def test_blow_up_names_member(self, basis1, monkeypatch, threads):
         # member 3 (second of two blocks) blows up before member 0 does; a
         # split must report what the serial loop and integrate report
-        p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
+        p = PhysicalParams(nu=1e-6, alpha=0.0)
         spec, _ = make_noise(1.5, 0.0, basis1)
         cfg = IntegratorConfig(dt=5.0, t_end=500.0, nonlinearity=True)
         X0 = np.zeros((4, 8))
@@ -345,7 +345,7 @@ class TestStrongConvergence:
                     assert np.array_equal(getattr(got, name), value), (r, name)
 
     def test_blow_up_is_raised(self, basis1):
-        p = PhysicalParams(nu=1e-6, alpha=0.0, L=2 * np.pi)
+        p = PhysicalParams(nu=1e-6, alpha=0.0)
         spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
         cfg = IntegratorConfig(dt=1.0, t_end=20.0)
         huge = SpectralField(basis1, 1e6 * np.ones(8))
@@ -449,7 +449,7 @@ def naive_ensemble(basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, incr
     """Every step through the plain maps, as the stepping loop once read:
     per-step substream draws scaled by sqrt(dt), noise_injected, step,
     step_variation and the cache-backed energy and dissipation."""
-    kernel = StepKernel(basis, p, cfg, spec)
+    kernel = StepKernel(p, cfg, spec)
     steps, n = cfg.num_steps(), basis.mode_count
     if increments is None and spec.sigma > 0:
         increments = np.stack(

@@ -62,8 +62,8 @@ class TestMakeNoise:
 class TestIncrements:
     @staticmethod
     def kernel(spec, dt):
-        p = PhysicalParams(nu=1.0, alpha=0.5, L=spec.basis.L)
-        return StepKernel(spec.basis, p, IntegratorConfig(dt=dt, t_end=dt), spec)
+        p = PhysicalParams(nu=1.0, alpha=0.5)
+        return StepKernel(p, IntegratorConfig(dt=dt, t_end=dt), spec)
 
     def test_sigma_zero_injects_nothing(self, basis1):
         spec, _ = make_noise(1.5, 0.0, basis1)

@@ -219,7 +219,7 @@ class TestBTilde:
 
 class TestDrift:
     def params(self, nu=1.0, alpha=0.5):
-        return PhysicalParams(nu=nu, alpha=alpha, L=2 * np.pi)
+        return PhysicalParams(nu=nu, alpha=alpha)
 
     def test_zero_field(self, basis2):
         out = drift(SpectralField.zeros(basis2), self.params())
@@ -247,11 +247,6 @@ class TestDrift:
                 u, u, SpectralField.unit(basis2, j)
             )
             assert d[j] == pytest.approx(expected, abs=1e-10 * (1 + abs(expected)))
-
-    def test_params_basis_mismatch(self, basis2):
-        p = PhysicalParams(nu=1.0, alpha=0.0, L=1.0)
-        with pytest.raises(ValueError):
-            drift(SpectralField.zeros(basis2), p)
 
 
 def linearized_fd_error(basis, rng, delta, alpha=0.5):
@@ -328,7 +323,7 @@ class TestFFTCrossValidation:
     def check_drift(self, basis, alpha, grid_M, rng, trials):
         from lans_alpha import eval_field
 
-        p = PhysicalParams(nu=0.7, alpha=alpha, L=2 * np.pi)
+        p = PhysicalParams(nu=0.7, alpha=alpha)
         for _ in range(trials):
             u = rand_field(basis, rng)
             ours = eval_field(drift(u, p), basis.grid_points(grid_M)).reshape(grid_M, grid_M, 2)
@@ -398,7 +393,7 @@ class TestPseudoSpectralRoute:
     def test_no_alpha_energy_work(self, basis8):
         # <Bt(u, (I+a^2 A)u), u> = 0 and <Bt(u, v), u> = 0
         rng = np.random.default_rng(27)
-        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        p = PhysicalParams(nu=1.0, alpha=0.5)
         for _ in range(5):
             u, v = rand_field(basis8, rng), rand_field(basis8, rng)
             N = drift(u, p).coeffs + p.nu * basis8.eigenvalues * u.coeffs
@@ -497,7 +492,7 @@ class TestTriadRoute:
         assert_members_independent_of_batch(build_basis(2 * np.pi, cutoff))
 
     def test_thread_split_is_bit_identical(self, basis2, monkeypatch):
-        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        p = PhysicalParams(nu=1.0, alpha=0.5)
         spec, _ = make_noise(1.5, 0.5, basis2, seed=37)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_every=2)
         x0 = rand_field(basis2, np.random.default_rng(38), scale=0.5).coeffs
@@ -513,7 +508,7 @@ class TestTriadRoute:
     @pytest.mark.parametrize("cutoff", CUTOFFS)
     def test_stepping_path_skips_the_dense_route(self, cutoff, monkeypatch):
         basis = build_basis(2 * np.pi, cutoff)
-        p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+        p = PhysicalParams(nu=1.0, alpha=0.5)
         spec, _ = make_noise(1.5, 0.5, basis, seed=39)
         triad_table(basis, p.alpha)  # the one-off build uses the dense route
 
@@ -591,9 +586,7 @@ class TestExactOrder:
 class TestPhysicalParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PhysicalParams(nu=-1.0, alpha=0.0, L=1.0)
+            PhysicalParams(nu=-1.0, alpha=0.0)
         with pytest.raises(ValueError):
-            PhysicalParams(nu=1.0, alpha=-0.1, L=1.0)
-        with pytest.raises(ValueError):
-            PhysicalParams(nu=1.0, alpha=0.0, L=0.0)
-        PhysicalParams(nu=0.0, alpha=0.0, L=1.0)  # conservation runs allowed
+            PhysicalParams(nu=1.0, alpha=-0.1)
+        PhysicalParams(nu=0.0, alpha=0.0)  # conservation runs allowed

@@ -72,7 +72,7 @@ def test_stepping_path_calls_the_traced_names(monkeypatch):
     tracing = load_tracing()
     tracer = tracing.Tracer()
     monkeypatch.delenv("LANS_THREADS", raising=False)
-    p = PhysicalParams(nu=1.0, alpha=0.5, L=2 * np.pi)
+    p = PhysicalParams(nu=1.0, alpha=0.5)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.02, record_every=5)
     names = []
     try:
