@@ -103,12 +103,10 @@ class EnsembleReport:
     details: dict = field(default_factory=dict)
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
+def _mean_se(values: np.ndarray):
+    """Mean and standard error over the M >= 2 samples along axis 0."""
     values = np.asarray(values)
-    M = values.shape[0]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return mean, se
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
 
 
 def _paths(p, spec, cfg, x0: SpectralField, M: int, **kw) -> EnsemblePaths:
@@ -138,7 +136,7 @@ def ito_balance_report(
     """
     paths = _paths(p, spec, cfg, x0, M)
     t_final = paths.times[-1]
-    F0 = alpha_energy(x0.coeffs, spec.basis, p.alpha)
+    F0 = paths.F[:, 0]  # the run's alpha_energy of x0
     trace = spec.trace_alpha(p.alpha)
     residuals = (
         paths.F[:, -1]
@@ -151,7 +149,7 @@ def ito_balance_report(
     return EnsembleReport(
         estimate=estimate,
         standard_error=se,
-        details={"t": float(t_final), "dt": cfg.dt, "trace_alpha": trace, "F0": float(F0)},
+        details={"t": float(t_final), "dt": cfg.dt, "trace_alpha": trace, "F0": float(F0[0])},
     )
 
 
@@ -200,9 +198,8 @@ def _series(p, spec, cfg, x0: SpectralField, M: int, phi):
     paths = _paths(p, spec, cfg, x0, M)
     times = paths.times
     values = phi(paths.F)
-    series = values.mean(axis=0)
-    series_se = values.std(axis=0, ddof=1) / np.sqrt(M)
-    start = float(phi(float(alpha_energy(x0.coeffs, spec.basis, p.alpha))))
+    series, series_se = _mean_se(values)
+    start = float(phi(float(paths.F[0, 0])))
     slope = float(np.polyfit(times, series, 1)[0])
     envelope = start + max(slope, 0.0) * times
     # F(0) lies on the envelope by construction, so only t > 0 has a margin;
@@ -314,15 +311,13 @@ def ou_stationary_oracle(spec: NoiseSpec, p: PhysicalParams) -> np.ndarray:
     return spec.q**2 / (2.0 * p.nu * spec.basis.eigenvalues)
 
 
-def ou_mean_energy(
-    spec: NoiseSpec, p: PhysicalParams, times: np.ndarray, alpha: float
-) -> np.ndarray:
+def ou_mean_energy(spec: NoiseSpec, p: PhysicalParams, times: np.ndarray) -> np.ndarray:
     """Exact E[F(t)] from a zero start for the linear equation."""
     lam = spec.basis.eigenvalues
     var_t = spec.q[None, :] ** 2 * (
         -np.expm1(-2.0 * p.nu * lam[None, :] * np.asarray(times)[:, None])
     ) / (2.0 * p.nu * lam[None, :])
-    return np.sum(helmholtz_factor(spec.basis, alpha)[None, :] * var_t, axis=1)
+    return np.sum(helmholtz_factor(spec.basis, p.alpha)[None, :] * var_t, axis=1)
 
 
 def ou_variance_comparison(
@@ -480,16 +475,16 @@ def bismut_elworthy(
 # -- invariant-measure statistics ------------------------------------------------
 
 
-def batch_means(series: np.ndarray, batches: int = BATCH_COUNT) -> tuple[float, float]:
-    """Time average with a batch-means standard error (20 batches)."""
+def batch_means(series: np.ndarray) -> tuple[float, float]:
+    """Time average with a batch-means standard error (BATCH_COUNT batches)."""
     series = np.asarray(series)
     n = series.shape[-1]
-    if n < batches:
-        raise ConfigError(f"need at least {batches} samples for batch means, got {n}")
-    usable = n - (n % batches)
-    blocks = series[..., :usable].reshape(*series.shape[:-1], batches, usable // batches)
+    if n < BATCH_COUNT:
+        raise ConfigError(f"need at least {BATCH_COUNT} samples for batch means, got {n}")
+    usable = n - (n % BATCH_COUNT)
+    blocks = series[..., :usable].reshape(*series.shape[:-1], BATCH_COUNT, usable // BATCH_COUNT)
     means = blocks.mean(axis=-1)
-    return float(means.mean(axis=-1)), float(means.std(axis=-1, ddof=1) / np.sqrt(batches))
+    return float(means.mean(axis=-1)), float(means.std(axis=-1, ddof=1) / np.sqrt(BATCH_COUNT))
 
 
 @dataclass
@@ -501,8 +496,7 @@ class InvariantStats:
     error_dissipation: float
     average_exp_weighted_dissipation: float | None
     error_exp_weighted_dissipation: float | None
-    margin: float | None          # nu - eps * Tr_alpha / lambda_1, as emitted
-    gate_margin: float | None     # nu - 2 eps * Tr_alpha / lambda_1, the sign condition
+    margin: float | None  # nu - eps * Tr_alpha / lambda_1, as emitted
 
 
 def invariant_stats(
@@ -522,9 +516,9 @@ def invariant_stats(
     """
     if not burn_in < T_long:
         raise ConfigError(f"burn_in={burn_in} must be below T_long={T_long}")
-    margin = gate_margin = None
+    margin = None
     if eps_exp is not None:
-        gate_margin = _require_admissible(p, spec, eps_exp)
+        _require_admissible(p, spec, eps_exp)
         lam1 = spec.basis.lambda_min()
         margin = p.nu - eps_exp * spec.trace_alpha(p.alpha) / lam1
     M = len(x0_list)
@@ -543,7 +537,7 @@ def invariant_stats(
             avg_w, err_w = batch_means(np.exp(eps_exp * F_series) * D_series)
         out.append(
             InvariantStats(
-                x0_energy=float(alpha_energy(X0[i], spec.basis, p.alpha)),
+                x0_energy=float(paths.F[i, 0]),
                 average_F=avg_F,
                 error_F=err_F,
                 average_dissipation=avg_D,
@@ -551,7 +545,6 @@ def invariant_stats(
                 average_exp_weighted_dissipation=avg_w,
                 error_exp_weighted_dissipation=err_w,
                 margin=margin,
-                gate_margin=gate_margin,
             )
         )
     return out

@@ -205,6 +205,8 @@ class StepKernel:
         dt = self.dt = cfg.dt
         self.sqrt_dt = np.sqrt(dt)
         self.helm = helmholtz_factor(basis, p.alpha)
+        if not math.isfinite(spec.trace_alpha(p.alpha)):
+            raise ConfigError(f"sigma={sigma}, alpha={p.alpha} overflow Tr[Q*(I+alpha^2 A)Q]")
         self.dissipation_weight = lam * self.helm
         self.triad = None
         if cfg.nonlinearity and basis.cutoff < FFT_MIN_CUTOFF:
@@ -221,12 +223,8 @@ class StepKernel:
             z = -p.nu * lam * dt
             self.decay = np.exp(z)
             self.phi1_dt = dt * _phi1(z)
-            # exact variance of the per-mode stochastic convolution
-            a = 2.0 * p.nu * lam * dt
-            small = a < 1e-12
-            safe = np.where(small, 1.0, a)
-            var = dt * np.where(small, 1.0 - a / 2.0, -np.expm1(-safe) / safe)
-            self.conv_std = spec.q * np.sqrt(var)
+            # the per-mode stochastic convolution has variance q^2 dt phi1(2z)
+            self.conv_std = spec.q * np.sqrt(dt * _phi1(2.0 * z))
 
     def nonlinear(self, c: np.ndarray, scratch: StepScratch | None = None) -> np.ndarray:
         if not self.cfg.nonlinearity:

@@ -135,13 +135,18 @@ def _trace_tail_estimate(epsilon: float, basis: Basis) -> float:
     """Integral comparison for sum_{|k| > cutoff} lambda_k^{-eps} in 2D.
 
     The lattice sum is compared with 2*pi*Int_N^inf r^(1-2*eps) dr, which
-    is finite exactly when eps > 1.
+    is finite exactly when eps > 1; a float64 overflow of it, or the nan of
+    an overflowing prefactor times an underflowing power, is a ConfigError.
     """
     if epsilon <= 1.0:
         return float("inf")
     N = basis.cutoff
-    prefactor = (2.0 * np.pi / basis.L) ** (-2.0 * epsilon)
-    return float(prefactor * 2.0 * np.pi * N ** (2.0 - 2.0 * epsilon) / (2.0 * epsilon - 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefactor = np.float64(2.0 * np.pi / basis.L) ** (-2.0 * epsilon)
+        tail = float(prefactor * 2.0 * np.pi * N ** (2.0 - 2.0 * epsilon) / (2.0 * epsilon - 2.0))
+    if not np.isfinite(tail):
+        raise ConfigError(f"L={basis.L}, epsilon={epsilon} overflow the trace tail estimate")
+    return tail
 
 
 def substream(seed: int, member: int = 0) -> np.random.Generator:

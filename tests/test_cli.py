@@ -250,6 +250,13 @@ BAD_CONFIGS = [
     ("validate", "alpha = 1e200", "alpha=1e+200"),
     ("validate", "sigma = 1e200", "sigma=1e+200"),
     ("validate", "epsilon = -1e5", "epsilon=-100000.0"),
+    ("validate", "sigma = 1e100\nalpha = 1e60", "sigma=1e+100, alpha=1e+60"),
+    ("validate", "L = 100\nepsilon = 150\nsigma = 1e-300", "L=100.0, epsilon=150.0"),
+    # the text keys, parsed where the config is
+    ("validate", "x0 = iso nan", "key 'x0': expected a finite number, got 'nan'"),
+    ("validate", "dts = nan 1e-3 2e-3", "key 'dts': expected a finite number, got 'nan'"),
+    ("validate", "x0_list = zero, banana", "key 'x0_list': cannot parse x0 'banana'"),
+    ("validate", "observable = bogus", "key 'observable': unknown observable kind 'bogus'"),
     ("simulate", "dt = 1e-300", "dt=1e-300"),
     ("simulate", "x0 = mode abc 1", "an integer, got 'abc'"),
     ("simulate", "x0 = iso abc", "a number, got 'abc'"),
@@ -348,6 +355,9 @@ PRECONDITIONS = {
     "sigma": lambda: make_noise(1.5, -1.0, _B),
     "sigma overflow": lambda: make_noise(1.5, 1e200, _B),
     "epsilon overflow": lambda: make_noise(-1e5, 0.5, _B),
+    "tail overflow": lambda: make_noise(150.0, 1e-300, build_basis(100.0, 1)),
+    # a prefactor of inf times N^(2 - 2 eps) = 0
+    "tail nan": lambda: make_noise(600.0, 1e-200, build_basis(2 * np.pi * np.e, 2)),
     "Helmholtz factor": lambda: helmholtz_factor(_B, 1e200),
     "dissipation weight": lambda: StepKernel(PhysicalParams(1.0, 8e153), _CFG, _QUIET),
     "seed": lambda: make_noise(1.5, 0.5, _B, seed=-1),
@@ -359,6 +369,9 @@ PRECONDITIONS = {
     "step count": lambda: IntegratorConfig(dt=1e-300),
     "rk4 noise": lambda: StepKernel(_P, IntegratorConfig(scheme="rk4_deterministic"), _SPEC),
     "noise nu": lambda: StepKernel(PhysicalParams(0.0, 0.5), _CFG, _SPEC),
+    "trace alpha": lambda: StepKernel(
+        PhysicalParams(1.0, 1e60), _CFG, make_noise(1.5, 1e100, _B)[0]
+    ),
     "ito M": lambda: dg.ito_balance_report(_P, _SPEC, _CFG, _X, 1),
     "moment k": lambda: dg.moment_report(_P, _SPEC, _CFG, _X, 0, 2),
     "moment M": lambda: dg.moment_report(_P, _SPEC, _CFG, _X, 1, 1),

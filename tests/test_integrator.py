@@ -80,6 +80,21 @@ class TestStep:
         theo = spec.q**2 * (1 - np.exp(-2 * p.nu * lam * dt)) / (2 * p.nu * lam)
         assert np.all(np.abs(out.var(axis=0, ddof=1) / theo - 1) <= 0.05)
 
+    def test_convolution_std_is_q_sqrt_dt_phi1(self, basis1):
+        # a = 2 nu lambda dt from 1e-14 to 10 spans both branches of _phi1:
+        # the expm1 quotient is bitwise, the series agrees to rounding
+        spec, _ = make_noise(1.5, 1.0, basis1)
+        dt = 1e-3
+        cfg = IntegratorConfig(scheme="exponential_em", dt=dt, nonlinearity=False)
+        lam = basis1.eigenvalues
+        for nu in np.logspace(-14, 1, 61) / (2.0 * lam.min() * dt):
+            a = 2.0 * nu * lam * dt
+            want = spec.q * np.sqrt(dt * (-np.expm1(-a) / a))
+            got = StepKernel(params(nu=nu), cfg, spec).conv_std
+            exact = a >= 1e-6
+            assert got[exact].tobytes() == want[exact].tobytes()
+            np.testing.assert_allclose(got[~exact], want[~exact], rtol=1e-15, atol=0)
+
     def test_rk4_conserves_alpha_energy(self, basis2):
         p = params(nu=0.0)
         spec, _ = make_noise(1.5, 0.0, basis2)
@@ -593,6 +608,29 @@ def test_thread_split_across_the_wide_threshold(monkeypatch, cutoff):
     for name in ("F", "dissipation", "martingale", "sup_F", "final_coeffs", "eta_final",
                  "be_accumulator"):
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
+
+
+@pytest.mark.parametrize("cutoff", [1, 3, 5])
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("shared", [True, False])
+def test_recorded_start_energy_is_alpha_energy(monkeypatch, cutoff, wide, shared):
+    # the reports read F(0) from paths.F[:, 0], so on either layout it must
+    # be alpha_energy of each member's start, bit for bit
+    if wide:
+        monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
+    monkeypatch.delenv("LANS_THREADS", raising=False)
+    basis = build_basis(2 * np.pi, cutoff)
+    spec, _ = make_noise(1.5, 0.5, basis, seed=4)
+    cfg = IntegratorConfig(dt=1e-3, t_end=2e-3)
+    M, p = 5, params()
+    rng = np.random.default_rng(cutoff)
+    x0 = rng.standard_normal(basis.mode_count)
+    if not shared:  # starts of energies 1e-6 to 1e6
+        x0 = np.logspace(-3, 3, M)[:, None] * rng.standard_normal((M, basis.mode_count))
+    paths = run_ensemble(x0, p, spec, cfg, M)
+    for i in range(M):
+        start = x0 if shared else x0[i]
+        assert paths.F[i, 0].tobytes() == alpha_energy(start, basis, p.alpha).tobytes()
 
 
 @pytest.mark.parametrize("case", ["steps_bound", "bytes_bound", "collect_be"])
