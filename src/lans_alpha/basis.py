@@ -323,6 +323,8 @@ class SpectralField:
 
     @classmethod
     def unit(cls, basis: Basis, j: int, amplitude: float = 1.0) -> "SpectralField":
+        if not 0 <= j < basis.mode_count:
+            raise ValueError(f"mode index {j} out of range 0..{basis.mode_count - 1}")
         c = np.zeros(basis.mode_count)
         c[j] = amplitude
         return cls(basis, c)

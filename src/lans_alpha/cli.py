@@ -1,9 +1,10 @@
 """Command-line surface: flat key=value configs, experiment subcommands,
 CSV and snapshot emission.
 
-Each subcommand writes its CSV and returns the `diagnostics.Verdict`s of
-the checks it ran; `run` prints one line per verdict (value, bound,
-margin, ok/VIOLATED) and is the only place that picks the exit code:
+Each subcommand returns its CSV table and the `diagnostics.Verdict`s of
+the checks it ran.  `run` checks the output paths before any work, writes
+the table once the checks are done, prints one line per verdict (value,
+bound, margin, ok/VIOLATED) and is the only place that picks the exit code:
 0 when every verdict holds, 1 when one is violated or the run blows up,
 2 on a `ConfigError`, which each range check raises where it is made.
 Any other exception is a bug and propagates with its traceback.  Same
@@ -13,6 +14,7 @@ config file and binary give byte-identical CSV output (17 significant digits).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import typing
 from collections.abc import Callable
@@ -46,11 +48,11 @@ class SimConfig:
     epsilon: float
     sigma: float
     seed: int
-    scheme: str = "semi_implicit_em"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    record_every: int = 10
-    nonlinearity: bool = True
+    scheme: str = IntegratorConfig.scheme
+    dt: float = IntegratorConfig.dt
+    t_end: float = IntegratorConfig.t_end
+    record_every: int = IntegratorConfig.record_every
+    nonlinearity: bool = IntegratorConfig.nonlinearity
     M: int = 200
     k: int = 1
     eps_exp: float = 0.0
@@ -80,13 +82,7 @@ class SimConfig:
         return make_noise(self.epsilon, self.sigma, basis, seed=self.seed)
 
     def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            scheme=self.scheme,
-            dt=self.dt,
-            t_end=self.t_end,
-            record_every=self.record_every,
-            nonlinearity=self.nonlinearity,
-        )
+        return IntegratorConfig(**{f.name: getattr(self, f.name) for f in fields(IntegratorConfig)})
 
     def initial_state(self, basis: Basis, text: str | None = None) -> SpectralField:
         return _parse_x0(text if text is not None else self.x0, basis, self.alpha)
@@ -235,11 +231,24 @@ def write_csv(path: str, header: list[str], rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_output(path: str) -> None:
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.path.isdir(folder):
+        why = f"'{folder}' is not a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        why = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write output '{path}': {why}")
+
+
 # -- subcommand handlers -------------------------------------------------------
-# Each handler writes its CSV and returns the verdicts of the checks it ran.
+# Each handler returns its CSV table (header, rows) and its verdicts; `run` writes the table.
 
 
-def _cmd_validate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_validate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     trace_alpha = spec.trace_alpha(cfg.alpha)
     rows = [
         ("trace_Q", spec.trace_Q),
@@ -251,27 +260,25 @@ def _cmd_validate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, 
         ("hyp_inverse_ok", report.hyp_inverse_ok),
         ("trace_tail_estimate", report.trace_tail_estimate),
     ]
-    write_csv(out, ["quantity", "value"], rows)
     print(f"trace_Q = {spec.trace_Q:.17g}")
     print(f"trace_QAQ = {spec.trace_QAQ:.17g}")
     print(f"trace_alpha = {trace_alpha:.17g}")
     for msg in report.messages:
         print(msg)
-    return []
+    return ["quantity", "value"], rows, []
 
 
-def _cmd_simulate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_simulate(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     paths = integrate(cfg.initial_state(spec.basis), cfg.params(), spec, cfg.integrator())
     rows = list(zip(paths.times, paths.F[0], paths.dissipation[0], paths.martingale[0]))
-    write_csv(out, ["time", "F", "dissipation", "martingale_accumulator"], rows)
     if cfg.snapshot_out:
         save_snapshot(SpectralField(spec.basis, paths.final_coeffs[0]), cfg.snapshot_out)
         print(f"final snapshot written to {cfg.snapshot_out}")
     print(f"simulated {len(paths.times) - 1} records to t={paths.times[-1]:.6g}")
-    return []
+    return ["time", "F", "dissipation", "martingale_accumulator"], rows, []
 
 
-def _cmd_mc_energy(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_mc_energy(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     p = cfg.params()
     x0 = cfg.initial_state(spec.basis)
     icfg = cfg.integrator()
@@ -282,69 +289,65 @@ def _cmd_mc_energy(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport,
         (icfg.dt, cfg.M, r1.details["t"], r1.estimate, r1.standard_error),
         (icfg_half.dt, cfg.M, r2.details["t"], r2.estimate, r2.standard_error),
     ]
-    write_csv(out, ["dt", "M", "t", "residual", "standard_error"], rows)
-    return [dg.ito_balance_verdict(r1, r1, r2)]
+    header = ["dt", "M", "t", "residual", "standard_error"]
+    return header, rows, [dg.ito_balance_verdict(r1, r1, r2)]
 
 
-def _write_series(out: str, report: dg.SeriesReport) -> None:
+def _series_table(report: dg.SeriesReport):
     rows = list(zip(report.times, report.series, report.series_standard_error, report.envelope))
-    write_csv(out, ["time", "estimate", "standard_error", "envelope"], rows)
+    return ["time", "estimate", "standard_error", "envelope"], rows
 
 
-def _cmd_mc_moments(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_mc_moments(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     mr = dg.moment_report(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), cfg.k, cfg.M
     )
-    _write_series(out, mr)
     print(
         f"k={cfg.k}: sup-moment {mr.sup_estimate:.6g} (se {mr.sup_standard_error:.6g}), "
         f"fitted slope {mr.fit_slope:.6g}"
     )
-    return [mr.verdict]
+    return (*_series_table(mr), [mr.verdict])
 
 
-def _cmd_mc_expmoments(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_mc_expmoments(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     er = dg.exp_moment_report(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), cfg.eps_exp, cfg.M
     )
-    _write_series(out, er)
     print(
         f"eps_exp={cfg.eps_exp}: margin {er.admissibility_margin:.6g}, "
         f"weighted dissipation {er.weighted_dissipation_estimate:.6g} "
         f"(se {er.weighted_dissipation_standard_error:.6g})"
     )
-    return [er.verdict]
+    return (*_series_table(er), [er.verdict])
 
 
-def _cmd_ou_test(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_ou_test(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     icfg = cfg.integrator()
     if icfg.nonlinearity:
         print("note: ou-test runs with the nonlinearity suppressed")
         icfg = replace(icfg, nonlinearity=False)
     oracle, emp, rel = dg.ou_variance_comparison(cfg.params(), spec, icfg, cfg.burn_in)
     rows = list(zip(range(spec.basis.mode_count), oracle, emp, rel))
-    write_csv(out, ["mode", "oracle_variance", "empirical_variance", "rel_error"], rows)
-    return [dg.ou_verdict(rel)]
+    header = ["mode", "oracle_variance", "empirical_variance", "rel_error"]
+    return header, rows, [dg.ou_verdict(rel)]
 
 
-def _cmd_convergence(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_convergence(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     res = dg.strong_convergence_study(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), cfg.step_sizes(), cfg.M
     )
-    write_csv(out, ["dt", "strong_error"], list(zip(res.dts, res.errors)))
-    return [res.verdict]
+    return ["dt", "strong_error"], list(zip(res.dts, res.errors)), [res.verdict]
 
 
-def _cmd_variation(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_variation(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     h = SpectralField.unit(spec.basis, cfg.h_mode)
     verdict, eta_norm = dg.first_variation_check(
         cfg.params(), spec, cfg.integrator(), cfg.initial_state(spec.basis), h, cfg.delta_fd
     )
-    write_csv(out, ["delta", "rel_error", "eta_norm"], [(cfg.delta_fd, verdict.value, eta_norm)])
-    return [verdict]
+    return ["delta", "rel_error", "eta_norm"], [(cfg.delta_fd, verdict.value, eta_norm)], [verdict]
 
 
-def _cmd_be(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_be(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     x0 = cfg.initial_state(spec.basis)
     h = SpectralField.unit(spec.basis, cfg.h_mode)
     fd_delta = cfg.delta_fd if cfg.delta_fd > 0 else None
@@ -356,16 +359,14 @@ def _cmd_be(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: s
         est.observable, est.time, est.value, est.standard_error,
         est.fd_reference, est.fd_standard_error, est.exact,
     )
-    write_csv(
-        out,
-        ["observable", "t", "value", "standard_error", "fd_reference", "fd_standard_error", "exact"],
-        [row],
-    )
     print(f"derivative estimate {est.value:.6g} (se {est.standard_error:.6g})")
-    return est.verdicts()
+    header = [
+        "observable", "t", "value", "standard_error", "fd_reference", "fd_standard_error", "exact"
+    ]
+    return header, [row], est.verdicts()
 
 
-def _cmd_invariant(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport, out: str):
+def _cmd_invariant(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     stats = dg.invariant_stats(
         cfg.params(),
         spec,
@@ -382,20 +383,6 @@ def _cmd_invariant(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport,
         )
         for s in stats
     ]
-    write_csv(
-        out,
-        [
-            "x0_F",
-            "avg_F",
-            "err_F",
-            "avg_dissipation",
-            "err_dissipation",
-            "avg_exp_weighted_dissipation",
-            "err_exp_weighted_dissipation",
-            "margin",
-        ],
-        rows,
-    )
     for s in stats:
         print(
             f"x0_F={s.x0_energy:.6g}: avg_F={s.average_F:.6g} (err {s.error_F:.6g}), "
@@ -403,10 +390,14 @@ def _cmd_invariant(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport,
         )
     if stats and stats[0].margin is not None:
         print(f"admissibility margin nu - eps*Tr_alpha/lambda_1 = {stats[0].margin:.6g}")
-    return dg.cross_start_verdicts(stats)
+    header = [
+        "x0_F", "avg_F", "err_F", "avg_dissipation", "err_dissipation",
+        "avg_exp_weighted_dissipation", "err_exp_weighted_dissipation", "margin",
+    ]
+    return header, rows, dg.cross_start_verdicts(stats)
 
 
-_HANDLERS: dict[str, Callable[..., list[dg.Verdict]]] = {
+_HANDLERS: dict[str, Callable[..., tuple[list[str], list, list[dg.Verdict]]]] = {
     "validate": _cmd_validate,
     "simulate": _cmd_simulate,
     "mc-energy": _cmd_mc_energy,
@@ -421,21 +412,25 @@ _HANDLERS: dict[str, Callable[..., list[dg.Verdict]]] = {
 
 
 def run(subcommand: str, config: SimConfig, out_path: str | None = None) -> int:
-    """Run one subcommand and print its verdicts; returns the exit status,
-    0 when every verdict holds, 1 when one fails or the run blows up, and
-    2 on a ConfigError.  Any other exception propagates."""
+    """Check the output paths, run one subcommand, write its CSV and print its
+    verdicts; returns 0 when every verdict holds, 1 when one fails or the run
+    blows up, 2 on a ConfigError (no CSV then).  Any other exception propagates."""
     if subcommand not in _HANDLERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = out_path or config.output_path or f"{subcommand}.csv"
     try:
+        _check_output(out)
+        if subcommand == "simulate" and config.snapshot_out:
+            _check_output(config.snapshot_out)
         spec, report = config.noise(config.basis())
-        verdicts = _HANDLERS[subcommand](config, spec, report, out)
+        header, rows, verdicts = _HANDLERS[subcommand](config, spec, report)
     except BlowUpError as exc:
         print(f"blow-up detected: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    write_csv(out, header, rows)
     for v in verdicts:
         print(v)
     return 0 if all(v.ok for v in verdicts) else 1

@@ -371,8 +371,8 @@ class Observable:
     def __post_init__(self):
         if self.kind not in ("linear", "energy", "energy_clipped"):
             raise ConfigError(f"unknown observable kind {self.kind!r}")
-        if self.kind == "linear" and self.mode is None:
-            raise ConfigError("linear observable needs a mode index")
+        if self.kind == "linear" and (self.mode is None or self.mode < 0):
+            raise ConfigError(f"linear observable needs a mode index >= 0, got {self.mode}")
         if self.kind == "energy_clipped" and (self.clip is None or self.clip <= 0):
             raise ConfigError("energy_clipped observable needs clip > 0")
 
@@ -439,6 +439,8 @@ def bismut_elworthy(
     if spec.sigma <= 0:
         raise SingularOperatorError("Bismut-Elworthy requires invertible Q (sigma > 0)")
     basis = spec.basis
+    if observable.kind == "linear" and observable.mode >= basis.mode_count:
+        raise ConfigError(f"observable mode {observable.mode} >= mode count {basis.mode_count}")
     steps_cfg = replace(cfg, t_end=t)
     steps_cfg = replace(steps_cfg, record_every=max(1, steps_cfg.num_steps()))
     paths = _paths(p, spec, steps_cfg, x, M, eta0_coeffs=_coeffs_on(h, spec), collect_be=True)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lans_alpha import (
+    ConfigError,
     SpectralField,
     build_basis,
     dump_snapshot,
@@ -117,6 +118,13 @@ class TestInnerProduct:
     def test_basis_mismatch(self, basis1, basis2):
         with pytest.raises(ValueError):
             inner_product(SpectralField.zeros(basis1), SpectralField.zeros(basis2))
+
+    @pytest.mark.parametrize("j", [-1, 8, 99])
+    def test_unit_mode_out_of_range(self, basis1, j):
+        # a caller's bug, like a basis mismatch: -1 would set the last mode
+        with pytest.raises(ValueError, match=f"mode index {j} out of range 0..7") as caught:
+            SpectralField.unit(basis1, j)
+        assert not isinstance(caught.value, ConfigError)
 
 
 class TestSobolevNorms:

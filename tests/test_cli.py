@@ -13,6 +13,7 @@ from lans_alpha import (
     load_snapshot,
     make_noise,
 )
+from lans_alpha import cli
 from lans_alpha import diagnostics as dg
 from lans_alpha.operators import helmholtz_factor
 from lans_alpha.cli import ConfigError, main, parse_config, run
@@ -321,6 +322,89 @@ def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
         run("mc-moments", parse_config(CRITERION_10), str(tmp_path / "m.csv"))
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the checks ran")
+
+
+def _unwritable(tmp_path, kind):
+    """An output path under tmp_path that cannot be written, and why."""
+    if kind == "missing directory":
+        return tmp_path / "missing" / "out.csv", f"'{tmp_path / 'missing'}' is not a directory"
+    return tmp_path, "it is a directory"
+
+
+# not from permission bits: as root every file is writable
+@pytest.mark.parametrize("kind", ["missing directory", "directory"])
+@pytest.mark.parametrize("sub", ["validate", "convergence"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, sub, kind):
+    monkeypatch.setattr(dg, "strong_convergence_study", _never)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CRITERION_10)
+    out, why = _unwritable(tmp_path, kind)
+    assert main([sub, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write output '{out}': {why}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_unwritable_snapshot_exits_2_before_any_work(tmp_path, capsys):
+    snap, why = _unwritable(tmp_path, "missing directory")
+    cfg = parse_config(CRITERION_10 + f"snapshot_out = {snap}\n")
+    assert run("simulate", cfg, str(tmp_path / "sim.csv")) == 2
+    assert capsys.readouterr().err == f"config error: cannot write output '{snap}': {why}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# what each subcommand needs besides t_end = 0.05 to run to its checks
+_SHORT_RUN = {
+    "ou-test": "burn_in = 0",
+    "convergence": "dts = 1e-2 5e-3 2.5e-3",
+    "invariant": "T_long = 0.2\nburn_in = 0",
+}
+
+
+@pytest.mark.parametrize("sub", list(cli._HANDLERS))
+def test_run_writes_the_csv_once(tmp_path, monkeypatch, sub):
+    calls = []
+    monkeypatch.setattr(cli, "write_csv", lambda *args: calls.append(args))
+    out = str(tmp_path / "out.csv")
+    extra = _SHORT_RUN.get(sub, "")
+    cfg = parse_config(CRITERION_10 + f"t_end = 0.05\nM = 4\noutput_path = {out}\n{extra}\n")
+    assert run(sub, cfg) in (0, 1)
+    assert [args[0] for args in calls] == [out]
+
+
+# the physics, step and start (all eight coefficients 1e6) of
+# TestIntegrate::test_blow_up_reported_with_time in test_integrator.py
+BLOW_UP = (
+    "nu = 1e-6\nalpha = 0\nL = 6.283185307179586\ncutoff = 1\nepsilon = 1.5\nsigma = 0\n"
+    "seed = 42\ndt = 5\nt_end = 500\nx0 = iso 8e12\n"
+)
+
+
+@pytest.mark.parametrize(
+    "sub, text, code",
+    [
+        ("convergence", CRITERION_10 + "t_end = 0.05\nM = 4\ndts = 2e-3\n", 2),
+        ("mc-expmoments", CRITERION_10 + "t_end = 0.05\nM = 4\neps_exp = 5\n", 2),
+        ("simulate", BLOW_UP, 1),
+    ],
+)
+def test_run_writes_no_csv_on_exit_2_or_blow_up(tmp_path, capsys, monkeypatch, sub, text, code):
+    calls = []
+    monkeypatch.setattr(cli, "write_csv", lambda *args: calls.append(args))
+    assert run(sub, parse_config(text), str(tmp_path / "out.csv")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "blow-up detected: ")
+    assert calls == []
+
+
+def test_be_checks_the_observable_mode_before_running(monkeypatch):
+    monkeypatch.setattr(dg, "_paths", _never)
+    monkeypatch.setattr(dg, "run_ensemble", _never)
+    with pytest.raises(ConfigError, match="observable mode 99 >= mode count 8"):
+        dg.bismut_elworthy(dg.Observable("linear", mode=99), _X, _X, 0.1, 2, _P, _SPEC, _CFG)
+
+
 def test_moment_envelope_margin_is_taken_after_t0():
     # F(0) lies on the envelope, so a margin from t = 0 would be about 1e-12
     cfg = parse_config(CRITERION_10)
@@ -385,10 +469,14 @@ PRECONDITIONS = {
     "invariant burn_in": lambda: dg.invariant_stats(_P, _SPEC, _CFG, [_X], 1.0, 2.0),
     "observable kind": lambda: dg.Observable("bogus"),
     "observable mode": lambda: dg.Observable("linear"),
+    "observable negative mode": lambda: dg.Observable("linear", mode=-1),
     "observable clip": lambda: dg.Observable("energy_clipped", clip=0.0),
     "be t": lambda: dg.bismut_elworthy(_LINEAR, _X, _X, 0.0, 2, _P, _SPEC, _CFG),
     "be sigma": lambda: dg.bismut_elworthy(_LINEAR, _X, _X, 0.1, 2, _P, _QUIET, _CFG),
     "be M": lambda: dg.bismut_elworthy(_LINEAR, _X, _X, 0.1, 1, _P, _SPEC, _CFG),
+    "be mode": lambda: dg.bismut_elworthy(
+        dg.Observable("linear", mode=8), _X, _X, 0.1, 2, _P, _SPEC, _CFG
+    ),
     "batch means": lambda: dg.batch_means(np.ones(5)),
     "dts count": lambda: _converge([2e-3, 1e-3]),
     "dts scheme": lambda: _converge([4e-3, 2e-3, 1e-3], IntegratorConfig(scheme="exponential_em")),

@@ -1,0 +1,80 @@
+"""Record every output of the command line, for a byte-identity check.
+
+    python3 tools/output_sweep.py OUTDIR
+
+Runs, each in a fresh `python3 -m lans_alpha.cli` process that imports
+this checkout's `src`, with `LANS_THREADS` unset and the BLAS and OpenMP
+thread variables set to 1:
+
+- every subcommand on every `configs/*.cfg`;
+- every step of each benchmark workload's `full` variant at seeds 42 and
+  7, with the config text that `benchmarks/workloads.steps_for` gives.
+
+For each run OUTDIR gets `<run>.csv` (when the run writes one),
+`<run>.stdout`, `<run>.stderr` and `<run>.exit`.  Two checkouts give the
+same outputs when `diff -r OUTDIR_A OUTDIR_B` prints nothing.  The runs
+go one at a time; the config runs take about a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import workloads  # noqa: E402
+from lans_alpha.cli import _HANDLERS  # noqa: E402
+
+SEEDS = (42, 7)
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env.pop("LANS_THREADS", None)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
+
+def _runs(scratch: Path) -> list[tuple[str, str, Path]]:
+    """(run name, subcommand, config path) of every run, in order."""
+    runs = []
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        runs.extend((f"{cfg.stem}-{sub}", sub, cfg) for sub in _HANDLERS)
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for i, step in enumerate(workloads.steps_for(workload, seed)):
+                name = f"{workload}-seed{seed}-{i}-{step.subcommand}"
+                cfg = scratch / f"{name}.cfg"
+                cfg.write_text(step.config)
+                runs.append((name, step.subcommand, cfg))
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = _env()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, sub, cfg in _runs(Path(scratch)):
+            cmd = [sys.executable, "-m", "lans_alpha.cli", sub, "--config", str(cfg),
+                   "--out", str(out / f"{name}.csv")]
+            done = subprocess.run(cmd, env=env, cwd=scratch, capture_output=True, text=True)
+            (out / f"{name}.stdout").write_text(done.stdout)
+            (out / f"{name}.stderr").write_text(done.stderr)
+            (out / f"{name}.exit").write_text(f"{done.returncode}\n")
+            print(f"{name}: exit {done.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
