@@ -26,12 +26,12 @@ One batched loop (`_run_ensemble_block`) steps every trajectory the
 package computes.  `integrate` is that loop at M=1 on substream
 (seed, member); `run_ensemble` splits members into blocks over threads;
 the strong-convergence study passes every level its one fine path in
-place of the substream draws.  Each step computes the alpha-energy once;
-it updates the running sup, is recorded as F and detects blow-up, being
-non-finite whenever a coefficient is (and when it overflows).
+place of the substream draws.  Every step's alpha-energy is computed
+once; it updates the running sup, is recorded as F and detects blow-up,
+being non-finite whenever a coefficient is (and when it overflows).
 
 At M <= 2 a step is mostly Python dispatch, so what does not change from
-step to step is fixed once:
+step to step is fixed once, and what does is computed once per segment:
 
   StepKernel   picks the scheme's one-step and first-variation maps and
                binds the nonlinearity's route data (triad table or
@@ -45,12 +45,26 @@ step to step is fixed once:
                r increments of a caller's fine path.  noise_injected scales
                the chunk once, in place or, when the Bismut-Elworthy sum
                reads dW, into a second chunk buffer.
-  reductions   the per-step energy and the recorded dissipation are
-               np.square, np.multiply and a sum into preallocated buffers,
-               the bits of np.sum(w * c**2, -1) over C-contiguous rows.
+  segment      the block steps s states through a buffer H of s + 1, step
+               i reading H[i] and writing H[i + 1]; s fills about
+               _SEGMENT_BYTES (512 steps at M = 2, cutoff 1), at least
+               _SEGMENT_MIN, within a chunk.  Only the first variation and
+               the Bismut-Elworthy sum, which a step reads, stay per step.
+  reductions   then, over the segment's (s, M) arrays at once: the
+               energies of H[1..s] (np.square, np.multiply and a sum into
+               preallocated buffers, the bits of np.sum(w * c**2, -1) over
+               C-contiguous rows; the squares overwrite noise rows the
+               steps have read), the running sup from their max over the
+               segment, blow-up from the first row holding a non-finite
+               energy (its step and lowest member, as a step-by-step check
+               finds them), the martingale as one three-operand einsum
+               and np.cumsum (a sequential running sum, as adding step by
+               step), and the recorded steps' F, martingale, dissipation
+               and states, read as strided rows.  H[s] carries over to
+               H[0].
 
-The state steps in place.  A wide block (M >= _WIDE_MEMBERS) holds it,
-each step's noise slice and the squares mode-major, as C-contiguous (n, M)
+A wide block (M >= _WIDE_MEMBERS) holds the states, each step's noise
+slice and the squares mode-major, each (M, n) slice as C-contiguous (n, M)
 storage, so every gather, product and reduction runs over contiguous rows
 of members, into scratch allocated once per block (StepScratch).  The maps
 are handed the (M, n) views of that storage, so every signature keeps its
@@ -115,8 +129,16 @@ __all__ = [
 SCHEMES = ("semi_implicit_em", "exponential_em", "rk4_deterministic")
 
 _NOISE_CHUNK = 2048  # most steps of increments held in memory at once
-_NOISE_BYTES = 64 << 20  # and most bytes of them, over the block's chunk buffers
+_NOISE_BYTES = 64 << 20  # and most bytes of them, with a segment's buffers, per block
 _TILE_BYTES = 1 << 21  # draws of one tile of members, copied into the chunk while in L2
+# A block steps a segment of states, then does the segment's bookkeeping in
+# whole-array calls.  A segment's states fill about _SEGMENT_BYTES, so a few
+# members take hundreds of steps per call; the floor keeps a wide block from
+# one call per step, which cost about 10% of wall time at M = 5000 (2-core x86
+# VM, numpy 2.4); a 2 MB budget with no floor raised the peak RSS of a
+# cutoff-12, M = 1 variation run by about 5%.
+_SEGMENT_BYTES = 64 << 10
+_SEGMENT_MIN = 8
 # From this many members a block is wide: it holds its state, noise and
 # squares mode-major and sums triads and energies by row operations into
 # scratch.  Against the member-major loop (2-core x86 VM, numpy 2.4, one BLAS
@@ -157,13 +179,16 @@ class IntegratorConfig:
 
 class BlowUpError(RuntimeError):
     """Non-finite energy (non-finite or overflowing coefficients);
-    carries the first bad time and the member."""
+    carries the first bad time, the member and that member's energy one
+    step before, its last finite one."""
 
-    def __init__(self, time: float, member: int | None = None):
+    def __init__(self, time: float, member: int | None = None, energy: float | None = None):
         self.time = time
         self.member = member
+        self.energy = energy
         where = f" (member {member})" if member is not None else ""
-        super().__init__(f"non-finite energy at t={time:.6g}{where}")
+        before = f", last finite energy {energy:.6g}" if energy is not None else ""
+        super().__init__(f"non-finite energy at t={time:.6g}{where}{before}")
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -492,9 +517,19 @@ def _draw_chunk(gens: list, tile: np.ndarray | None, noise: np.ndarray) -> None:
         noise[:, a : a + len(block)] = tile[: len(block), : len(noise)].swapaxes(0, 1)
 
 
+def _segment_len(M: int, n: int) -> int:
+    """Steps per segment: the segment's states fill about _SEGMENT_BYTES, >= _SEGMENT_MIN."""
+    return max(_SEGMENT_MIN, _SEGMENT_BYTES // (8 * M * n))
+
+
 def _chunk_len(num_steps: int, M: int, n: int, buffers: int) -> int:
-    """Steps per noise chunk: <= _NOISE_CHUNK, `buffers` of them <= _NOISE_BYTES, >= 1."""
-    return min(_NOISE_CHUNK, num_steps, max(1, _NOISE_BYTES // (8 * M * n * buffers)))
+    """Steps per noise chunk: <= _NOISE_CHUNK, >= 1, and `buffers` of them
+    with a segment's buffers (_segment_len steps) <= _NOISE_BYTES."""
+    s = _segment_len(M, n)
+    # the segment's s + 1 states, and per member its s + 1 energies and
+    # martingale sums and s dissipation sums (the squares reuse noise rows)
+    room = _NOISE_BYTES - 8 * ((s + 1) * M * n + (3 * s + 2) * M)
+    return max(1, min(_NOISE_CHUNK, num_steps, room // (8 * M * n * buffers)))
 
 
 def _run_ensemble_block(
@@ -515,12 +550,8 @@ def _run_ensemble_block(
     n = basis.mode_count
     num_steps = cfg.num_steps()
     rec = _record_indices(num_steps, cfg.record_every)
-    rec_set = set(rec)
     wide = M >= _WIDE_MEMBERS
 
-    # the state steps in place; the kernel sees (M, n) views of the storage
-    C = _states(M, n, wide)
-    C[...] = np.asarray(x0_coeffs, dtype=np.float64)
     # the first variation stays C-contiguous (M, n) in every block:
     # step_variation returns fresh C-contiguous arrays
     Eta = None
@@ -538,7 +569,7 @@ def _run_ensemble_block(
     if kernel.sigma > 0:
         noise = _states(M, n, wide, lead=(chunk_len,))
         injected = _states(M, n, wide, lead=(chunk_len,)) if collect_be else noise
-        members = max(1, min(M, _TILE_BYTES // (8 * n * max(1, chunk_len))))
+        members = max(1, min(M, _TILE_BYTES // (8 * n * chunk_len)))
         if increments is None:
             gens = [substream(spec.seed, member_offset + i) for i in range(M)]
             tile = None if M == 1 else np.empty((members, chunk_len, n))
@@ -547,39 +578,51 @@ def _run_ensemble_block(
         triad_work = np.empty((2, len(kernel.triad.k), M))
     scratch = StepScratch(_states(M, n, wide), triad_work)
 
+    # A segment of s steps runs from H[0] through H[1..s]; its energies E
+    # and running martingale sums X are indexed as H, so row 0 carries the
+    # segment's start.  The kernel sees (M, n) views of the storage.  The
+    # squares of the energy and dissipation sums go to work[:s], laid out as
+    # the states: with noise, the chunk's first rows, which every step so far
+    # has read once the segment's martingale is summed.
+    s = min(chunk_len, _segment_len(M, n))
+    H = _states(M, n, wide, lead=(s + 1,))
+    H[0] = np.asarray(x0_coeffs, dtype=np.float64)
+    work = _states(M, n, wide, lead=(s,)) if injected is None else injected
+    E = np.empty((s + 1, M))
+    X = np.zeros((s + 1, M))
+    D_rows = np.empty((s, M))
+    helm, alpha = kernel.helm, p.alpha
+    alpha_energy(H[0], basis, alpha, weight=helm, out=E[0], work=work[0])
+    sup_F = E[0].copy()
+
     R = len(rec)
     times = np.array([m * cfg.dt for m in rec])
     F = np.empty((M, R))
     D = np.empty((M, R))
     mart_series = np.empty((M, R))
     snaps = np.empty((M, R, n)) if store_fields else None
-    mart = np.zeros(M)
-    # the energy and dissipation reductions write into these; mode-major
-    # squares are summed by row operations
-    E = np.empty(M)
-    work = _states(M, n, wide)
-    helm, alpha = kernel.helm, p.alpha
-    alpha_energy(C, basis, alpha, weight=helm, out=E, work=work)
-    sup_F = E.copy()
-
     r = 0
 
-    def record():
+    def record(rows: slice):
         nonlocal r
-        F[:, r] = E
-        alpha_dissipation(C, basis, alpha, weight=kernel.dissipation_weight, out=D[:, r], work=work)
-        mart_series[:, r] = mart
+        k = len(E[rows])
+        F[:, r : r + k] = E[rows].T
+        alpha_dissipation(
+            H[rows], basis, alpha, weight=kernel.dissipation_weight, out=D_rows[:k], work=work[:k]
+        )
+        D[:, r : r + k] = D_rows[:k].T
+        mart_series[:, r : r + k] = X[rows].T
         if snaps is not None:
-            snaps[:, r] = C
-        r += 1
+            snaps[:, r : r + k] = H[rows].swapaxes(0, 1)
+        r += k
 
-    record()
+    record(slice(0, 1))
     m = 0
     # overflow shows up as a non-finite energy and is raised as BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         while m < num_steps:
             chunk = min(chunk_len, num_steps - m)
-            dW = zetas = (None,) * chunk
+            dW = zetas = None
             if noise is not None:
                 dW = noise[:chunk]
                 if gens is not None:
@@ -595,27 +638,46 @@ def _run_ensemble_block(
                         else:  # the bits of the whole path's reshape(M, steps, k, n).sum(axis=2)
                             np.sum(fine.reshape(len(fine), chunk, k, n), axis=2, out=rows)
                 zetas = kernel.noise_injected(dW, out=injected[:chunk])
-            for i in range(chunk):
-                zeta = zetas[i]
-                if zeta is not None:
-                    mart += np.einsum("j,mj,mj->m", helm, C, zeta)
-                if be_acc is not None:
-                    # a two-operand einsum sums in an order that depends on the
-                    # layout, so a mode-major dW[i] is copied to C-contiguous rows
-                    be_acc += np.einsum("mj,mj->m", Eta / spec.q, np.ascontiguousarray(dW[i]))
-                if Eta is not None:
-                    Eta = kernel.step_variation(C, Eta)
-                kernel.step(C, zeta, out=C, scratch=scratch)
-                m += 1
-                # energies are >= 0 and non-finite whenever C is, so the
-                # running max turns non-finite at the first bad step
-                alpha_energy(C, basis, alpha, weight=helm, out=E, work=work)
-                np.maximum(sup_F, E, out=sup_F)
+            for c in range(0, chunk, s):
+                seg = min(s, chunk - c)
+                zs = None if zetas is None else zetas[c : c + seg]
+                for i in range(seg):
+                    if be_acc is not None:
+                        # a two-operand einsum sums in an order that depends on the
+                        # layout, so a mode-major dW row is copied to C-contiguous rows
+                        be_acc += np.einsum(
+                            "mj,mj->m", Eta / spec.q, np.ascontiguousarray(dW[c + i])
+                        )
+                    if Eta is not None:
+                        Eta = kernel.step_variation(H[i], Eta)
+                    kernel.step(H[i], None if zs is None else zs[i], out=H[i + 1], scratch=scratch)
+
+                # the segment's bookkeeping, each call with the bits of its per-step form;
+                # the martingale reads the noise rows before the squares overwrite them
+                if zs is not None:
+                    # a sequential running sum, as mart += <helm H[i], zeta_i> step by step
+                    np.einsum("j,imj,imj->im", helm, H[:seg], zs, out=X[1 : seg + 1])
+                    np.cumsum(X[: seg + 1], axis=0, out=X[: seg + 1])
+                alpha_energy(
+                    H[1 : seg + 1], basis, alpha, weight=helm, out=E[1 : seg + 1], work=work[:seg]
+                )
+                # energies are >= 0 and non-finite whenever a state is, so the
+                # running max turns non-finite with the first bad step
+                np.maximum(sup_F, E[1 : seg + 1].max(axis=0), out=sup_F)
                 if not math.isfinite(sup_F.max(initial=0.0)):
-                    bad = int(np.flatnonzero(~np.isfinite(E))[0])
-                    raise BlowUpError(m * cfg.dt, member=member_offset + bad)
-                if m in rec_set:
-                    record()
+                    bad = ~np.isfinite(E[1 : seg + 1])
+                    row = int(np.flatnonzero(bad.any(axis=1))[0])
+                    j = int(np.flatnonzero(bad[row])[0])
+                    raise BlowUpError(
+                        (m + row + 1) * cfg.dt, member=member_offset + j, energy=float(E[row, j])
+                    )
+                # the record grid's steps in the segment, then the last step off it
+                while r < R and rec[r] <= m + seg:
+                    record(slice(rec[r] - m, seg + 1, cfg.record_every))
+                m += seg
+                H[0] = H[seg]
+                E[0] = E[seg]
+                X[0] = X[seg]
 
     return EnsemblePaths(
         times=times,
@@ -623,7 +685,7 @@ def _run_ensemble_block(
         dissipation=D,
         martingale=mart_series,
         sup_F=sup_F,
-        final_coeffs=np.ascontiguousarray(C),
+        final_coeffs=H[0].copy(),
         eta_final=Eta,
         be_accumulator=be_acc,
         snapshots=snaps,

@@ -367,11 +367,12 @@ def linearized_nonlinear_coeffs(
 def _weighted_square_sum(coeffs, weight, out, work) -> np.ndarray:
     # np.sum(weight * coeffs**2, axis=-1) over C-contiguous rows, bit for bit,
     # writing the squares into `work` and the sums into `out` when given.  A
-    # mode-major `work` (the (M, n) transpose of C-contiguous (n, M) storage)
-    # is summed by _pairwise_rows; np.add.reduce starts from its identity 0.
+    # mode-major `work` (each (M, n) slice the transpose of C-contiguous
+    # (n, M) storage) is summed by _pairwise_rows over its mode axis;
+    # np.add.reduce starts from its identity 0.
     sq = np.multiply(weight, np.square(coeffs, out=work), out=work)
-    if work is not None and work.ndim == 2 and not work.flags.c_contiguous:
-        return np.add(0.0, _pairwise_rows(work.T), out=out)
+    if work is not None and work.ndim >= 2 and not work.flags.c_contiguous:
+        return np.add(0.0, _pairwise_rows(np.moveaxis(work, -1, 0)), out=out)
     return np.add.reduce(sq, axis=-1, out=out)
 
 
@@ -388,9 +389,9 @@ def alpha_energy(
 
     `weight` is helmholtz_factor(basis, alpha).  `out` (shape (...,)) and
     `work` (shape (..., n)) are optional buffers for the sums and the
-    weighted squares.  `work` is C-contiguous, or the (M, n) transpose of a
-    C-contiguous (n, M) array (mode-major); the sums have the bits of np.sum
-    over C-contiguous rows either way."""
+    weighted squares.  `work` is C-contiguous, or mode-major: a (..., M, n)
+    view of C-contiguous (..., n, M) storage; the sums have the bits of
+    np.sum over C-contiguous rows either way."""
     if weight is None:
         weight = helmholtz_factor(basis, alpha)
     return _weighted_square_sum(coeffs, weight, out, work)

@@ -398,6 +398,20 @@ def test_run_writes_no_csv_on_exit_2_or_blow_up(tmp_path, capsys, monkeypatch, s
     assert calls == []
 
 
+def test_blow_up_line_prints_the_last_finite_energy(tmp_path, capsys):
+    # the energy is that of the step before the first bad one, which a run
+    # stopped there records last
+    cfg = parse_config(BLOW_UP)
+    assert run("simulate", cfg, str(tmp_path / "out.csv")) == 1
+    line = capsys.readouterr().err
+    where = "blow-up detected: non-finite energy at t=125 (member 0)"
+    spec = cfg.noise(cfg.basis())[0]
+    before = IntegratorConfig(dt=5.0, t_end=120.0, record_every=1)
+    F = integrate(cfg.initial_state(spec.basis), cfg.params(), spec, before).F[0]
+    assert np.isfinite(F).all()
+    assert line == f"{where}, last finite energy {F[-1]:.6g}\n"
+
+
 def test_be_checks_the_observable_mode_before_running(monkeypatch):
     monkeypatch.setattr(dg, "_paths", _never)
     monkeypatch.setattr(dg, "run_ensemble", _never)

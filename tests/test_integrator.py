@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -460,7 +461,9 @@ class TestEnsembleMachinery:
             ensemble_threads()
 
 
-def naive_ensemble(basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, increments=None):
+def naive_ensemble(
+    basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, increments=None, store_fields=False
+):
     """Every step through the plain maps, as the stepping loop once read:
     per-step substream draws scaled by sqrt(dt), noise_injected, step,
     step_variation and the cache-backed energy and dissipation."""
@@ -471,11 +474,12 @@ def naive_ensemble(basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, incr
             [kernel.sqrt_dt * substream(spec.seed, i).standard_normal((steps, n)) for i in range(M)]
         )
     record_at = set(range(0, steps + 1, cfg.record_every)) | {steps}
-    C = np.tile(x0, (M, 1))
+    C = np.ascontiguousarray(np.broadcast_to(x0, (M, n)))
     Eta = None if eta0 is None else np.tile(eta0, (M, 1))
     E = alpha_energy(C, basis, p.alpha)
     sup_F, mart, be = E.copy(), np.zeros(M), np.zeros(M)
     F, D, marts = [E], [alpha_dissipation(C, basis, p.alpha)], [mart.copy()]
+    snaps = [C]
     for m in range(steps):
         dW = None if increments is None else increments[:, m]
         zeta = kernel.noise_injected(dW)
@@ -492,7 +496,9 @@ def naive_ensemble(basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, incr
             F.append(E)
             D.append(alpha_dissipation(C, basis, p.alpha))
             marts.append(mart.copy())
+            snaps.append(C)
     return {
+        "times": np.array([m * cfg.dt for m in sorted(record_at)]),
         "F": np.stack(F, axis=1),
         "dissipation": np.stack(D, axis=1),
         "martingale": np.stack(marts, axis=1),
@@ -500,6 +506,7 @@ def naive_ensemble(basis, p, spec, cfg, x0, M, eta0=None, collect_be=False, incr
         "final_coeffs": C,
         "eta_final": Eta,
         "be_accumulator": be if collect_be else None,
+        "snapshots": np.stack(snaps, axis=1) if store_fields else None,
     }
 
 
@@ -591,6 +598,105 @@ class TestStepPlan:
         assert np.array_equal(got.martingale, want["martingale"])
 
 
+class TestSegments:
+    """The block steps segments of states and does their bookkeeping in
+    whole-array calls; every field must equal the plain maps' step-by-step
+    bookkeeping bit for bit, wherever segments, chunks and records fall."""
+
+    @staticmethod
+    def segments(monkeypatch, steps, wide, threads):
+        # segments of `steps` steps (capped at the chunk) inside 5-step chunks
+        monkeypatch.setattr(integrator, "_SEGMENT_BYTES", 0)
+        monkeypatch.setattr(integrator, "_SEGMENT_MIN", steps)
+        monkeypatch.setattr(integrator, "_NOISE_CHUNK", 5)
+        if wide:  # so two threads step two wide blocks of two
+            monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("LANS_THREADS", threads)
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("seg", [1, 3, 7])
+    @pytest.mark.parametrize("run", ["plain", "variation", "collect_be", "increments", "fields"])
+    def test_segment_and_chunk_boundaries_match_plain_maps(
+        self, monkeypatch, seg, wide, threads, run
+    ):
+        self.segments(monkeypatch, seg, wide, threads)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=6)
+        # 22 steps: chunks of 5, 5, 5, 5 and 2; records every 3 steps and the last
+        cfg = IntegratorConfig(dt=2e-3, t_end=0.044, record_every=3)
+        M, n, steps = 4, basis.mode_count, cfg.num_steps()
+        rng = np.random.default_rng(seg)
+        x0, h = rng.standard_normal((2, n))
+        eta0 = h if run in ("variation", "collect_be") else None
+        fine = coarse = None
+        if run == "increments":  # two fine increments per step
+            fine = np.sqrt(cfg.dt / 2) * rng.standard_normal((M, 2 * steps, n))
+            coarse = fine.reshape(M, steps, 2, n).sum(axis=2)
+        got = run_ensemble(
+            x0, params(), spec, cfg, M, eta0_coeffs=eta0, collect_be=run == "collect_be",
+            store_fields=run == "fields", increments=fine,
+        )
+        want = naive_ensemble(
+            basis, params(), spec, cfg, x0, M, eta0, run == "collect_be",
+            increments=coarse, store_fields=run == "fields",
+        )
+        assert set(want) == {f.name for f in dataclasses.fields(got)}
+        for name, value in want.items():
+            if value is None:
+                assert getattr(got, name) is None, name
+            else:
+                assert np.array_equal(getattr(got, name), value), name
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 7])
+    def test_runs_shorter_than_a_segment(self, monkeypatch, wide, steps):
+        # the default segment of a few members is hundreds of steps
+        if wide:
+            monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=8)
+        cfg = IntegratorConfig(dt=2e-3, t_end=steps * 2e-3, record_every=3)
+        x0 = np.random.default_rng(steps).standard_normal(basis.mode_count)
+        assert integrator._segment_len(3, basis.mode_count) > steps
+        got = run_ensemble(x0, params(), spec, cfg, 3, store_fields=True)
+        want = naive_ensemble(basis, params(), spec, cfg, x0, 3, store_fields=True)
+        for name, value in want.items():
+            if value is not None:
+                assert np.array_equal(getattr(got, name), value), name
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("seg", [None, 1, 3, 7])
+    def test_blow_up_inside_a_segment(self, monkeypatch, seg, wide):
+        # member 3 turns non-finite first, at step 25: inside the one
+        # 100-step segment, or at row 0, 0 or 3 of a 1-, 3- or 7-step one
+        if seg is not None:
+            self.segments(monkeypatch, seg, wide, None)
+        elif wide:
+            monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        basis = build_basis(2 * np.pi, 1)
+        p = PhysicalParams(nu=1e-6, alpha=0.0)
+        spec, _ = make_noise(1.5, 0.0, basis)
+        cfg = IntegratorConfig(dt=5.0, t_end=500.0, record_every=1)
+        X0 = np.zeros((4, 8))
+        X0[0], X0[3] = 1e3, 1e6
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = naive_ensemble(basis, p, spec, cfg, X0, 4)["F"]
+        step = int(np.flatnonzero(~np.isfinite(F).all(axis=0))[0])
+        member = int(np.flatnonzero(~np.isfinite(F[:, step]))[0])
+        assert (step, member) == (25, 3)
+        with pytest.raises(BlowUpError) as err:
+            run_ensemble(X0, p, spec, cfg, 4)
+        assert (err.value.time, err.value.member) == (step * cfg.dt, member)
+        assert err.value.energy == F[member, step - 1]
+        assert f"last finite energy {F[member, step - 1]:.6g}" in str(err.value)
+
+
 @pytest.mark.parametrize("cutoff", [1, 5])
 def test_thread_split_across_the_wide_threshold(monkeypatch, cutoff):
     # serially the 5 members step as one wide block; over two threads as a
@@ -637,10 +743,10 @@ def test_recorded_start_energy_is_alpha_energy(monkeypatch, cutoff, wide, shared
 def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     # a wide block allocates its buffers once: the peak of traced memory is
     # the noise chunk buffers, sized by the block's own chunk rule, the (M, R)
-    # records and the step workspace, plus 10%
+    # records, the segment's buffers and the step workspace, plus 10%
     monkeypatch.delenv("LANS_THREADS", raising=False)
-    if case == "bytes_bound":
-        monkeypatch.setattr(integrator, "_NOISE_BYTES", 1 << 20)
+    if case == "bytes_bound":  # room for 20 steps of noise beside the segment
+        monkeypatch.setattr(integrator, "_NOISE_BYTES", 4 << 20)
     basis = build_basis(2 * np.pi, 1)
     spec, _ = make_noise(1.5, 0.5, basis, seed=11)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_every=1)
@@ -665,14 +771,16 @@ def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     # the increments, and for the Bismut-Elworthy sum the injected noise apart
     buffers = 2 if be else 1
     chunk = integrator._chunk_len(steps, M, n, buffers)
-    assert chunk == (8 if case == "bytes_bound" else steps)
+    assert chunk == (20 if case == "bytes_bound" else steps)
+    seg = min(chunk, integrator._segment_len(M, n))
     noise = buffers * chunk * n * M
     records = 3 * M * (steps + 1)
     tile = min(M, integrator._TILE_BYTES // (8 * n * chunk)) * chunk * n
     triads = len(triad_table(basis, params().alpha).k)
-    # state, squares, nonlinearity and the returned copy; triad scratch;
-    # energy, running max and martingale
-    workspace = tile + 4 * n * M + 2 * triads * M + 3 * M
+    # the segment's states (its squares reuse noise rows), nonlinearity and
+    # the returned copy; triad scratch; the segment's energies, martingale and
+    # dissipation sums, its max and the running max
+    workspace = tile + (seg + 3) * n * M + 2 * triads * M + (3 * seg + 4) * M
     if be:
         # the first variation's state, the narrow triad route's gathers and
         # products (its successor among them) and the BE sums
