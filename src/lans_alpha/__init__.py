@@ -6,7 +6,6 @@ from .basis import (
     Basis,
     ConfigError,
     SpectralField,
-    WaveVector,
     build_basis,
     dump_snapshot,
     eval_field,
@@ -35,11 +34,9 @@ from .operators import (
     PhysicalParams,
     alpha_dissipation,
     alpha_energy,
-    b_form,
     b_tilde,
-    b_tilde_convolution,
-    b_tilde_matrix,
     drift,
 )
+from .oracles import b_form, b_tilde_convolution, b_tilde_matrix
 
 __version__ = "0.1.0"

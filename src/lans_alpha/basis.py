@@ -12,6 +12,10 @@ represented exactly once.  These modes are orthonormal in L^2, pointwise
 divergence-free, mean-zero, and diagonalize the Stokes operator with
 eigenvalue lambda_k = (2*pi/L)^2 |k|^2.
 
+The mode table is two arrays: `Basis.wavevectors` (n, 2) and
+`Basis.parities` (n,), sorted by (|k|^2, k1, k2) with the cos mode of
+each wavevector right before its sin mode.
+
 The basis also owns a uniform collocation grid with M = 4*cutoff points
 per axis.  The rectangle rule on that grid integrates trigonometric
 polynomials of degree < M exactly, which covers products of up to three
@@ -38,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "WaveVector",
     "Basis",
     "FFTLayout",
     "SpectralField",
@@ -54,23 +57,12 @@ __all__ = [
 
 SNAPSHOT_HEADER = "lans-alpha-snapshot v1"
 
-PARITY_COS = 0
-PARITY_SIN = 1
+PARITY_COS = 0  # and 1 for sin
 _PARITY_NAMES = ("cos", "sin")
 
 
 class ConfigError(ValueError):
     """A value that a config key or LANS_THREADS sets is out of range."""
-
-
-class WaveVector(NamedTuple):
-    """Integer lattice index of a Fourier mode; (0,0) is excluded."""
-
-    k1: int
-    k2: int
-
-    def in_half_space(self) -> bool:
-        return self.k1 > 0 or (self.k1 == 0 and self.k2 > 0)
 
 
 class FFTLayout(NamedTuple):
@@ -116,18 +108,18 @@ class Basis:
         self.L = float(L)
         self.cutoff = int(cutoff)
 
-        reps = _half_space_wavevectors(self.cutoff)
-        # one cosine and one sine mode per representative wavevector
-        modes = []
-        for k in reps:
-            modes.append((k, PARITY_COS))
-            modes.append((k, PARITY_SIN))
-        modes.sort(key=lambda m: (m[0].k1 ** 2 + m[0].k2 ** 2, m[0].k1, m[0].k2, m[1]))
-
-        self.modes: tuple[tuple[WaveVector, int], ...] = tuple(modes)
-        self.mode_count = len(modes)
-        self.wavevectors = np.array([[k.k1, k.k2] for k, _ in modes], dtype=np.int64)
-        self.parities = np.array([par for _, par in modes], dtype=np.int64)
+        # the half-space k1 > 0 or (k1 = 0, k2 > 0) of |k|_inf <= cutoff:
+        # row-major over k1 in 0..cutoff, k2 in -cutoff..cutoff, from (0, 1) on
+        side = 2 * self.cutoff + 1
+        k1, k2 = np.divmod(np.arange(self.cutoff + 1, (self.cutoff + 1) * side), side)
+        k2 -= self.cutoff
+        order = np.lexsort((k2, k1, k1 * k1 + k2 * k2))
+        # a cosine (parity 0) and then a sine (parity 1) mode per wavevector
+        wv = self.wavevectors = np.empty((2 * len(order), 2), dtype=np.int64)
+        wv[0::2, 0] = wv[1::2, 0] = k1[order]
+        wv[0::2, 1] = wv[1::2, 1] = k2[order]
+        self.mode_count = len(wv)
+        self.parities = np.arange(self.mode_count, dtype=np.int64) % 2
         ksq = np.sum(self.wavevectors.astype(np.float64) ** 2, axis=1)
         L = np.float64(self.L)  # a finite L can still put these out of range
         with np.errstate(over="ignore", divide="ignore"):
@@ -281,16 +273,6 @@ def _five_smooth_at_least(m: int) -> int:
         m += 1
 
 
-def _half_space_wavevectors(cutoff: int) -> list[WaveVector]:
-    reps = []
-    for k1 in range(0, cutoff + 1):
-        for k2 in range(-cutoff, cutoff + 1):
-            k = WaveVector(k1, k2)
-            if (k1, k2) != (0, 0) and k.in_half_space():
-                reps.append(k)
-    return reps
-
-
 def build_basis(L: float, cutoff: int) -> Basis:
     """Construct the truncated basis with |k|_inf <= cutoff on [0,L]^2."""
     return Basis(L, cutoff)
@@ -416,8 +398,8 @@ def dump_snapshot(u: SpectralField) -> str:
         SNAPSHOT_HEADER,
         f"L={b.L:.17g} cutoff={b.cutoff} n={b.mode_count}",
     ]
-    for (k, par), c in zip(b.modes, u.coeffs):
-        lines.append(f"{k.k1} {k.k2} {_PARITY_NAMES[par]} {c:.17g}")
+    for (k1, k2), par, c in zip(b.wavevectors.tolist(), b.parities.tolist(), u.coeffs):
+        lines.append(f"{k1} {k2} {_PARITY_NAMES[par]} {c:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -435,18 +417,32 @@ def load_snapshot(text_or_path) -> SpectralField:
     lines = [ln for ln in str(text).splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
         raise ValueError(f"not a snapshot: expected header {SNAPSHOT_HEADER!r}")
-    header = dict(item.split("=", 1) for item in lines[1].split())
-    basis = build_basis(float(header["L"]), int(header["cutoff"]))
-    n = int(header["n"])
+    head = lines[1] if len(lines) > 1 else ""
+    header = {}
+    for item in head.split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"snapshot header {head!r}: {item!r} is not key=value")
+        header[key] = value
+    values = []
+    for key, kind in (("L", float), ("cutoff", int), ("n", int)):
+        try:
+            values.append(kind(header[key]))
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"snapshot header {head!r}: {key}= is missing or not {kind.__name__}"
+            ) from None
+    L, cutoff, n = values
+    basis = build_basis(L, cutoff)
     if n != basis.mode_count:
         raise ValueError(f"snapshot declares n={n}, basis has {basis.mode_count} modes")
     if len(lines) - 2 != n:
         raise ValueError(f"snapshot has {len(lines) - 2} mode lines, expected {n}")
     coeffs = np.zeros(n)
-    for row, ln in enumerate(lines[2:]):
+    modes = zip(lines[2:], basis.wavevectors.tolist(), basis.parities.tolist())
+    for row, (ln, k, p) in enumerate(modes):
         k1s, k2s, par, cs = ln.split()
-        k, p = basis.modes[row]
-        if (int(k1s), int(k2s)) != (k.k1, k.k2) or par != _PARITY_NAMES[p]:
+        if [int(k1s), int(k2s)] != k or par != _PARITY_NAMES[p]:
             raise ValueError(f"mode line {row} does not match canonical ordering: {ln!r}")
         coeffs[row] = float(cs)
     return SpectralField(basis, coeffs)

