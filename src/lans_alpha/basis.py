@@ -409,9 +409,11 @@ def save_snapshot(u: SpectralField, path) -> None:
 
 
 def load_snapshot(text_or_path) -> SpectralField:
-    """Parse a snapshot produced by dump_snapshot / save_snapshot."""
+    """Parse a snapshot produced by dump_snapshot / save_snapshot: text, or
+    the path of a file holding it when the argument has no newline and does
+    not start with the header's first word."""
     text = text_or_path
-    if "\n" not in str(text_or_path):
+    if "\n" not in str(text) and str(text).split(" ")[0] != SNAPSHOT_HEADER.split()[0]:
         with open(text_or_path) as fh:
             text = fh.read()
     lines = [ln for ln in str(text).splitlines() if ln.strip()]

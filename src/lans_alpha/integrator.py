@@ -42,19 +42,20 @@ step to step is fixed once, and what does is computed once per segment:
                increments dW of a chunk of at most _NOISE_CHUNK steps and
                _NOISE_BYTES bytes: drawn member by member through a tile
                that fits in L2 and scaled by sqrt(dt), or each the sum of
-               r increments of a caller's fine path.  noise_injected scales
-               the chunk once, in place or, when the Bismut-Elworthy sum
-               reads dW, into a second chunk buffer.
+               r increments of a caller's fine path.  The chunk keeps dW,
+               which the Bismut-Elworthy sum reads.
   segment      the block steps s states through a buffer H of s + 1, step
                i reading H[i] and writing H[i + 1]; s fills about
                _SEGMENT_BYTES (512 steps at M = 2, cutoff 1), at least
-               _SEGMENT_MIN, within a chunk.  Only the first variation and
-               the Bismut-Elworthy sum, which a step reads, stay per step.
+               _SEGMENT_MIN, within a chunk.  noise_injected first writes
+               the segment's noise into an (s, M, n) buffer laid out as the
+               state.  Only the first variation and the Bismut-Elworthy sum,
+               which a step reads, stay per step.
   reductions   then, over the segment's (s, M) arrays at once: the
                energies of H[1..s] (np.square, np.multiply and a sum into
                preallocated buffers, the bits of np.sum(w * c**2, -1) over
-               C-contiguous rows; the squares overwrite noise rows the
-               steps have read), the running sup from their max over the
+               C-contiguous rows; the squares overwrite the segment's
+               injected noise), the running sup from their max over the
                segment, blow-up from the first row holding a non-finite
                energy (its step and lowest member, as a step-by-step check
                finds them), the martingale as one three-operand einsum
@@ -522,14 +523,14 @@ def _segment_len(M: int, n: int) -> int:
     return max(_SEGMENT_MIN, _SEGMENT_BYTES // (8 * M * n))
 
 
-def _chunk_len(num_steps: int, M: int, n: int, buffers: int) -> int:
-    """Steps per noise chunk: <= _NOISE_CHUNK, >= 1, and `buffers` of them
-    with a segment's buffers (_segment_len steps) <= _NOISE_BYTES."""
+def _chunk_len(num_steps: int, M: int, n: int) -> int:
+    """Steps per noise chunk: <= _NOISE_CHUNK, >= 1, and with a segment's
+    buffers (_segment_len steps) <= _NOISE_BYTES."""
     s = _segment_len(M, n)
-    # the segment's s + 1 states, and per member its s + 1 energies and
-    # martingale sums and s dissipation sums (the squares reuse noise rows)
-    room = _NOISE_BYTES - 8 * ((s + 1) * M * n + (3 * s + 2) * M)
-    return max(1, min(_NOISE_CHUNK, num_steps, room // (8 * M * n * buffers)))
+    # the segment's s + 1 states and s rows of injected noise and squares,
+    # and per member its s + 1 energies and martingale sums and s dissipation sums
+    room = _NOISE_BYTES - 8 * ((2 * s + 1) * M * n + (3 * s + 2) * M)
+    return max(1, min(_NOISE_CHUNK, num_steps, room // (8 * M * n)))
 
 
 def _run_ensemble_block(
@@ -562,13 +563,11 @@ def _run_ensemble_block(
         raise ValueError("Bismut-Elworthy accumulation requires sigma > 0 and eta0_coeffs")
     be_acc = np.zeros(M) if collect_be else None
 
-    # a chunk's increments dW and its injected noise, laid out as the state;
-    # one buffer unless the BE sum reads dW
-    chunk_len = _chunk_len(num_steps, M, n, buffers=2 if collect_be else 1)
-    noise = injected = gens = tile = None
+    # a chunk's increments dW, laid out as the state
+    chunk_len = _chunk_len(num_steps, M, n)
+    noise = gens = tile = None
     if kernel.sigma > 0:
         noise = _states(M, n, wide, lead=(chunk_len,))
-        injected = _states(M, n, wide, lead=(chunk_len,)) if collect_be else noise
         members = max(1, min(M, _TILE_BYTES // (8 * n * chunk_len)))
         if increments is None:
             gens = [substream(spec.seed, member_offset + i) for i in range(M)]
@@ -580,14 +579,13 @@ def _run_ensemble_block(
 
     # A segment of s steps runs from H[0] through H[1..s]; its energies E
     # and running martingale sums X are indexed as H, so row 0 carries the
-    # segment's start.  The kernel sees (M, n) views of the storage.  The
-    # squares of the energy and dissipation sums go to work[:s], laid out as
-    # the states: with noise, the chunk's first rows, which every step so far
-    # has read once the segment's martingale is summed.
+    # segment's start.  The kernel sees (M, n) views of the storage.  work[:s],
+    # laid out as the states, holds the segment's injected noise, then the
+    # squares of the energy and dissipation sums.
     s = min(chunk_len, _segment_len(M, n))
     H = _states(M, n, wide, lead=(s + 1,))
     H[0] = np.asarray(x0_coeffs, dtype=np.float64)
-    work = _states(M, n, wide, lead=(s,)) if injected is None else injected
+    work = _states(M, n, wide, lead=(s,))
     E = np.empty((s + 1, M))
     X = np.zeros((s + 1, M))
     D_rows = np.empty((s, M))
@@ -622,7 +620,7 @@ def _run_ensemble_block(
     with np.errstate(over="ignore", invalid="ignore"):
         while m < num_steps:
             chunk = min(chunk_len, num_steps - m)
-            dW = zetas = None
+            dW = None
             if noise is not None:
                 dW = noise[:chunk]
                 if gens is not None:
@@ -637,10 +635,9 @@ def _run_ensemble_block(
                             rows[...] = fine
                         else:  # the bits of the whole path's reshape(M, steps, k, n).sum(axis=2)
                             np.sum(fine.reshape(len(fine), chunk, k, n), axis=2, out=rows)
-                zetas = kernel.noise_injected(dW, out=injected[:chunk])
             for c in range(0, chunk, s):
                 seg = min(s, chunk - c)
-                zs = None if zetas is None else zetas[c : c + seg]
+                zs = None if dW is None else kernel.noise_injected(dW[c : c + seg], out=work[:seg])
                 for i in range(seg):
                     if be_acc is not None:
                         # a two-operand einsum sums in an order that depends on the
@@ -653,7 +650,7 @@ def _run_ensemble_block(
                     kernel.step(H[i], None if zs is None else zs[i], out=H[i + 1], scratch=scratch)
 
                 # the segment's bookkeeping, each call with the bits of its per-step form;
-                # the martingale reads the noise rows before the squares overwrite them
+                # the martingale reads the injected noise before the squares overwrite it
                 if zs is not None:
                     # a sequential running sum, as mart += <helm H[i], zeta_i> step by step
                     np.einsum("j,imj,imj->im", helm, H[:seg], zs, out=X[1 : seg + 1])

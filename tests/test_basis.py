@@ -233,11 +233,13 @@ class TestSnapshot:
         [
             ("something else\nL=1 cutoff=1 n=8\n", "not a snapshot"),
             ("lans-alpha-snapshot v1\n", "snapshot header '': L= is missing"),
+            ("lans-alpha-snapshot v1", "snapshot header '': L= is missing"),
             ("lans-alpha-snapshot v1\nL=1 n=8\n", "'L=1 n=8': cutoff= is missing"),
             ("lans-alpha-snapshot v1\nL=1 cutoff=1 n=8 x\n", "'x' is not key=value"),
             ("lans-alpha-snapshot v1\nL=one cutoff=1 n=8\n", "L= is missing or not float"),
         ],
-        ids=["first line", "header line only", "no cutoff", "token without =", "L not numeric"],
+        ids=["first line", "header line only", "header without newline", "no cutoff",
+             "token without =", "L not numeric"],
     )
     def test_bad_header_rejected(self, text, match):
         # every malformed header is a ValueError naming the line and the key

@@ -50,6 +50,12 @@ class TestParseConfig:
         cfg = parse_config("# header\n\n" + HAPPY + "dt = 0.01  # inline\n")
         assert cfg.dt == 0.01
 
+    def test_later_line_overrides_earlier(self):
+        # configs are built by appending overrides to a base text
+        cfg = parse_config(HAPPY + "nu = 2.0\ndt = 0.01\ndt = 0.02\n")
+        assert cfg.nu == 2.0 and cfg.dt == 0.02
+        assert parse_config(HAPPY + "nu = -1\nnu = 3.0\n").nu == 3.0
+
     def test_negative_viscosity_rejected(self):
         with pytest.raises(ConfigError, match="nu"):
             parse_config(HAPPY.replace("nu = 1.0", "nu = -1"))

@@ -742,10 +742,10 @@ def test_recorded_start_energy_is_alpha_energy(monkeypatch, cutoff, wide, shared
 @pytest.mark.parametrize("case", ["steps_bound", "bytes_bound", "collect_be"])
 def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     # a wide block allocates its buffers once: the peak of traced memory is
-    # the noise chunk buffers, sized by the block's own chunk rule, the (M, R)
+    # the noise chunk, sized by the block's own chunk rule, the (M, R)
     # records, the segment's buffers and the step workspace, plus 10%
     monkeypatch.delenv("LANS_THREADS", raising=False)
-    if case == "bytes_bound":  # room for 20 steps of noise beside the segment
+    if case == "bytes_bound":  # room for 12 steps of noise beside the segment
         monkeypatch.setattr(integrator, "_NOISE_BYTES", 4 << 20)
     basis = build_basis(2 * np.pi, 1)
     spec, _ = make_noise(1.5, 0.5, basis, seed=11)
@@ -768,19 +768,18 @@ def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     finally:
         tracemalloc.stop()
 
-    # the increments, and for the Bismut-Elworthy sum the injected noise apart
-    buffers = 2 if be else 1
-    chunk = integrator._chunk_len(steps, M, n, buffers)
-    assert chunk == (20 if case == "bytes_bound" else steps)
+    # one chunk of increments in every case
+    chunk = integrator._chunk_len(steps, M, n)
+    assert chunk == (12 if case == "bytes_bound" else steps)
     seg = min(chunk, integrator._segment_len(M, n))
-    noise = buffers * chunk * n * M
+    noise = chunk * n * M
     records = 3 * M * (steps + 1)
     tile = min(M, integrator._TILE_BYTES // (8 * n * chunk)) * chunk * n
     triads = len(triad_table(basis, params().alpha).k)
-    # the segment's states (its squares reuse noise rows), nonlinearity and
-    # the returned copy; triad scratch; the segment's energies, martingale and
-    # dissipation sums, its max and the running max
-    workspace = tile + (seg + 3) * n * M + 2 * triads * M + (3 * seg + 4) * M
+    # the segment's states, its injected noise (then its squares),
+    # nonlinearity and the returned copy; triad scratch; the segment's
+    # energies, martingale and dissipation sums, its max and the running max
+    workspace = tile + (2 * seg + 3) * n * M + 2 * triads * M + (3 * seg + 4) * M
     if be:
         # the first variation's state, the narrow triad route's gathers and
         # products (its successor among them) and the BE sums

@@ -11,13 +11,18 @@ thread variables set to 1:
   snapshot (`snapshot_out` relative to the run's working directory, so
   the printed path is the same in every checkout);
 - every step of each benchmark workload's `full` variant at seeds 42 and
-  7, with the config text that `benchmarks/workloads.steps_for` gives.
+  7, with the config text that `benchmarks/workloads.steps_for` gives;
+- `mc-energy`, `be` and `convergence` on `configs/base.cfg` and
+  `configs/be.cfg` again with `LANS_THREADS=2`, saved as
+  `<cfg>-<sub>-threads2`.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
 and `<run>.exit`.  Two checkouts give the same outputs when
-`diff -r OUTDIR_A OUTDIR_B` prints nothing.  The runs go one at a time;
-the config runs take about a minute on two cores.
+`diff -r OUTDIR_A OUTDIR_B` prints nothing.  The tool exits 1 when a
+`-threads2` run differs from its serial twin in CSV, stdout or exit code,
+and 0 otherwise.  The runs go one at a time; the config runs take about
+a minute on two cores.
 """
 
 from __future__ import annotations
@@ -36,34 +41,47 @@ import workloads  # noqa: E402
 from lans_alpha.cli import _HANDLERS  # noqa: E402
 
 SEEDS = (42, 7)
+THREADED_CONFIGS = ("base", "be")
+THREADED_SUBCOMMANDS = ("mc-energy", "be", "convergence")
 
 
-def _env() -> dict[str, str]:
+def _env(threads: int) -> dict[str, str]:
     env = dict(os.environ)
     env.pop("LANS_THREADS", None)
+    if threads > 1:
+        env["LANS_THREADS"] = str(threads)
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
     env["PYTHONPATH"] = str(ROOT / "src")
     return env
 
 
-def _runs(scratch: Path) -> list[tuple[str, str, Path]]:
-    """(run name, subcommand, config path) of every run, in order."""
+def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
+    """(run name, subcommand, config path, LANS_THREADS) of every run, in order."""
     runs = []
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
-        runs.extend((f"{cfg.stem}-{sub}", sub, cfg) for sub in _HANDLERS)
+        runs.extend((f"{cfg.stem}-{sub}", sub, cfg, 1) for sub in _HANDLERS)
         name = f"{cfg.stem}-simulate-snapshot"
         snap_cfg = scratch / f"{name}.cfg"
         snap_cfg.write_text(f"{cfg.read_text()}\nsnapshot_out = {name}.snap\n")
-        runs.append((name, "simulate", snap_cfg))
+        runs.append((name, "simulate", snap_cfg, 1))
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             for i, step in enumerate(workloads.steps_for(workload, seed)):
                 name = f"{workload}-seed{seed}-{i}-{step.subcommand}"
                 cfg = scratch / f"{name}.cfg"
                 cfg.write_text(step.config)
-                runs.append((name, step.subcommand, cfg))
+                runs.append((name, step.subcommand, cfg, 1))
+    for stem in THREADED_CONFIGS:
+        cfg = ROOT / "configs" / f"{stem}.cfg"
+        runs.extend((f"{stem}-{sub}-threads2", sub, cfg, 2) for sub in THREADED_SUBCOMMANDS)
     return runs
+
+
+def _output(out: Path, name: str) -> list[bytes | None]:
+    # what a thread split must not change: the CSV, stdout and exit code
+    paths = (out / f"{name}.{ext}" for ext in ("csv", "stdout", "exit"))
+    return [p.read_bytes() if p.exists() else None for p in paths]
 
 
 def main(argv: list[str]) -> int:
@@ -72,12 +90,14 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    env = _env()
+    differ = []
     with tempfile.TemporaryDirectory() as scratch:
-        for name, sub, cfg in _runs(Path(scratch)):
+        for name, sub, cfg, threads in _runs(Path(scratch)):
             cmd = [sys.executable, "-m", "lans_alpha.cli", sub, "--config", str(cfg),
                    "--out", str(out / f"{name}.csv")]
-            done = subprocess.run(cmd, env=env, cwd=scratch, capture_output=True, text=True)
+            done = subprocess.run(
+                cmd, env=_env(threads), cwd=scratch, capture_output=True, text=True
+            )
             (out / f"{name}.stdout").write_text(done.stdout)
             (out / f"{name}.stderr").write_text(done.stderr)
             (out / f"{name}.exit").write_text(f"{done.returncode}\n")
@@ -85,7 +105,12 @@ def main(argv: list[str]) -> int:
             if snap.exists():
                 shutil.copyfile(snap, out / snap.name)
             print(f"{name}: exit {done.returncode}", flush=True)
-    return 0
+            twin = name.removesuffix(f"-threads{threads}")
+            if threads > 1 and _output(out, name) != _output(out, twin):
+                differ.append(name)
+    for name in differ:
+        print(f"{name}: differs from its serial run", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
