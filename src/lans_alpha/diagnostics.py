@@ -21,7 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import Basis, ConfigError, SpectralField
-from .integrator import EnsemblePaths, IntegratorConfig, _coeffs_on, integrate, run_ensemble
+from .integrator import (
+    EnsemblePaths,
+    IntegratorConfig,
+    _coeffs_on,
+    _record_indices,
+    integrate,
+    run_ensemble,
+)
 from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy, helmholtz_factor
 
@@ -47,6 +54,7 @@ __all__ = [
     "ou_verdict",
     "bismut_elworthy",
     "invariant_stats",
+    "invariant_stats_at",
     "cross_start_verdicts",
     "strong_convergence_study",
     "first_variation_check",
@@ -521,39 +529,70 @@ def invariant_stats(
     substreams).  The exponential-weighted dissipation observable is
     gated on the same sign condition as exp_moment_report.
     """
-    if not burn_in < T_long:
-        raise ConfigError(f"burn_in={burn_in} must be below T_long={T_long}")
+    return invariant_stats_at(p, spec, cfg, x0_list, [T_long], burn_in, eps_exp)[0]
+
+
+def invariant_stats_at(
+    p: PhysicalParams,
+    spec: NoiseSpec,
+    cfg: IntegratorConfig,
+    x0_list: list[SpectralField],
+    horizons: list[float],
+    burn_in: float,
+    eps_exp: float | None = None,
+) -> list[list[InvariantStats]]:
+    """invariant_stats at each T_long in `horizons`, from one run to the last.
+
+    A member's path does not depend on how long it runs, so a run to T_long
+    records the first records of the run to the last horizon.  Each horizon
+    is cut there by its record index, so it must lie on the record grid
+    unless it is the last.
+    """
+    if not burn_in < min(horizons):
+        raise ConfigError(f"burn_in={burn_in} must be below T_long={min(horizons)}")
     margin = None
     if eps_exp is not None:
         _require_admissible(p, spec, eps_exp)
         lam1 = spec.basis.lambda_min()
         margin = p.nu - eps_exp * spec.trace_alpha(p.alpha) / lam1
+    long_cfg = replace(cfg, t_end=max(horizons))
+    ends = []
+    for T in horizons:
+        steps = replace(cfg, t_end=T).num_steps()
+        if steps % cfg.record_every and steps != long_cfg.num_steps():
+            raise ConfigError(
+                f"T_long={T} is not a multiple of record_every={cfg.record_every} steps"
+            )
+        ends.append(len(_record_indices(steps, cfg.record_every)))
     M = len(x0_list)
     X0 = np.stack([_coeffs_on(x, spec) for x in x0_list])
-    long_cfg = replace(cfg, t_end=T_long)
     paths = run_ensemble(X0, p, spec, long_cfg, M)
     mask = paths.times >= burn_in
     out = []
-    for i in range(M):
-        F_series = paths.F[i, mask]
-        D_series = paths.dissipation[i, mask]
-        avg_F, err_F = batch_means(F_series)
-        avg_D, err_D = batch_means(D_series)
-        avg_w = err_w = None
-        if eps_exp is not None:
-            avg_w, err_w = batch_means(np.exp(eps_exp * F_series) * D_series)
-        out.append(
-            InvariantStats(
-                x0_energy=float(paths.F[i, 0]),
-                average_F=avg_F,
-                error_F=err_F,
-                average_dissipation=avg_D,
-                error_dissipation=err_D,
-                average_exp_weighted_dissipation=avg_w,
-                error_exp_weighted_dissipation=err_w,
-                margin=margin,
+    for end in ends:
+        kept = mask[:end]
+        stats = []
+        for i in range(M):
+            F_series = paths.F[i, :end][kept]
+            D_series = paths.dissipation[i, :end][kept]
+            avg_F, err_F = batch_means(F_series)
+            avg_D, err_D = batch_means(D_series)
+            avg_w = err_w = None
+            if eps_exp is not None:
+                avg_w, err_w = batch_means(np.exp(eps_exp * F_series) * D_series)
+            stats.append(
+                InvariantStats(
+                    x0_energy=float(paths.F[i, 0]),
+                    average_F=avg_F,
+                    error_F=err_F,
+                    average_dissipation=avg_D,
+                    error_dissipation=err_D,
+                    average_exp_weighted_dissipation=avg_w,
+                    error_exp_weighted_dissipation=err_w,
+                    margin=margin,
+                )
             )
-        )
+        out.append(stats)
     return out
 
 

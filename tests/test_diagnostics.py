@@ -5,6 +5,7 @@ import pytest
 
 from lans_alpha import diagnostics as dg
 from lans_alpha import (
+    ConfigError,
     IntegratorConfig,
     PhysicalParams,
     SingularOperatorError,
@@ -344,6 +345,20 @@ class TestInvariantStats:
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
             invariant_stats(p, spec, cfg, [SpectralField.zeros(basis1)], 10.0, 20.0)
+
+    def test_horizons_from_one_run(self, basis1):
+        # each horizon has the bits of its own run, and the first start of
+        # the longest run those of a run of that start alone
+        p = params()
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=3)
+        cfg = IntegratorConfig(dt=2e-3, t_end=1.0, record_every=5)
+        starts = [SpectralField.zeros(basis1), rand_field(basis1, np.random.default_rng(4))]
+        # 2002 steps to the last horizon: off the record grid, which only the last may be
+        short, longer = dg.invariant_stats_at(p, spec, cfg, starts, [2.0, 4.004], 0.5, 0.2)
+        assert short == invariant_stats(p, spec, cfg, starts, 2.0, 0.5, 0.2)
+        assert longer[:1] == invariant_stats(p, spec, cfg, starts[:1], 4.004, 0.5, 0.2)
+        with pytest.raises(ConfigError, match="record_every"):
+            dg.invariant_stats_at(p, spec, cfg, starts, [2.004, 4.0], 0.5)
 
 
 class TestBatchMeans:

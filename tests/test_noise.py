@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lans_alpha
+from lans_alpha import noise
 from lans_alpha import (
     IntegratorConfig,
     PhysicalParams,
@@ -107,6 +114,76 @@ class TestIncrements:
         assert not np.array_equal(
             substream(7, 0).standard_normal(8), substream(7, 1).standard_normal(8)
         )
+
+
+def reference_substream(seed, member):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(member,))))
+
+
+def generator_state(g):
+    s = g.bit_generator.state
+    return (
+        s["bit_generator"], s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+        s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"],
+    )
+
+
+class TestSubstream:
+    # a substream is Generator(Philox(SeedSequence(seed, spawn_key=(member,)))),
+    # with the key of a member below 2^32 derived with its block's keys
+    MEMBERS = (0, 5, 4095, 4096, 4999, 20000, 2**31, 2**32 - 1, 2**32)
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**128 + 9, 2**200 + 1]
+    )
+    def test_equals_seed_sequence_route(self, seed):
+        for member in self.MEMBERS:
+            g, ref = substream(seed, member), reference_substream(seed, member)
+            derived = isinstance(g.bit_generator.seed_seq, noise._MemberSeed)
+            assert derived == (member < 2**32), member
+            assert generator_state(g) == generator_state(ref), member
+            assert np.array_equal(g.standard_normal(9), ref.standard_normal(9)), member
+
+    @pytest.mark.parametrize("seed, member", [(42, -1), (-1, 0), (-(2**40), 3)])
+    def test_negative_raises_as_seed_sequence(self, seed, member):
+        with pytest.raises(ValueError) as expected:
+            reference_substream(seed, member)
+        with pytest.raises(ValueError) as got:
+            substream(seed, member)
+        assert str(got.value) == str(expected.value) == "expected non-negative integer"
+
+    def test_spawn_gives_seed_sequence_children(self):
+        g, ref = substream(42, 3), reference_substream(42, 3)
+        for _ in range(2):  # the second call continues the children's count
+            children, expected = g.spawn(2), ref.spawn(2)
+            assert [generator_state(c) for c in children] == [
+                generator_state(c) for c in expected
+            ]
+        seq = g.bit_generator.seed_seq
+        assert np.array_equal(
+            seq.generate_state(3), np.random.SeedSequence(42, spawn_key=(3,)).generate_state(3)
+        )
+
+    def test_key_mismatch_raises(self, monkeypatch):
+        # a numpy whose SeedSequence hash differs must not give other streams
+        monkeypatch.setattr(noise, "_MULT_B", noise._MULT_B ^ 2)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            substream(2**90 + 12345, 7)
+
+    def test_key_cache_is_bounded(self):
+        keys = noise._block_keys(42, 0)
+        assert keys.shape == (noise._KEY_BLOCK, 2) and not keys.flags.writeable
+        assert noise._block_keys.cache_info().maxsize * keys.nbytes <= 1 << 20
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random loads at the first substream, so importing the package,
+    # and any timing of what follows the import, does not include it
+    src = str(Path(lans_alpha.__file__).resolve().parents[1])
+    code = "import sys, lans_alpha.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestQMultipliers:

@@ -14,7 +14,9 @@ thread variables set to 1:
   7, with the config text that `benchmarks/workloads.steps_for` gives;
 - `mc-energy`, `be` and `convergence` on `configs/base.cfg` and
   `configs/be.cfg` again with `LANS_THREADS=2`, saved as
-  `<cfg>-<sub>-threads2`.
+  `<cfg>-<sub>-threads2`;
+- `mc-energy` on `configs/base.cfg` with the three-word seed 2^70, saved
+  as `base-mc-energy-bigseed`.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
@@ -43,6 +45,7 @@ from lans_alpha.cli import _HANDLERS  # noqa: E402
 SEEDS = (42, 7)
 THREADED_CONFIGS = ("base", "be")
 THREADED_SUBCOMMANDS = ("mc-energy", "be", "convergence")
+BIG_SEED = 2**70  # a seed of more than one 32-bit word
 
 
 def _env(threads: int) -> dict[str, str]:
@@ -75,6 +78,9 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
     for stem in THREADED_CONFIGS:
         cfg = ROOT / "configs" / f"{stem}.cfg"
         runs.extend((f"{stem}-{sub}-threads2", sub, cfg, 2) for sub in THREADED_SUBCOMMANDS)
+    big = scratch / "base-mc-energy-bigseed.cfg"
+    big.write_text(f"{(ROOT / 'configs' / 'base.cfg').read_text()}\nseed = {BIG_SEED}\n")
+    runs.append(("base-mc-energy-bigseed", "mc-energy", big, 1))
     return runs
 
 
