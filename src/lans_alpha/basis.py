@@ -35,6 +35,7 @@ mode with |k|_inf <= cutoff aliases only through wavenumbers
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,9 +96,9 @@ class Basis:
     """Ordered divergence-free trigonometric basis on [0,L]^2.
 
     Immutable after construction; instances may be shared freely across
-    threads.  Grid evaluation tensors and the FFT layout are computed on
-    first use and cached (idempotent and read-only, so a benign race at
-    worst recomputes them).
+    threads.  Grid evaluation tensors and the FFT layout are
+    functools.cached_property values, computed on first use and read-only
+    (idempotent, so a benign race at worst recomputes them).
     """
 
     def __init__(self, L: float, cutoff: int):
@@ -135,8 +136,6 @@ class Basis:
 
         # collocation grid: exact for cubic products of truncated fields
         self.grid_size = 4 * self.cutoff
-        self._grid_cache: dict[str, np.ndarray] = {}
-        self._fft_layout: FFTLayout | None = None
 
         self.eigenvalues.setflags(write=False)
         self.wavevectors.setflags(write=False)
@@ -207,34 +206,20 @@ class Basis:
             * self.polarizations[:, None, None, :]
         )
 
-    def _cached(self, name: str, builder) -> np.ndarray:
-        arr = self._grid_cache.get(name)
-        if arr is None:
-            arr = builder()
-            arr.setflags(write=False)
-            self._grid_cache[name] = arr
-        return arr
-
-    @property
+    @functools.cached_property
     def grid_mode_values(self) -> np.ndarray:
-        return self._cached("E", lambda: self.mode_values(self.grid_points()))
+        return _read_only(self.mode_values(self.grid_points()))
 
-    @property
+    @functools.cached_property
     def grid_mode_curls(self) -> np.ndarray:
-        return self._cached("C", lambda: self.mode_curls(self.grid_points()))
+        return _read_only(self.mode_curls(self.grid_points()))
 
-    @property
+    @functools.cached_property
     def grid_mode_gradients(self) -> np.ndarray:
-        return self._cached("G", lambda: self.mode_gradients(self.grid_points()))
+        return _read_only(self.mode_gradients(self.grid_points()))
 
-    @property
+    @functools.cached_property
     def fft_layout(self) -> FFTLayout:
-        layout = self._fft_layout
-        if layout is None:
-            layout = self._fft_layout = self._build_fft_layout()
-        return layout
-
-    def _build_fft_layout(self) -> FFTLayout:
         # the mode order sorts parity last, so modes 2p and 2p+1 are the
         # cos and sin modes of one wavevector
         k = self.wavevectors[0::2]
@@ -247,18 +232,20 @@ class Basis:
         knorm = np.hypot(k[:, 0], k[:, 1])
         # a cos mode curls to -sin, a sin mode to +cos: curl y_k -> -i |k| y_k
         curl = -0.5j * self.amp * (2.0 * np.pi / self.L) * knorm
-        layout = FFTLayout(
+        return FFTLayout(
             size=N,
-            slots=slots,
-            mirror_from=slots[line],
-            mirror_to=mirror_to,
-            velocity_scale=0.5 * self.amp * pol,
-            curl_scale=curl,
-            project_scale=self.amp * (self.L / N) ** 2 * pol,
+            slots=_read_only(slots),
+            mirror_from=_read_only(slots[line]),
+            mirror_to=_read_only(mirror_to),
+            velocity_scale=_read_only(0.5 * self.amp * pol),
+            curl_scale=_read_only(curl),
+            project_scale=_read_only(self.amp * (self.L / N) ** 2 * pol),
         )
-        for arr in layout[1:]:
-            arr.setflags(write=False)
-        return layout
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _five_smooth_at_least(m: int) -> int:
@@ -443,8 +430,14 @@ def load_snapshot(text_or_path) -> SpectralField:
     coeffs = np.zeros(n)
     modes = zip(lines[2:], basis.wavevectors.tolist(), basis.parities.tolist())
     for row, (ln, k, p) in enumerate(modes):
-        k1s, k2s, par, cs = ln.split()
-        if [int(k1s), int(k2s)] != k or par != _PARITY_NAMES[p]:
+        try:
+            k1s, k2s, par, cs = ln.split()
+            wavevector, c = [int(k1s), int(k2s)], float(cs)
+        except ValueError:
+            raise ValueError(f"mode line {row} {ln!r} is not 'k1 k2 cos|sin coefficient'") from None
+        if wavevector != k or par != _PARITY_NAMES[p]:
             raise ValueError(f"mode line {row} does not match canonical ordering: {ln!r}")
-        coeffs[row] = float(cs)
+        if not np.isfinite(c):
+            raise ValueError(f"mode line {row} {ln!r} has a non-finite coefficient")
+        coeffs[row] = c
     return SpectralField(basis, coeffs)

@@ -34,10 +34,10 @@ At M <= 2 a step is mostly Python dispatch, so what does not change from
 step to step is fixed once, and what does is computed once per segment:
 
   StepKernel   picks the scheme's one-step and first-variation maps and
-               binds the nonlinearity's route data (triad table or
-               Helmholtz factor) and the energy and dissipation weights;
-               no step walks the scheme branches or looks up a
-               (basis, alpha) cache.
+               binds the nonlinearity's `route` (operators.nonlinear_route:
+               triad table or Helmholtz factor) and the energy and
+               dissipation weights; no step walks the scheme branches or
+               looks up a (basis, alpha) cache.
   noise        one buffer per block, laid out as the state, holds the
                increments dW of a chunk of at most _NOISE_CHUNK steps and
                _NOISE_BYTES bytes: drawn member by member through a tile
@@ -108,14 +108,14 @@ import numpy as np
 from .basis import ConfigError, SpectralField
 from .noise import NoiseSpec, substream
 from .operators import (
-    FFT_MIN_CUTOFF,
     PhysicalParams,
+    TriadTable,
     alpha_dissipation,
     alpha_energy,
     helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
-    triad_table,
+    nonlinear_route,
 )
 
 __all__ = [
@@ -213,9 +213,10 @@ class StepKernel:
     The noise spec owns the basis the kernel steps on; a spec with
     sigma = 0 gives the noiseless kernel.  Construction is the step plan: it
     picks the scheme's one-step and first-variation maps and binds the
-    nonlinearity's route data (the triad table below FFT_MIN_CUTOFF, else
-    the Helmholtz factor) and the energy and dissipation weights, so a step
-    neither walks the scheme branches nor looks up a (basis, alpha) cache.
+    nonlinearity's `route` (operators.nonlinear_route: the triad table below
+    FFT_MIN_CUTOFF, else the Helmholtz factor; None with the nonlinearity
+    off) and the energy and dissipation weights, so a step neither walks the
+    scheme branches nor looks up a (basis, alpha) cache.
     """
 
     def __init__(self, p: PhysicalParams, cfg: IntegratorConfig, spec: NoiseSpec):
@@ -234,9 +235,7 @@ class StepKernel:
         if not math.isfinite(spec.trace_alpha(p.alpha)):
             raise ConfigError(f"sigma={sigma}, alpha={p.alpha} overflow Tr[Q*(I+alpha^2 A)Q]")
         self.dissipation_weight = lam * self.helm
-        self.triad = None
-        if cfg.nonlinearity and basis.cutoff < FFT_MIN_CUTOFF:
-            self.triad = triad_table(basis, p.alpha)
+        self.route = nonlinear_route(basis, p.alpha) if cfg.nonlinearity else None
 
         # the scheme's maps, which step and step_variation call
         self._step, self._variation = self._rk4_step, self._rk4_variation
@@ -252,23 +251,17 @@ class StepKernel:
             # the per-mode stochastic convolution has variance q^2 dt phi1(2z)
             self.conv_std = spec.q * np.sqrt(dt * _phi1(2.0 * z))
 
-    def nonlinear(self, c: np.ndarray, scratch: StepScratch | None = None) -> np.ndarray:
-        if not self.cfg.nonlinearity:
-            return np.zeros_like(c)
-        out, work = (None, None) if scratch is None else scratch
-        return nonlinear_coeffs(
-            self.basis, c, self.p.alpha, table=self.triad, factor=self.helm, out=out, work=work
-        )
-
     def _linearized(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
-        if not self.cfg.nonlinearity:
+        if self.route is None:
             return np.zeros_like(ceta)
-        return linearized_nonlinear_coeffs(
-            self.basis, cu, ceta, self.p.alpha, table=self.triad, factor=self.helm
-        )
+        return linearized_nonlinear_coeffs(self.basis, cu, ceta, self.p.alpha, route=self.route)
 
     def _full_drift(self, c: np.ndarray) -> np.ndarray:
-        return -self.p.nu * self.basis.eigenvalues * c + self.nonlinear(c)
+        if self.route is None:
+            nl = np.zeros_like(c)
+        else:
+            nl = nonlinear_coeffs(self.basis, c, self.p.alpha, route=self.route)
+        return -self.p.nu * self.basis.eigenvalues * c + nl
 
     def _full_linearized_drift(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         return -self.p.nu * self.basis.eigenvalues * ceta + self._linearized(cu, ceta)
@@ -284,7 +277,7 @@ class StepKernel:
         `noise_injected(dW)` (None without noise).  The result is written to
         `out` when given, which may be c itself; `scratch` (see
         `StepScratch`) holds the step's temporaries for (M, n) states."""
-        return self._step(c, zeta, out, scratch)
+        return self._step(c, zeta, out, StepScratch(None, None) if scratch is None else scratch)
 
     def step_variation(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
         """Exact Jacobian action of the one-step map at the pre-step state."""
@@ -296,8 +289,11 @@ class StepKernel:
     # to out, so out may be c.
 
     def _semi_implicit_step(self, c, zeta, out, scratch):
-        if self.cfg.nonlinearity:
-            rhs = self.nonlinear(c, scratch)
+        if self.route is not None:
+            rhs = nonlinear_coeffs(
+                self.basis, c, self.p.alpha, route=self.route,
+                out=scratch.nonlinear, work=scratch.triad,
+            )
             rhs *= self.dt
             np.add(c, rhs, out=rhs)
             if zeta is not None:
@@ -311,8 +307,11 @@ class StepKernel:
 
     def _exponential_step(self, c, zeta, out, scratch):
         nl = None
-        if self.cfg.nonlinearity:
-            nl = self.nonlinear(c, scratch)
+        if self.route is not None:
+            nl = nonlinear_coeffs(
+                self.basis, c, self.p.alpha, route=self.route,
+                out=scratch.nonlinear, work=scratch.triad,
+            )
             nl *= self.phi1_dt
         out = np.multiply(self.decay, c, out=out)
         if nl is not None:
@@ -573,8 +572,8 @@ def _run_ensemble_block(
             gens = [substream(spec.seed, member_offset + i) for i in range(M)]
             tile = None if M == 1 else np.empty((members, chunk_len, n))
     triad_work = None
-    if wide and kernel.triad is not None:
-        triad_work = np.empty((2, len(kernel.triad.k), M))
+    if wide and isinstance(kernel.route, TriadTable):
+        triad_work = np.empty((2, len(kernel.route.k), M))
     scratch = StepScratch(_states(M, n, wide), triad_work)
 
     # A segment of s steps runs from H[0] through H[1..s]; its energies E

@@ -7,9 +7,10 @@ The advection machinery evaluates the 2D rotational nonlinearity
                                       (w*u2, -w*u1) with w = d1 v2 - d2 v1,
 
 by one of two routes.  nonlinear_coeffs and linearized_nonlinear_coeffs,
-the stepping path, choose theirs from basis.cutoff alone:
+the stepping path, take the route's data as `route`, which
+nonlinear_route chooses from basis.cutoff alone:
 
-  triad route (cutoff < FFT_MIN_CUTOFF)
+  triad route (cutoff < FFT_MIN_CUTOFF, route = triad_table(basis, alpha))
       the interaction-coefficient method (Orszag 1970): the nonlinearity is
       quadratic, N(c)_j = sum_{k<=l} S_jkl c_k c_l, and S is sparse (only
       wavevector triads k_j = +-k_k +- k_l interact: 16 / 224 / 1056 / 3120
@@ -22,7 +23,8 @@ the stepping path, choose theirs from basis.cutoff alone:
       sums as row operations in reduceat's own order (_segment_sums,
       _pairwise_rows), over contiguous rows when the states are held
       mode-major.
-  pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF)
+  pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF,
+                         route = helmholtz_factor(basis, alpha))
       each wavevector's cos/sin coefficients are paired into one complex
       amplitude z_k = c_cos - i c_sin and scattered into rfft2
       half-spectra; irfft2 gives the grid velocity and curl (i 2pi/L |k|
@@ -314,8 +316,16 @@ def _triad_sum(
     return out
 
 
-# The stepping path binds its route data once (StepKernel) and passes it as
-# `table` and `factor`; other callers leave them out and the cache supplies them.
+def nonlinear_route(basis: Basis, alpha: float) -> TriadTable | np.ndarray:
+    """The nonlinearity's route data: triad_table(basis, alpha) below
+    FFT_MIN_CUTOFF, else helmholtz_factor(basis, alpha) (pseudo-spectral)."""
+    if basis.cutoff < FFT_MIN_CUTOFF:
+        return triad_table(basis, alpha)
+    return helmholtz_factor(basis, alpha)
+
+
+# The stepping path binds its route once (StepKernel) and passes it as `route`;
+# other callers leave it out and nonlinear_route supplies it.
 
 
 def nonlinear_coeffs(
@@ -323,23 +333,21 @@ def nonlinear_coeffs(
     coeffs: np.ndarray,
     alpha: float,
     *,
-    table: TriadTable | None = None,
-    factor: np.ndarray | None = None,
+    route: TriadTable | np.ndarray | None = None,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched.
 
-    `table` is triad_table(basis, alpha) (triad route) and `factor`
-    helmholtz_factor(basis, alpha) (pseudo-spectral route).  The result is
-    written to `out` when given; `work` is the triad route's scratch (see
-    _triad_sum), which coeffs of shape (M, n) may use."""
-    if basis.cutoff < FFT_MIN_CUTOFF:
-        table = triad_table(basis, alpha) if table is None else table
-        return _triad_sum(table, (coeffs, coeffs), out=out, work=work)
-    factor = helmholtz_factor(basis, alpha) if factor is None else factor
-    g = b_tilde_fft(basis, (coeffs, coeffs * factor))
-    return np.divide(np.negative(g, out=g), factor, out=out)
+    `route` is nonlinear_route(basis, alpha).  The result is written to
+    `out` when given; `work` is the triad route's scratch (see _triad_sum),
+    which coeffs of shape (M, n) may use."""
+    if route is None:
+        route = nonlinear_route(basis, alpha)
+    if isinstance(route, TriadTable):
+        return _triad_sum(route, (coeffs, coeffs), out=out, work=work)
+    g = b_tilde_fft(basis, (coeffs, coeffs * route))
+    return np.divide(np.negative(g, out=g), route, out=out)
 
 
 def linearized_nonlinear_coeffs(
@@ -348,16 +356,15 @@ def linearized_nonlinear_coeffs(
     ceta: np.ndarray,
     alpha: float,
     *,
-    table: TriadTable | None = None,
-    factor: np.ndarray | None = None,
+    route: TriadTable | np.ndarray | None = None,
 ) -> np.ndarray:
     """Derivative of nonlinear_coeffs at u in direction eta, batched
-    (cu and ceta of one shape; `table` and `factor` as there)."""
-    if basis.cutoff < FFT_MIN_CUTOFF:
-        table = triad_table(basis, alpha) if table is None else table
-        return _triad_sum(table, (cu, ceta), (ceta, cu))
-    factor = helmholtz_factor(basis, alpha) if factor is None else factor
-    return -b_tilde_fft(basis, (ceta, cu * factor), (cu, ceta * factor)) / factor
+    (cu and ceta of one shape; `route` as there)."""
+    if route is None:
+        route = nonlinear_route(basis, alpha)
+    if isinstance(route, TriadTable):
+        return _triad_sum(route, (cu, ceta), (ceta, cu))
+    return -b_tilde_fft(basis, (ceta, cu * route), (cu, ceta * route)) / route
 
 
 def _weighted_square_sum(coeffs, weight, out, work) -> np.ndarray:

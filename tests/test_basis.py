@@ -85,6 +85,19 @@ class TestBuildBasis:
         assert layout.size == size
         assert len(set(layout.slots.tolist())) == len(layout.slots)
 
+    @pytest.mark.parametrize(
+        "name", ["grid_mode_values", "grid_mode_curls", "grid_mode_gradients", "fft_layout"]
+    )
+    def test_cached_arrays_are_shared_and_read_only(self, name):
+        basis = build_basis(1.0, 2)
+        first = getattr(basis, name)
+        assert getattr(basis, name) is first
+        arrays = first[1:] if name == "fft_layout" else (first,)
+        for arr in arrays:
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
     @settings(max_examples=20, deadline=None)
     @given(
         L=st.floats(min_value=0.5, max_value=10.0, allow_nan=False),
@@ -246,6 +259,30 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=match) as caught:
             load_snapshot(text)
         assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("0 1 cos", "is not 'k1 k2 cos|sin coefficient'"),
+            ("0 1 cos 0.5 7", "is not 'k1 k2 cos|sin coefficient'"),
+            ("0 one cos 0.5", "is not 'k1 k2 cos|sin coefficient'"),
+            ("0 1 cos half", "is not 'k1 k2 cos|sin coefficient'"),
+            ("0 1 cos nan", "has a non-finite coefficient"),
+            ("0 1 cos -inf", "has a non-finite coefficient"),
+            ("0 2 cos 0.5", "does not match canonical ordering"),
+        ],
+        ids=["three tokens", "five tokens", "wavevector not int", "coefficient not float",
+             "nan coefficient", "infinite coefficient", "wrong wavevector"],
+    )
+    def test_bad_mode_line_rejected(self, basis1, line, match):
+        # every malformed mode line is a ValueError naming the line
+        lines = dump_snapshot(SpectralField.zeros(basis1)).splitlines()
+        assert lines[2].startswith("0 1 cos ")
+        lines[2] = line
+        with pytest.raises(ValueError, match=match) as caught:
+            load_snapshot("\n".join(lines) + "\n")
+        assert type(caught.value) is ValueError
+        assert str(caught.value).startswith("mode line 0 ") and repr(line) in str(caught.value)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -20,6 +20,7 @@ from lans_alpha import (
     make_noise,
     run_ensemble,
     sobolev_norms,
+    StepKernel,
 )
 import lans_alpha
 from lans_alpha import operators, oracles
@@ -29,6 +30,7 @@ from lans_alpha.operators import (
     helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
+    nonlinear_route,
     triad_table,
 )
 from lans_alpha.oracles import b_tilde_dense
@@ -522,6 +524,39 @@ class TestTriadRoute:
         cfg = IntegratorConfig(dt=1e-3, t_end=0.005)
         paths = run_ensemble(x0, p, spec, cfg, 3, eta0_coeffs=h)
         assert np.all(np.isfinite(paths.eta_final))
+
+
+class TestNonlinearRoute:
+    """nonlinear_route alone picks the route, and a bound route is the default."""
+
+    def test_route_switches_at_fft_cutoff(self):
+        below = build_basis(2 * np.pi, FFT_MIN_CUTOFF - 1)
+        at = build_basis(2 * np.pi, FFT_MIN_CUTOFF)
+        assert nonlinear_route(below, 0.5) is triad_table(below, 0.5)
+        assert nonlinear_route(at, 0.5) is helmholtz_factor(at, 0.5)
+
+    @pytest.mark.parametrize("cutoff", [1, FFT_MIN_CUTOFF])
+    def test_bound_route_gives_the_default_bytes(self, cutoff):
+        basis = build_basis(2 * np.pi, cutoff)
+        route = nonlinear_route(basis, 0.5)
+        cu, ceta = np.random.default_rng(41).standard_normal((2, 3, basis.mode_count))
+        for bound, default in [
+            (nonlinear_coeffs(basis, cu, 0.5, route=route), nonlinear_coeffs(basis, cu, 0.5)),
+            (
+                linearized_nonlinear_coeffs(basis, cu, ceta, 0.5, route=route),
+                linearized_nonlinear_coeffs(basis, cu, ceta, 0.5, route=None),
+            ),
+        ]:
+            assert bound.tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [1, FFT_MIN_CUTOFF])
+    @pytest.mark.parametrize("nonlinearity", [True, False])
+    def test_step_kernel_binds_the_route(self, cutoff, nonlinearity):
+        basis = build_basis(2 * np.pi, cutoff)
+        spec, _ = make_noise(1.5, 0.5, basis, seed=42)
+        cfg = IntegratorConfig(nonlinearity=nonlinearity)
+        kernel = StepKernel(PhysicalParams(nu=1.0, alpha=0.5), cfg, spec)
+        assert kernel.route is (nonlinear_route(basis, 0.5) if nonlinearity else None)
 
 
 def signed_rows(rng, n, M):

@@ -21,7 +21,9 @@ thread variables set to 1:
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
 and `<run>.exit`.  Two checkouts give the same outputs when
-`diff -r OUTDIR_A OUTDIR_B` prints nothing.  The tool exits 1 when a
+`diff -r OUTDIR_A OUTDIR_B` prints nothing.  The progress line of each run
+gives its exit code and its own peak RSS (the child's `ru_maxrss` from
+`os.wait4`), which OUTDIR does not hold.  The tool exits 1 when a
 `-threads2` run differs from its serial twin in CSV, stdout or exit code,
 and 0 otherwise.  The runs go one at a time; the config runs take about
 a minute on two cores.
@@ -101,16 +103,18 @@ def main(argv: list[str]) -> int:
         for name, sub, cfg, threads in _runs(Path(scratch)):
             cmd = [sys.executable, "-m", "lans_alpha.cli", sub, "--config", str(cfg),
                    "--out", str(out / f"{name}.csv")]
-            done = subprocess.run(
-                cmd, env=_env(threads), cwd=scratch, capture_output=True, text=True
-            )
-            (out / f"{name}.stdout").write_text(done.stdout)
-            (out / f"{name}.stderr").write_text(done.stderr)
-            (out / f"{name}.exit").write_text(f"{done.returncode}\n")
+            with open(out / f"{name}.stdout", "wb") as so, open(out / f"{name}.stderr", "wb") as se:
+                child = subprocess.Popen(cmd, env=_env(threads), cwd=scratch, stdout=so, stderr=se)
+                # wait4 gives this child's own rusage, where RUSAGE_CHILDREN
+                # would give the running max over every child so far; the
+                # returncode tells Popen the child is already reaped
+                _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = code = os.waitstatus_to_exitcode(status)
+            (out / f"{name}.exit").write_text(f"{code}\n")
             snap = Path(scratch) / f"{name}.snap"
             if snap.exists():
                 shutil.copyfile(snap, out / snap.name)
-            print(f"{name}: exit {done.returncode}", flush=True)
+            print(f"{name}: exit {code}, peak RSS {usage.ru_maxrss / 1024:.1f} MB", flush=True)
             twin = name.removesuffix(f"-threads{threads}")
             if threads > 1 and _output(out, name) != _output(out, twin):
                 differ.append(name)
