@@ -390,6 +390,8 @@ def _cmd_invariant(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport)
         )
     if stats and stats[0].margin is not None:
         print(f"admissibility margin nu - eps*Tr_alpha/lambda_1 = {stats[0].margin:.6g}")
+        gating = dg.exp_moment_margin(cfg.params(), spec, cfg.eps_exp)
+        print(f"gating margin nu - 2*eps*Tr_alpha/lambda_1 = {gating:.6g}")
     header = [
         "x0_F", "avg_F", "err_F", "avg_dissipation", "err_dissipation",
         "avg_exp_weighted_dissipation", "err_exp_weighted_dissipation", "margin",

@@ -30,14 +30,21 @@ place of the substream draws.  Every step's alpha-energy is computed
 once; it updates the running sup, is recorded as F and detects blow-up,
 being non-finite whenever a coefficient is (and when it overflows).
 
-At M <= 2 a step is mostly Python dispatch, so what does not change from
-step to step is fixed once, and what does is computed once per segment:
+At M <= 2 a step costs numpy call overhead, not flops: at cutoff 1 it is
+about nine numpy calls on 16 triads (a gather, two products, one
+np.add.reduceat, the zeroed idle modes and four updates of the state).
+So what does not change from step to step is fixed once, a step makes
+only the numpy calls its arithmetic needs, and what can wait is computed
+once per segment:
 
   StepKernel   picks the scheme's one-step and first-variation maps and
                binds the nonlinearity's `route` (operators.nonlinear_route:
                triad table or Helmholtz factor) and the energy and
                dissipation weights; no step walks the scheme branches or
-               looks up a (basis, alpha) cache.
+               looks up a (basis, alpha) cache.  The triad table holds its
+               gather index and coefficient column ready, so a narrow call
+               gathers each operand once, and the block passes its rows to
+               `step` as positional arguments.
   noise        one buffer per block, laid out as the state, holds the
                increments dW of a chunk of at most _NOISE_CHUNK steps and
                _NOISE_BYTES bytes: drawn member by member through a tile
@@ -143,8 +150,8 @@ _SEGMENT_MIN = 8
 # From this many members a block is wide: it holds its state, noise and
 # squares mode-major and sums triads and energies by row operations into
 # scratch.  Against the member-major loop (2-core x86 VM, numpy 2.4, one BLAS
-# thread) the crossover lies near M = 256 at cutoff 1, 512 at cutoff 2 and
-# 100-200 at cutoffs 3-4; the bits are the same either way.
+# thread) the crossover lies near M = 256 at cutoff 1, 512 at cutoff 2,
+# 128-256 at cutoff 3 and 64-128 at cutoff 4; the bits are the same either way.
 _WIDE_MEMBERS = 512
 
 
@@ -646,7 +653,7 @@ def _run_ensemble_block(
                         )
                     if Eta is not None:
                         Eta = kernel.step_variation(H[i], Eta)
-                    kernel.step(H[i], None if zs is None else zs[i], out=H[i + 1], scratch=scratch)
+                    kernel.step(H[i], None if zs is None else zs[i], H[i + 1], scratch)
 
                 # the segment's bookkeeping, each call with the bits of its per-step form;
                 # the martingale reads the injected noise before the squares overwrite it

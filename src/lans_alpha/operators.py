@@ -16,13 +16,14 @@ nonlinear_route chooses from basis.cutoff alone:
       wavevector triads k_j = +-k_k +- k_l interact: 16 / 224 / 1056 / 3120
       coefficients at cutoffs 1-4).  triad_table builds S once per
       (basis, alpha) from the dense route (oracles.b_tilde_dense), folding
-      in the Helmholtz factors and the sign; a call is two gathers, a
-      product and one np.add.reduceat over the triads sorted by output
-      mode, all along the member axis of (n, M) views.  Given scratch for
-      many members, the gathers and products run in place and the segment
-      sums as row operations in reduceat's own order (_segment_sums,
-      _pairwise_rows), over contiguous rows when the states are held
-      mode-major.
+      in the Helmholtz factors and the sign, with the joined gather index
+      [k; l] and the coefficient column; a call gathers each operand once,
+      multiplies the factors and one np.add.reduceat sums over the triads
+      sorted by output mode, all along the member axis of (n, M) views.
+      Given scratch for many members, the gathers and products run in
+      place and the segment sums as row operations in reduceat's own order
+      (_segment_sums, _pairwise_rows), over contiguous rows when the states
+      are held mode-major.
   pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF,
                          route = helmholtz_factor(basis, alpha))
       each wavevector's cos/sin coefficients are paired into one complex
@@ -189,6 +190,8 @@ class TriadTable(NamedTuple):
     k: np.ndarray       # (T,)
     l: np.ndarray       # (T,) >= k
     coeff: np.ndarray   # (T,) S_jkl
+    kl: np.ndarray      # (2, T) [k; l], one gather index for both factors
+    column: np.ndarray  # (T, 1) coeff as a column, scaling (T, M) products
 
 
 # Coefficients below this fraction of the largest are rounding left by the
@@ -212,7 +215,10 @@ def triad_table(basis: Basis, alpha: float) -> TriadTable:
     rows, starts = np.unique(j, return_index=True)
     if not np.array_equal(rows, np.arange(len(rows))):
         raise RuntimeError(f"modes {rows.tolist()} receive triads; expected a leading range")
-    table = TriadTable(starts, k[t], l[t], S[j, t])
+    kl = np.stack([k[t], l[t]])
+    column = S[j, t][:, None]
+    # k, l and coeff are views of kl and column
+    table = TriadTable(starts, kl[0], kl[1], column[:, 0], kl, column)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -271,48 +277,55 @@ def _segment_sums(P: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
 
 def _triad_sum(
     table: TriadTable,
-    *pairs: tuple[np.ndarray, np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray | None = None,
+    *,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sum over pairs (a, b) of sum_{k<=l} S_jkl a_k b_l, batched.
+    """sum_{k<=l} S_jkl a_k a_l, or with b the symmetric
+    sum_{k<=l} S_jkl (a_k b_l + b_k a_l), batched.
 
-    Every a and b has one shape (..., n).  Mode-major: the gathers, products
+    a and b have one shape (..., n).  Mode-major: the gathers, products
     and segment sums run along the member axis of (n, M) views of them
     (contiguous when the operands are (M, n) views of mode-major storage),
     and each member's column is summed on its own, so a member's result does
     not depend on the batch it is in.
 
-    Without `work`: plain take and one np.add.reduceat, the faster at a few
-    members.  `work`, a (2, T, M) scratch for T triads and a single pair,
-    takes the gathers and products in place and the segment sums as row
-    operations in reduceat's order, with the same bits.  The result goes to
-    `out` when given, else to a new array of the operands' shape.
+    Without `work`: each operand gathered once by table.kl and one
+    np.add.reduceat, the faster at a few members.  `work`, a (2, T, M)
+    scratch for T triads and no b, takes the gathers and products in place
+    and the segment sums as row operations in reduceat's order, with the
+    same bits.  The result goes to `out` when given, else to a new array of
+    a's shape.
     """
-    shape = pairs[0][0].shape
+    shape = a.shape
     n = shape[-1]
-    modes = [(a.reshape(-1, n).T, b.reshape(-1, n).T) for a, b in pairs]
+    a_modes = a.T if a.ndim == 2 else a.reshape(-1, n).T  # .T alone saves a reshape call
     if work is None:
-        prod = None
-        for a, b in modes:
-            term = a.take(table.k, axis=0)
-            term *= b.take(table.l, axis=0)
-            prod = term if prod is None else prod + term
+        ga = a_modes.take(table.kl, axis=0)
+        prod = ga[0]
+        if b is None:
+            prod *= ga[1]
+        else:
+            gb = (b.T if b.ndim == 2 else b.reshape(-1, n).T).take(table.kl, axis=0)
+            prod *= gb[1]
+            prod += np.multiply(gb[0], ga[1], out=gb[0])
     else:
-        ((a, b),) = modes
         prod, gathered = work
-        np.take(a, table.k, axis=0, out=prod, mode="clip")
-        np.take(b, table.l, axis=0, out=gathered, mode="clip")
+        np.take(a_modes, table.k, axis=0, out=prod, mode="clip")
+        np.take(a_modes, table.l, axis=0, out=gathered, mode="clip")
         prod *= gathered
-    prod *= table.coeff[:, None]
+    prod *= table.column
     out = np.empty(shape) if out is None else out
-    out_modes = out.reshape(-1, n).T
+    out_modes = out.T if out.ndim == 2 else out.reshape(-1, n).T
     J = len(table.starts)
     if work is None:
         np.add.reduceat(prod, table.starts, axis=0, out=out_modes[:J])
     else:
         _segment_sums(prod, table.starts, out_modes)
-    out_modes[J:] = 0.0
+    if J < n:
+        out_modes[J:] = 0.0
     return out
 
 
@@ -345,7 +358,7 @@ def nonlinear_coeffs(
     if route is None:
         route = nonlinear_route(basis, alpha)
     if isinstance(route, TriadTable):
-        return _triad_sum(route, (coeffs, coeffs), out=out, work=work)
+        return _triad_sum(route, coeffs, out=out, work=work)
     g = b_tilde_fft(basis, (coeffs, coeffs * route))
     return np.divide(np.negative(g, out=g), route, out=out)
 
@@ -363,7 +376,7 @@ def linearized_nonlinear_coeffs(
     if route is None:
         route = nonlinear_route(basis, alpha)
     if isinstance(route, TriadTable):
-        return _triad_sum(route, (cu, ceta), (ceta, cu))
+        return _triad_sum(route, cu, ceta)
     return -b_tilde_fft(basis, (ceta, cu * route), (cu, ceta * route)) / route
 
 

@@ -207,7 +207,7 @@ class TestRun:
         cfg = happy(cutoff=1, t_end=0.5, M=50, k=1, record_every=25, x0="iso 0.5")
         assert run("mc-moments", cfg, str(tmp_path / "m.csv")) == 0
 
-    def test_invariant_exit(self, tmp_path):
+    def test_invariant_exit(self, tmp_path, capsys):
         cfg = happy(
             cutoff=1, dt=2e-3, record_every=5, T_long=60.0, burn_in=10.0,
             eps_exp=0.2, x0_list="zero, iso 5",
@@ -215,6 +215,17 @@ class TestRun:
         out = tmp_path / "i.csv"
         assert run("invariant", cfg, str(out)) == 0
         assert out.read_text().splitlines()[0].startswith("x0_F,avg_F")
+        # the CSV's margin nu - eps Tr_alpha / lambda_1, then the margin of the
+        # condition that admits eps_exp, nu - 2 eps Tr_alpha / lambda_1
+        spec, _ = cfg.noise(cfg.basis())
+        trace, lam1 = spec.trace_alpha(cfg.alpha), spec.basis.lambda_min()
+        gating = dg.exp_moment_margin(cfg.params(), spec, 0.2)
+        assert gating == cfg.nu - 2 * 0.2 * trace / lam1
+        lines = capsys.readouterr().out.splitlines()
+        shown = lines.index(
+            f"admissibility margin nu - eps*Tr_alpha/lambda_1 = {cfg.nu - 0.2 * trace / lam1:.6g}"
+        )
+        assert lines[shown + 1] == f"gating margin nu - 2*eps*Tr_alpha/lambda_1 = {gating:.6g}"
 
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):

@@ -618,6 +618,58 @@ class TestExactOrder:
         assert got.tobytes() == want.tobytes()
 
 
+def plain_triad_sum(table, *pairs):
+    # the triad formula written out: per pair (a, b) the products
+    # a.take(k) * b.take(l) over (n, M) views, the pairs' terms added, times
+    # the coefficients, one np.add.reduceat down each member's column, and
+    # zeros for the modes from J on
+    n = pairs[0][0].shape[-1]
+    terms = [
+        a.reshape(-1, n).T.take(table.k, axis=0) * b.reshape(-1, n).T.take(table.l, axis=0)
+        for a, b in pairs
+    ]
+    prod = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    prod = prod * table.coeff[:, None]
+    sums = np.zeros((n, prod.shape[1]))
+    sums[: len(table.starts)] = np.add.reduceat(prod, table.starts, axis=0)
+    return np.ascontiguousarray(sums.T).reshape(pairs[0][0].shape)
+
+
+class TestNarrowTriadBits:
+    """The member-major triad route (each operand gathered once, no scratch)
+    against the plain formula, byte for byte (so signed zeros count)."""
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("lead", ["n", "M, n", "k, M, n"])
+    def test_equals_plain_formula(self, cutoff, M, lead):
+        basis = build_basis(2 * np.pi, cutoff)
+        table, n = triad_table(basis, 0.5), basis.mode_count
+        shape = {"n": (n,), "M, n": (M, n), "k, M, n": (2, M, n)}[lead]
+        rng = np.random.default_rng(10 * cutoff + M)
+        cu, ceta = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-3, 4, (2,) + shape)
+        cu[rng.random(shape) < 0.2] = -0.0
+        ceta[rng.random(shape) < 0.2] = 0.0
+        cases = [
+            (plain_triad_sum(table, (cu, cu)), operators._triad_sum, (table, cu)),
+            (plain_triad_sum(table, (cu, cu)), nonlinear_coeffs, (basis, cu, 0.5)),
+            (
+                plain_triad_sum(table, (cu, ceta), (ceta, cu)),
+                operators._triad_sum, (table, cu, ceta),
+            ),
+            (
+                plain_triad_sum(table, (cu, ceta), (ceta, cu)),
+                linearized_nonlinear_coeffs, (basis, cu, ceta, 0.5),
+            ),
+        ]
+        for want, f, args in cases:
+            assert f(*args).tobytes() == want.tobytes(), f.__name__
+            if f is not linearized_nonlinear_coeffs:  # which takes no `out`
+                out = np.full(shape, np.nan)
+                assert f(*args, out=out) is out
+                assert out.tobytes() == want.tobytes(), f.__name__
+
+
 class TestPhysicalParams:
     def test_validation(self):
         with pytest.raises(ValueError):
