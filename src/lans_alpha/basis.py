@@ -79,14 +79,17 @@ class FFTLayout(NamedTuple):
 
     Half-spectra have shape (size, size // 2 + 1), indexed
     [k2 mod size, k1]; every half-space wavevector (k1 >= 0) has its own
-    slot.  Wavevectors with k1 = 0 sit on the line that rfft2 does not
-    make Hermitian by itself, so their conjugate is written at -k too.
+    slot.  Only the columns k1 = 0..cutoff hold modes, so the route keeps
+    those (size, cutoff + 1) columns and the slots index them.  Wavevectors
+    with k1 = 0 sit on the line that rfft2 does not make Hermitian by
+    itself, so their conjugate is written at -k too.
     """
 
     size: int                   # grid points per axis
-    slots: np.ndarray           # (P,) flat index of k in the half-spectrum
-    mirror_from: np.ndarray     # (Q,) flat slot of each k1 = 0 wavevector
-    mirror_to: np.ndarray       # (Q,) flat slot of its -k
+    slots: np.ndarray           # (P,) flat index of k in the (size, cutoff + 1) columns
+    line: np.ndarray            # (Q,) the pairs with k1 = 0, mirrored to -k
+    scatter: np.ndarray         # (3 (P + Q),) flat index into (3, size, cutoff + 1)
+                                # columns of 3 fields' P slots, then their Q mirrors
     velocity_scale: np.ndarray  # (2, P) y_k -> half-spectrum of u_1, u_2
     curl_scale: np.ndarray      # (P,) y_k -> half-spectrum of the curl
     project_scale: np.ndarray   # (2, P) rfft2 of (g_1, g_2) at k -> y_k of P g
@@ -224,10 +227,12 @@ class Basis:
         # cos and sin modes of one wavevector
         k = self.wavevectors[0::2]
         N = _five_smooth_at_least(3 * self.cutoff + 1)
-        width = N // 2 + 1
+        width = self.cutoff + 1
         slots = (k[:, 1] % N) * width + k[:, 0]
-        line = k[:, 0] == 0
-        mirror_to = ((-k[line, 1]) % N) * width
+        line = np.flatnonzero(k[:, 0] == 0)
+        mirror = ((-k[line, 1]) % N) * width
+        field = N * width * np.arange(3)[:, None]
+        scatter = (field + np.concatenate([slots, mirror])).ravel()
         pol = np.ascontiguousarray(self.polarizations[0::2].T)
         knorm = np.hypot(k[:, 0], k[:, 1])
         # a cos mode curls to -sin, a sin mode to +cos: curl y_k -> -i |k| y_k
@@ -235,8 +240,8 @@ class Basis:
         return FFTLayout(
             size=N,
             slots=_read_only(slots),
-            mirror_from=_read_only(slots[line]),
-            mirror_to=_read_only(mirror_to),
+            line=_read_only(line),
+            scatter=_read_only(scatter),
             velocity_scale=_read_only(0.5 * self.amp * pol),
             curl_scale=_read_only(curl),
             project_scale=_read_only(self.amp * (self.L / N) ** 2 * pol),

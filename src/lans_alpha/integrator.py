@@ -45,6 +45,12 @@ once per segment:
                gather index and coefficient column ready, so a narrow call
                gathers each operand once, and the block passes its rows to
                `step` as positional arguments.
+  scratch      one StepScratch per block, so one per thread, passed to
+               `step` and `step_variation`: the nonlinearity's buffer and
+               the route's work, a wide block's triad products or, on the
+               pseudo-spectral route, its workspace (operators.fft_work),
+               zero-filled once, with room for the first variation's two
+               pairs when the block runs it.
   noise        one buffer per block, laid out as the state, holds the
                increments dW of a chunk of at most _NOISE_CHUNK steps and
                _NOISE_BYTES bytes: drawn member by member through a tile
@@ -115,10 +121,12 @@ import numpy as np
 from .basis import ConfigError, SpectralField
 from .noise import NoiseSpec, substream
 from .operators import (
+    FFTWork,
     PhysicalParams,
     TriadTable,
     alpha_dissipation,
     alpha_energy,
+    fft_work,
     helmholtz_factor,
     linearized_nonlinear_coeffs,
     nonlinear_coeffs,
@@ -210,8 +218,10 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 class StepScratch(NamedTuple):
     """Temporaries of one (M, n) step, allocated once per ensemble block."""
 
-    nonlinear: np.ndarray       # (M, n): N(c), then the right-hand side built on it
-    triad: np.ndarray | None    # (2, T, M) triad-route scratch, or None (see _triad_sum)
+    nonlinear: np.ndarray              # (M, n): N(c), then the right-hand side built on it
+    work: np.ndarray | FFTWork | None  # the route's: (2, T, M) triad scratch of a wide
+                                       # block (see _triad_sum), the pseudo-spectral
+                                       # workspace (fft_work), or None
 
 
 class StepKernel:
@@ -258,10 +268,12 @@ class StepKernel:
             # the per-mode stochastic convolution has variance q^2 dt phi1(2z)
             self.conv_std = spec.q * np.sqrt(dt * _phi1(2.0 * z))
 
-    def _linearized(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
+    def _linearized(self, cu: np.ndarray, ceta: np.ndarray, work=None) -> np.ndarray:
         if self.route is None:
             return np.zeros_like(ceta)
-        return linearized_nonlinear_coeffs(self.basis, cu, ceta, self.p.alpha, route=self.route)
+        return linearized_nonlinear_coeffs(
+            self.basis, cu, ceta, self.p.alpha, route=self.route, work=work
+        )
 
     def _full_drift(self, c: np.ndarray) -> np.ndarray:
         if self.route is None:
@@ -286,9 +298,12 @@ class StepKernel:
         `StepScratch`) holds the step's temporaries for (M, n) states."""
         return self._step(c, zeta, out, StepScratch(None, None) if scratch is None else scratch)
 
-    def step_variation(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
-        """Exact Jacobian action of the one-step map at the pre-step state."""
-        return self._variation(cu, ceta)
+    def step_variation(
+        self, cu: np.ndarray, ceta: np.ndarray, scratch: StepScratch | None = None
+    ) -> np.ndarray:
+        """Exact Jacobian action of the one-step map at the pre-step state,
+        a new array; `scratch` as in `step`."""
+        return self._variation(cu, ceta, None if scratch is None else scratch.work)
 
     # The nonlinearity is a fresh array or scratch, which the steps update in
     # place by the same operations, on the same operands, as the expressions
@@ -299,7 +314,7 @@ class StepKernel:
         if self.route is not None:
             rhs = nonlinear_coeffs(
                 self.basis, c, self.p.alpha, route=self.route,
-                out=scratch.nonlinear, work=scratch.triad,
+                out=scratch.nonlinear, work=scratch.work,
             )
             rhs *= self.dt
             np.add(c, rhs, out=rhs)
@@ -309,15 +324,15 @@ class StepKernel:
             rhs = c if zeta is None else c + zeta
         return np.divide(rhs, self.implicit_denom, out=out)
 
-    def _semi_implicit_variation(self, cu, ceta):
-        return (ceta + self.dt * self._linearized(cu, ceta)) / self.implicit_denom
+    def _semi_implicit_variation(self, cu, ceta, work):
+        return (ceta + self.dt * self._linearized(cu, ceta, work)) / self.implicit_denom
 
     def _exponential_step(self, c, zeta, out, scratch):
         nl = None
         if self.route is not None:
             nl = nonlinear_coeffs(
                 self.basis, c, self.p.alpha, route=self.route,
-                out=scratch.nonlinear, work=scratch.triad,
+                out=scratch.nonlinear, work=scratch.work,
             )
             nl *= self.phi1_dt
         out = np.multiply(self.decay, c, out=out)
@@ -327,8 +342,8 @@ class StepKernel:
             out += zeta
         return out
 
-    def _exponential_variation(self, cu, ceta):
-        return self.decay * ceta + self.phi1_dt * self._linearized(cu, ceta)
+    def _exponential_variation(self, cu, ceta, work):
+        return self.decay * ceta + self.phi1_dt * self._linearized(cu, ceta, work)
 
     def _rk4_step(self, c, zeta, out, scratch):
         dt = self.dt
@@ -338,7 +353,7 @@ class StepKernel:
         k4 = self._full_drift(c + dt * k3)
         return np.add(c, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out)
 
-    def _rk4_variation(self, cu, ceta):
+    def _rk4_variation(self, cu, ceta, work):
         dt = self.dt
         k1u = self._full_drift(cu)
         k1e = self._full_linearized_drift(cu, ceta)
@@ -539,6 +554,20 @@ def _chunk_len(num_steps: int, M: int, n: int) -> int:
     return max(1, min(_NOISE_CHUNK, num_steps, room // (8 * M * n)))
 
 
+def _step_scratch(kernel: StepKernel, M: int, wide: bool, variation: bool) -> StepScratch:
+    """A block's step scratch for M members, laid out as its states: the
+    route's work is a wide block's triad scratch or, on the pseudo-spectral
+    route, a workspace for the first variation's two pairs when it runs."""
+    n = kernel.basis.mode_count
+    work = None
+    if isinstance(kernel.route, TriadTable):
+        if wide:
+            work = np.empty((2, len(kernel.route.k), M))
+    elif kernel.route is not None:
+        work = fft_work(kernel.basis, (M,), pairs=2 if variation else 1)
+    return StepScratch(_states(M, n, wide), work)
+
+
 def _run_ensemble_block(
     x0_coeffs: np.ndarray,
     p: PhysicalParams,
@@ -578,10 +607,7 @@ def _run_ensemble_block(
         if increments is None:
             gens = [substream(spec.seed, member_offset + i) for i in range(M)]
             tile = None if M == 1 else np.empty((members, chunk_len, n))
-    triad_work = None
-    if wide and isinstance(kernel.route, TriadTable):
-        triad_work = np.empty((2, len(kernel.route.k), M))
-    scratch = StepScratch(_states(M, n, wide), triad_work)
+    scratch = _step_scratch(kernel, M, wide, variation=Eta is not None)
 
     # A segment of s steps runs from H[0] through H[1..s]; its energies E
     # and running martingale sums X are indexed as H, so row 0 carries the
@@ -652,7 +678,7 @@ def _run_ensemble_block(
                             "mj,mj->m", Eta / spec.q, np.ascontiguousarray(dW[c + i])
                         )
                     if Eta is not None:
-                        Eta = kernel.step_variation(H[i], Eta)
+                        Eta = kernel.step_variation(H[i], Eta, scratch)
                     kernel.step(H[i], None if zs is None else zs[i], H[i + 1], scratch)
 
                 # the segment's bookkeeping, each call with the bits of its per-step form;

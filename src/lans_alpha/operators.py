@@ -27,23 +27,35 @@ nonlinear_route chooses from basis.cutoff alone:
   pseudo-spectral route (cutoff >= FFT_MIN_CUTOFF,
                          route = helmholtz_factor(basis, alpha))
       each wavevector's cos/sin coefficients are paired into one complex
-      amplitude z_k = c_cos - i c_sin and scattered into rfft2
-      half-spectra; irfft2 gives the grid velocity and curl (i 2pi/L |k|
-      z_k, because the polarization is orthogonal to k), and rfft2 of the
-      product is read off at the mode wavevectors (Basis.fft_layout holds
-      the index arrays and the sign conventions).  The grid has the
-      smallest 5-smooth size >= 3*cutoff + 1 per axis (the 3/2 rule,
-      Orszag 1971), on which the projection is still exact.  Cost grows
-      as cutoff^2 log cutoff and no (modes x grid) tensor is built.
-      b_tilde takes this route at every cutoff.
+      amplitude z_k = c_cos - i c_sin, scaled, and written by one flat
+      scatter, with the conjugates of the k1 = 0 line at -k, into the
+      columns k1 <= cutoff of rfft2 half-spectra, the only ones that hold
+      modes.  A transform along k2 of those columns and irfft along k1 give
+      the grid velocity and curl (i 2pi/L |k| z_k, because the
+      polarization is orthogonal to k); rfft along x1 of the product, then
+      a transform along x2 of the same columns, give its coefficients,
+      read off at the mode wavevectors (Basis.fft_layout holds the index
+      arrays and the sign conventions).  These are the 1-D transforms of
+      irfft2 and rfft2 less those whose input is zero or whose output is
+      never read, so the result has their bits.  All pairs of a call (two
+      for the linearization) share one inverse call, and the buffers come
+      from a workspace (fft_work) that a block allocates once, or fresh
+      per call without one.  The grid has the smallest 5-smooth size
+      >= 3*cutoff + 1 per axis (the 3/2 rule, Orszag 1971), on which the
+      projection is still exact.  Cost grows as cutoff^2 log cutoff and
+      no (modes x grid) tensor is built.  b_tilde takes this route at
+      every cutoff.
 
 The reference routes (the dense collocation route, the gradient-matrix
 route and b_form, and the grid-free convolution oracle) live in oracles,
 not here.  All routes are exact to rounding and agree to
 about 1e-14 relative.  The crossovers were measured on a 2-core x86 VM
 (numpy 2.4, one BLAS thread), as median microseconds per call on M
-members: dense / triad per nonlinear_coeffs call (cutoffs 1-4), and
-dense / pseudo-spectral per Bt(u, v) evaluation (cutoffs 3 and up):
+members: dense / triad per nonlinear_coeffs call (cutoffs 1-4), dense /
+pseudo-spectral per Bt(u, v) evaluation (cutoffs 3 and up), and triad /
+pseudo-spectral per nonlinear_coeffs call as a block makes it (cutoffs 4
+and 5; at M=5000 the triad route's wide form on mode-major states).  The
+pseudo-spectral route ran with a workspace from fft_work:
 
     cutoff   M=1        M=2         M=200          M=5000
       1      23 / 7     27 / 12     133 / 39       4885 / 601
@@ -52,20 +64,29 @@ dense / pseudo-spectral per Bt(u, v) evaluation (cutoffs 3 and up):
       4      62 / 26   104 / 49    7504 / 2658   235226 / 260273
 
     cutoff   M=1         M=20          M=200
-      3      23 / 108    224 / 182     3541 / 3588
-      4      61 / 134    816 / 471     8674 / 4784
-      5     121 / 124   1896 / 508    19428 / 6218
-      6     267 / 146   3931 / 657    40690 / 8883
-      8     798 / 162  11097 / 586   146479 / 9564
-     12    2746 / 125  66252 / 1619  785633 / 31870
+      3      23 / 49     215 / 156     2511 / 1298
+      4      45 / 51     604 / 219     6267 / 2012
+      5      86 / 49    1394 / 216    14921 / 2303
+      6     188 / 52    2943 / 295    30274 / 3387
+      8     575 / 57   10544 / 457   100434 / 6349
+     12    5935 / 77   64161 / 1102  566262 / 15207
 
-Below cutoff 5 the triad route beats both other routes, except at cutoff 4
-with M=5000, where it ties the dense one (0.90x and 1.03x in two runs); at
-cutoff 5 the pseudo-spectral route ties the dense route at M=1 and wins at
-every larger M, so it starts there.  linearized_nonlinear_coeffs crosses
-at the same cutoff.  The choice ignores the batch size on purpose: a
-member's result then cannot depend on how many members share its batch,
-on the split into thread blocks, or on LANS_THREADS.  For the same reason
+    cutoff   M=1        M=2         M=200          M=5000
+      4      13 / 53    29 / 63    2244 / 2076    73904 / 67508
+      5      25 / 53    61 / 64   10125 / 2362   165770 / 79548
+
+Below cutoff 5 the triad route beats the dense route at every M shown
+except cutoff 4 with M=5000, where they tie (0.90x and 1.03x in two
+runs); from cutoff 5 the pseudo-spectral route beats the dense one at
+every M.  Between triad and pseudo-spectral the crossover moves with M: a
+triad call is 2-4x cheaper at M <= 2 at cutoffs 4 and 5, the two are
+within 10% at cutoff 4 from M=200, and the pseudo-spectral route is 2-4x
+cheaper at cutoff 5 from M=200.  FFT_MIN_CUTOFF stays 5, since moving it
+changes the bits of every run at the cutoffs it moves.
+linearized_nonlinear_coeffs crosses at the same cutoff.  The choice
+ignores the batch size on purpose: a member's result then cannot depend
+on how many members share its batch, on the split into thread blocks, or
+on LANS_THREADS.  For the same reason
 no route uses a BLAS matmul, whose per-row rounding changes with the batch
 size.
 
@@ -77,6 +98,7 @@ is the cancellation all the energy diagnostics in this package rely on.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,6 +114,8 @@ __all__ = [
     "triad_table",
     "b_tilde",
     "b_tilde_fft",
+    "FFTWork",
+    "fft_work",
     "drift",
     "alpha_energy",
     "alpha_dissipation",
@@ -142,31 +166,102 @@ def _as_pair_amplitudes(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c, dtype=np.float64).view(np.complex128)
 
 
-def b_tilde_fft(basis: Basis, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+class FFTWork(NamedTuple):
+    """Buffers of the pseudo-spectral route for up to `pairs` pairs of
+    operands of shape (*batch, n), with the flat indices of its scatter and
+    gather at that shape (see fft_work).
+
+    A pair's fields are held as (u_2, u_1, curl v), so that one product
+    gives w * (u_2, u_1).  A call rewrites only the slots of `spectra` and
+    the columns k1 < C of `half`, which stay zero elsewhere, so one
+    workspace serves every call on operands of its shape; a call on fewer
+    pairs uses a prefix of the leading axis.
+    """
+
+    values: np.ndarray     # (pairs, *batch, 3, P + Q) scaled amplitudes, then the mirrored ones
+    scatter: np.ndarray    # values' flat index into spectra
+    spectra: np.ndarray    # (pairs, *batch, 3, N, C) half-spectra columns k1 < C = cutoff + 1
+    half: np.ndarray       # (pairs, *batch, 3, N, N // 2 + 1) after the transform along k2
+    fields: np.ndarray     # (pairs, *batch, 3, N, N) the fields on the grid
+    integrand: np.ndarray  # (pairs, *batch, 2, N, N) w * (u_2, u_1), then the integrand
+    forward: np.ndarray    # (*batch, 2, N, N // 2 + 1) the integrand after the transform along x1
+    columns: np.ndarray    # (*batch, 2, N, C) its columns k1 < C after the transform along x2
+    gather: np.ndarray     # the slots' flat index into columns
+    gathered: np.ndarray   # (*batch, 2, P) columns at the slots; the projection in [..., 0, :]
+
+
+def fft_work(basis: Basis, batch: tuple[int, ...] = (), pairs: int = 2) -> FFTWork:
+    """A workspace of the pseudo-spectral route for `pairs` pairs of
+    operands of shape batch + (n,): nonlinear_coeffs uses one pair and
+    linearized_nonlinear_coeffs two."""
+    lay = basis.fft_layout
+    N, C, P = lay.size, basis.cutoff + 1, len(lay.slots)
+    W = N // 2 + 1
+    lead = (pairs,) + tuple(batch)
+    members = math.prod(batch)
+    cplx = np.complex128
+    return FFTWork(
+        values=np.empty(lead + (3, P + len(lay.line)), dtype=cplx),
+        scatter=(3 * N * C * np.arange(pairs * members)[:, None] + lay.scatter).ravel(),
+        spectra=np.zeros(lead + (3, N, C), dtype=cplx),
+        half=np.zeros(lead + (3, N, W), dtype=cplx),
+        fields=np.empty(lead + (3, N, N)),
+        integrand=np.empty(lead + (2, N, N)),
+        forward=np.empty(lead[1:] + (2, N, W), dtype=cplx),
+        columns=np.empty(lead[1:] + (2, N, C), dtype=cplx),
+        gather=(N * C * np.arange(2 * members)[:, None] + lay.slots).ravel(),
+        gathered=np.empty(lead[1:] + (2, P), dtype=cplx),
+    )
+
+
+def b_tilde_fft(
+    basis: Basis, *pairs: tuple[np.ndarray, np.ndarray], work: FFTWork | None = None
+) -> np.ndarray:
     """sum_i Bt(u_i, v_i) by the pseudo-spectral route (see Basis.fft_layout).
 
     Each pair (cu, cv) adds its integrand -(u_i x curl v_i) on the grid;
     the sum is projected once, which is exact because projection is linear.
+    Of the 1-D transforms of irfft2 and rfft2 it runs those whose input is
+    not all zero and whose output is read (along the second axis, the
+    columns k1 <= cutoff only), so the result has the bits of the 2-D
+    transforms.
+    `work` is a workspace from fft_work for at least len(pairs) pairs of
+    the operands' shape, and the result is then a view into it; without it
+    the call makes a fresh one.
     """
     lay = basis.fft_layout
-    N = lay.size
-    half = (N, N // 2 + 1)
-    integrand = 0.0
-    for cu, cv in pairs:
-        yu, yv = _as_pair_amplitudes(cu), _as_pair_amplitudes(cv)
-        batch = np.broadcast_shapes(yu.shape[:-1], yv.shape[:-1])
-        # half-spectra of u_1, u_2 and curl v, flattened for the scatter
-        spec = np.zeros(batch + (3, half[0] * half[1]), dtype=np.complex128)
-        spec[..., :2, lay.slots] = lay.velocity_scale * yu[..., None, :]
-        spec[..., 2, lay.slots] = lay.curl_scale * yv
-        spec[..., lay.mirror_to] = np.conj(spec[..., lay.mirror_from])
-        fields = np.fft.irfft2(spec.reshape(batch + (3,) + half), s=(N, N), norm="forward")
-        u1, u2, w = fields[..., 0, :, :], fields[..., 1, :, :], fields[..., 2, :, :]
-        # -(u x curl v) = (-w*u2, +w*u1)
-        integrand = integrand + np.stack([-w * u2, w * u1], axis=-3)
-    g = np.fft.rfft2(integrand).reshape(integrand.shape[:-2] + (-1,))[..., lay.slots]
-    proj = lay.project_scale[0] * g[..., 0, :] + lay.project_scale[1] * g[..., 1, :]
-    return np.ascontiguousarray(proj).view(np.float64)
+    N, C, P = lay.size, basis.cutoff + 1, len(lay.slots)
+    if work is None:
+        batch = np.broadcast_shapes(*(np.shape(c)[:-1] for pair in pairs for c in pair))
+        work = fft_work(basis, batch, len(pairs))
+    k = len(pairs)
+    values = work.values[:k]
+    for (cu, cv), vals in zip(pairs, values):
+        yu = _as_pair_amplitudes(cu)[..., None, :]
+        np.multiply(lay.velocity_scale[::-1], yu, out=vals[..., :2, :P])
+        np.multiply(lay.curl_scale, _as_pair_amplitudes(cv), out=vals[..., 2, :P])
+    mirrored = values[..., P:]
+    np.take(values, lay.line, axis=-1, out=mirrored, mode="clip")
+    np.conjugate(mirrored, out=mirrored)
+    work.spectra.reshape(-1)[work.scatter[: values.size]] = values.reshape(-1)
+    half = work.half[:k]
+    np.fft.ifft(work.spectra[:k], axis=-2, norm="forward", out=half[..., :C])
+    fields = np.fft.irfft(half, N, axis=-1, norm="forward", out=work.fields[:k])
+    # -(u x curl v) = (-w*u2, +w*u1): w * (u2, u1) summed over the pairs,
+    # then 0 - s and s + 0, which have the bits of 0.0 + sum_i (-w*u2, w*u1)
+    w, u = fields[..., 2:, :, :], fields[..., :2, :, :]
+    g, *others = np.multiply(w, u, out=work.integrand[:k])
+    for other in others:
+        g += other
+    np.subtract(0.0, g[..., 0, :, :], out=g[..., 0, :, :])
+    np.add(g[..., 1, :, :], 0.0, out=g[..., 1, :, :])
+    np.fft.rfft(g, axis=-1, out=work.forward)
+    np.fft.fft(work.forward[..., :C], axis=-2, out=work.columns)
+    gathered = work.gathered
+    np.take(work.columns.reshape(-1), work.gather, out=gathered.reshape(-1), mode="clip")
+    np.multiply(lay.project_scale, gathered, out=gathered)
+    proj = np.add(gathered[..., 0, :], gathered[..., 1, :], out=gathered[..., 0, :])
+    return proj.view(np.float64)
 
 
 def b_tilde(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -353,13 +448,14 @@ def nonlinear_coeffs(
     """N(u) = -(I+a^2 A)^{-1} Bt(u, (I+a^2 A)u), batched.
 
     `route` is nonlinear_route(basis, alpha).  The result is written to
-    `out` when given; `work` is the triad route's scratch (see _triad_sum),
-    which coeffs of shape (M, n) may use."""
+    `out` when given.  `work` is the route's scratch: on the triad route a
+    (2, T, M) array that coeffs of shape (M, n) may use (see _triad_sum), on
+    the pseudo-spectral route a workspace from fft_work for coeffs' shape."""
     if route is None:
         route = nonlinear_route(basis, alpha)
     if isinstance(route, TriadTable):
         return _triad_sum(route, coeffs, out=out, work=work)
-    g = b_tilde_fft(basis, (coeffs, coeffs * route))
+    g = b_tilde_fft(basis, (coeffs, coeffs * route), work=work)
     return np.divide(np.negative(g, out=g), route, out=out)
 
 
@@ -370,14 +466,18 @@ def linearized_nonlinear_coeffs(
     alpha: float,
     *,
     route: TriadTable | np.ndarray | None = None,
+    work: FFTWork | None = None,
 ) -> np.ndarray:
     """Derivative of nonlinear_coeffs at u in direction eta, batched
-    (cu and ceta of one shape; `route` as there)."""
+    (cu and ceta of one shape; `route` as there).  `work` is a workspace
+    from fft_work for two pairs of that shape, which only the
+    pseudo-spectral route uses; the result is a new array."""
     if route is None:
         route = nonlinear_route(basis, alpha)
     if isinstance(route, TriadTable):
         return _triad_sum(route, cu, ceta)
-    return -b_tilde_fft(basis, (ceta, cu * route), (cu, ceta * route)) / route
+    g = b_tilde_fft(basis, (ceta, cu * route), (cu, ceta * route), work=work)
+    return np.divide(np.negative(g, out=g), route)
 
 
 def _weighted_square_sum(coeffs, weight, out, work) -> np.ndarray:

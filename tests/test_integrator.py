@@ -557,7 +557,7 @@ class TestStepPlan:
             else:
                 assert np.array_equal(getattr(got, name), value), name
 
-    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("M", [1, 2, 3, 257])
     @pytest.mark.parametrize(
         "scheme, run",

@@ -16,7 +16,15 @@ thread variables set to 1:
   `configs/be.cfg` again with `LANS_THREADS=2`, saved as
   `<cfg>-<sub>-threads2`;
 - `mc-energy` on `configs/base.cfg` with the three-word seed 2^70, saved
-  as `base-mc-energy-bigseed`.
+  as `base-mc-energy-bigseed`;
+- every subcommand on `configs/base.cfg` with `cutoff = 6` and short
+  horizons appended (FFT_KEYS), where the nonlinearity takes the
+  pseudo-spectral route, saved as `base-c6-<sub>`, and its `mc-energy` and
+  `be` again with `LANS_THREADS=2`;
+- `mc-energy` on `configs/base.cfg` with `cutoff = 5` and `M = 512`
+  appended (WIDE_KEYS), one wide block on the pseudo-spectral route, saved
+  as `base-c5-wide-mc-energy`, and again with `LANS_THREADS=2`, which
+  splits it into two narrow blocks.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
@@ -48,6 +56,11 @@ SEEDS = (42, 7)
 THREADED_CONFIGS = ("base", "be")
 THREADED_SUBCOMMANDS = ("mc-energy", "be", "convergence")
 BIG_SEED = 2**70  # a seed of more than one 32-bit word
+# appended to configs/base.cfg: a cutoff on the pseudo-spectral route and
+# horizons of a few dozen steps (invariant needs 20 batch-means samples)
+FFT_KEYS = "cutoff = 6\nt_end = 0.02\nt = 0.02\nT_long = 0.3\nburn_in = 0.01\n"
+FFT_THREADED = ("mc-energy", "be")
+WIDE_KEYS = "cutoff = 5\nM = 512\nt_end = 0.02\n"  # M >= integrator._WIDE_MEMBERS
 
 
 def _env(threads: int) -> dict[str, str]:
@@ -80,9 +93,18 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
     for stem in THREADED_CONFIGS:
         cfg = ROOT / "configs" / f"{stem}.cfg"
         runs.extend((f"{stem}-{sub}-threads2", sub, cfg, 2) for sub in THREADED_SUBCOMMANDS)
+    base = (ROOT / "configs" / "base.cfg").read_text()
     big = scratch / "base-mc-energy-bigseed.cfg"
-    big.write_text(f"{(ROOT / 'configs' / 'base.cfg').read_text()}\nseed = {BIG_SEED}\n")
+    big.write_text(f"{base}\nseed = {BIG_SEED}\n")
     runs.append(("base-mc-energy-bigseed", "mc-energy", big, 1))
+    fft = scratch / "base-c6.cfg"
+    fft.write_text(f"{base}\n{FFT_KEYS}")
+    runs.extend((f"base-c6-{sub}", sub, fft, 1) for sub in _HANDLERS)
+    runs.extend((f"base-c6-{sub}-threads2", sub, fft, 2) for sub in FFT_THREADED)
+    wide = scratch / "base-c5-wide.cfg"
+    wide.write_text(f"{base}\n{WIDE_KEYS}")
+    runs.append(("base-c5-wide-mc-energy", "mc-energy", wide, 1))
+    runs.append(("base-c5-wide-mc-energy-threads2", "mc-energy", wide, 2))
     return runs
 
 
