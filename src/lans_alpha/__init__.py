@@ -18,10 +18,12 @@ from .basis import (
 from .integrator import (
     BlowUpError,
     EnsemblePaths,
+    EnsembleRun,
     IntegratorConfig,
     StepKernel,
     integrate,
     run_ensemble,
+    run_ensembles,
 )
 from .noise import (
     AdmissibilityReport,

@@ -282,9 +282,8 @@ def _cmd_mc_energy(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport)
     p = cfg.params()
     x0 = cfg.initial_state(spec.basis)
     icfg = cfg.integrator()
-    r1 = dg.ito_balance_report(p, spec, icfg, x0, cfg.M)
     icfg_half = replace(icfg, dt=icfg.dt / 2)
-    r2 = dg.ito_balance_report(p, spec, icfg_half, x0, cfg.M)
+    r1, r2 = dg.ito_balance_reports(p, spec, [icfg, icfg_half], x0, cfg.M)
     rows = [
         (icfg.dt, cfg.M, r1.details["t"], r1.estimate, r1.standard_error),
         (icfg_half.dt, cfg.M, r2.details["t"], r2.estimate, r2.standard_error),

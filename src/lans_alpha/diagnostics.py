@@ -23,11 +23,13 @@ import numpy as np
 from .basis import Basis, ConfigError, SpectralField
 from .integrator import (
     EnsemblePaths,
+    EnsembleRun,
     IntegratorConfig,
     _coeffs_on,
     _record_indices,
     integrate,
     run_ensemble,
+    run_ensembles,
 )
 from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy, helmholtz_factor
@@ -44,6 +46,7 @@ __all__ = [
     "InvariantStats",
     "StrongConvergenceResult",
     "ito_balance_report",
+    "ito_balance_reports",
     "ito_balance_verdict",
     "ito_halving_verdict",
     "moment_report",
@@ -117,11 +120,11 @@ def _mean_se(values: np.ndarray):
     return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
 
 
-def _paths(p, spec, cfg, x0: SpectralField, M: int, **kw) -> EnsemblePaths:
-    """run_ensemble of M >= 2 members from x0 on spec.basis, enough for a standard error."""
+def _paths(p, spec, M: int, runs: list[EnsembleRun]) -> list[EnsemblePaths]:
+    """run_ensembles of M >= 2 members, enough for a standard error."""
     if M < 2:
         raise ConfigError(f"need at least 2 samples, got M={M}")
-    return run_ensemble(_coeffs_on(x0, spec), p, spec, cfg, M, **kw)
+    return run_ensembles(p, spec, M, runs)
 
 
 # -- energy balance ----------------------------------------------------------
@@ -142,23 +145,39 @@ def ito_balance_report(
     a control variate; the report's estimate converges to the O(dt)
     discretization bias of the scheme.
     """
-    paths = _paths(p, spec, cfg, x0, M)
-    t_final = paths.times[-1]
-    F0 = paths.F[:, 0]  # the run's alpha_energy of x0
+    return ito_balance_reports(p, spec, [cfg], x0, M)[0]
+
+
+def ito_balance_reports(
+    p: PhysicalParams,
+    spec: NoiseSpec,
+    cfgs: list[IntegratorConfig],
+    x0: SpectralField,
+    M: int,
+) -> list[EnsembleReport]:
+    """ito_balance_report at each config, the runs stepped as one group on
+    the same members' draws (run_ensembles), with the same bits."""
+    c0 = _coeffs_on(x0, spec)
+    group = _paths(p, spec, M, [EnsembleRun(c0, cfg) for cfg in cfgs])
     trace = spec.trace_alpha(p.alpha)
-    residuals = (
-        paths.F[:, -1]
-        + 2.0 * p.nu * paths.dissipation_integrals()
-        - F0
-        - trace * t_final
-        - 2.0 * paths.martingale[:, -1]
-    )
-    estimate, se = _mean_se(residuals)
-    return EnsembleReport(
-        estimate=estimate,
-        standard_error=se,
-        details={"t": float(t_final), "dt": cfg.dt, "trace_alpha": trace, "F0": float(F0[0])},
-    )
+    reports = []
+    for cfg, paths in zip(cfgs, group):
+        t_final = paths.times[-1]
+        F0 = paths.F[:, 0]  # the run's alpha_energy of x0
+        residuals = (
+            paths.F[:, -1]
+            + 2.0 * p.nu * paths.dissipation_integrals()
+            - F0
+            - trace * t_final
+            - 2.0 * paths.martingale[:, -1]
+        )
+        estimate, se = _mean_se(residuals)
+        reports.append(EnsembleReport(
+            estimate=estimate,
+            standard_error=se,
+            details={"t": float(t_final), "dt": cfg.dt, "trace_alpha": trace, "F0": float(F0[0])},
+        ))
+    return reports
 
 
 def ito_balance_verdict(
@@ -203,7 +222,7 @@ def _series(p, spec, cfg, x0: SpectralField, M: int, phi):
     """
     if cfg.num_steps() < 1:
         raise ConfigError(f"t_end={cfg.t_end} is below dt={cfg.dt}: the envelope needs a step")
-    paths = _paths(p, spec, cfg, x0, M)
+    (paths,) = _paths(p, spec, M, [EnsembleRun(_coeffs_on(x0, spec), cfg)])
     times = paths.times
     values = phi(paths.F)
     series, series_se = _mean_se(values)
@@ -438,7 +457,8 @@ def bismut_elworthy(
     u and its first variation are co-integrated with shared increments;
     the accumulator pairs Q^{-1} eta at the left endpoint with the raw
     (pre-Q) standard increments.  With fd_delta set, a central finite
-    difference with common random numbers is run as reference.  A linear
+    difference with common random numbers is run as reference, its two
+    runs in one group with the first (run_ensembles).  A linear
     observable with the nonlinearity suppressed also gets the exact OU
     value exp(-nu lambda_j t) h_j.
     """
@@ -451,16 +471,22 @@ def bismut_elworthy(
         raise ConfigError(f"observable mode {observable.mode} >= mode count {basis.mode_count}")
     steps_cfg = replace(cfg, t_end=t)
     steps_cfg = replace(steps_cfg, record_every=max(1, steps_cfg.num_steps()))
-    paths = _paths(p, spec, steps_cfg, x, M, eta0_coeffs=_coeffs_on(h, spec), collect_be=True)
+    cx, ch = _coeffs_on(x, spec), _coeffs_on(h, spec)
+    runs = [EnsembleRun(cx, steps_cfg, eta0_coeffs=ch, collect_be=True)]
+    if fd_delta is not None:
+        runs += [
+            EnsembleRun(cx + fd_delta * ch, steps_cfg),
+            EnsembleRun(cx - fd_delta * ch, steps_cfg),
+        ]
+    paths, *fd = _paths(p, spec, M, runs)
     t_final = paths.times[-1]
     vals = observable.evaluate(paths.final_coeffs, basis, p.alpha)
     prods = vals * paths.be_accumulator / t_final
     value, se = _mean_se(prods)
 
     fd_est = fd_se = None
-    if fd_delta is not None:
-        up = run_ensemble(x.coeffs + fd_delta * h.coeffs, p, spec, steps_cfg, M)
-        um = run_ensemble(x.coeffs - fd_delta * h.coeffs, p, spec, steps_cfg, M)
+    if fd:
+        up, um = fd
         phi_p = observable.evaluate(up.final_coeffs, basis, p.alpha)
         phi_m = observable.evaluate(um.final_coeffs, basis, p.alpha)
         diffs = (phi_p - phi_m) / (2.0 * fd_delta)
@@ -708,8 +734,10 @@ def first_variation_check(
     if delta == 0 or not math.isfinite(delta):
         raise ConfigError(f"the finite-difference offset must be nonzero and finite, got {delta}")
     c0, ch = _coeffs_on(x0, spec), _coeffs_on(h, spec)
-    base = run_ensemble(c0, p, spec, cfg, 1, eta0_coeffs=ch)
-    bumped = run_ensemble(c0 + delta * ch, p, spec, cfg, 1)
+    # one group, so both runs step on one draw of member 0's noise
+    base, bumped = run_ensembles(
+        p, spec, 1, [EnsembleRun(c0, cfg, eta0_coeffs=ch), EnsembleRun(c0 + delta * ch, cfg)]
+    )
     fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta
     eta = base.eta_final[0]
     eta_norm = float(np.linalg.norm(eta))

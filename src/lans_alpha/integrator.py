@@ -22,13 +22,23 @@ The first-variation map is the exact Jacobian action of the discrete
 one-step map, so pathwise finite differences with common noise converge
 to it at the finite-difference rate with no scheme mismatch.
 
-One batched loop (`_run_ensemble_block`) steps every trajectory the
-package computes.  `integrate` is that loop at M=1 on substream
-(seed, member); `run_ensemble` splits members into blocks over threads;
-the strong-convergence study passes every level its one fine path in
-place of the substream draws.  Every step's alpha-energy is computed
-once; it updates the running sup, is recorded as F and detects blow-up,
-being non-finite whenever a coefficient is (and when it overflows).
+One batched loop steps every trajectory the package computes: a block
+(`_run_ensemble_block`) drives a group of runs on the same members, each
+a stepper (`_Stepper`) that steps a segment at a time through the rows
+of noise it is handed.  Runs that read the same substreams (an Ito
+balance at dt and dt/2, a first variation beside its bumped start, a
+Bismut-Elworthy run beside its finite differences) step in lockstep:
+the block draws each chunk of standard normals once and hands it to
+every run that has not reached its horizon, the first rows to a run that
+needs fewer.  A single run is a group of one.  `integrate` is the loop
+at M=1 on substream (seed, member); `run_ensembles` splits members into
+blocks over threads and `run_ensemble` is its one-run case; the
+strong-convergence study passes every level its one fine path in place
+of the substream draws.  Every step's alpha-energy is computed once; it
+updates the running sup, is recorded as F and detects blow-up, being
+non-finite whenever a coefficient is (and when it overflows).  A group
+raises what its runs called one after the other would: the error of the
+first run, in order, that blows up.
 
 At M <= 2 a step costs numpy call overhead, not flops: at cutoff 1 it is
 about nine numpy calls on 16 triads (a gather, two products, one
@@ -45,25 +55,30 @@ once per segment:
                gather index and coefficient column ready, so a narrow call
                gathers each operand once, and the block passes its rows to
                `step` as positional arguments.
-  scratch      one StepScratch per block, so one per thread, passed to
-               `step` and `step_variation`: the nonlinearity's buffer and
+  scratch      one StepScratch per block, so one per thread, shared by
+               the block's runs, which step one after another, and passed
+               to `step` and `step_variation`: the nonlinearity's buffer and
                the route's work, a wide block's triad products or, on the
                pseudo-spectral route, its workspace (operators.fft_work),
                zero-filled once, with room for the first variation's two
-               pairs when the block runs it.
+               pairs when a run of the block carries it.
   noise        one buffer per block, laid out as the state, holds the
-               increments dW of a chunk of at most _NOISE_CHUNK steps and
-               _NOISE_BYTES bytes: drawn member by member through a tile
-               that fits in L2 and scaled by sqrt(dt), or each the sum of
-               r increments of a caller's fine path.  The chunk keeps dW,
-               which the Bismut-Elworthy sum reads.
-  segment      the block steps s states through a buffer H of s + 1, step
-               i reading H[i] and writing H[i + 1]; s fills about
+               standard normals Z of a chunk of at most _NOISE_CHUNK steps,
+               drawn member by member through a tile that fits in L2; with
+               the segment buffers of the group's k runs it fills at most
+               _NOISE_BYTES, and the chunk gets 1/k of the room those
+               leave, since the k runs' records are alive at once.  A
+               caller's fine path needs no chunk: each run sums r of its
+               increments per step into a segment buffer of its own.
+  segment      a run steps s states through a buffer H of s + 1, step i
+               reading H[i] and writing H[i + 1]; s fills about
                _SEGMENT_BYTES (512 steps at M = 2, cutoff 1), at least
-               _SEGMENT_MIN, within a chunk.  noise_injected first writes
-               the segment's noise into an (s, M, n) buffer laid out as the
-               state.  Only the first variation and the Bismut-Elworthy sum,
-               which a step reads, stay per step.
+               _SEGMENT_MIN, within a chunk.  It first scales the
+               segment's rows of the chunk into an (s, M, n) buffer laid
+               out as the state, dW = Z sqrt(dt), then noise_injected turns
+               them into the injected noise in place.  Only the first
+               variation and the Bismut-Elworthy sum, which a step reads,
+               stay per step; the BE sum scales its row of Z the same way.
   reductions   then, over the segment's (s, M) arrays at once: the
                energies of H[1..s] (np.square, np.multiply and a sum into
                preallocated buffers, the bits of np.sum(w * c**2, -1) over
@@ -100,7 +115,7 @@ order (operators._pairwise_rows):
                either layout;
   BE sum       the two-operand einsum does not, so it is handed
                C-contiguous rows: the first variation is held as (M, n)
-               in every block, and dW[i] is copied.
+               in every block, and dW[i] is written to an (M, n) row.
 
 The stepping path still calls the names the benchmark's tracer patches
 (nonlinear_coeffs, linearized_nonlinear_coeffs, alpha_energy,
@@ -112,6 +127,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -139,7 +155,9 @@ __all__ = [
     "StepKernel",
     "integrate",
     "EnsemblePaths",
+    "EnsembleRun",
     "run_ensemble",
+    "run_ensembles",
 ]
 
 SCHEMES = ("semi_implicit_em", "exponential_em", "rk4_deterministic")
@@ -196,12 +214,16 @@ class IntegratorConfig:
 class BlowUpError(RuntimeError):
     """Non-finite energy (non-finite or overflowing coefficients);
     carries the first bad time, the member and that member's energy one
-    step before, its last finite one."""
+    step before, its last finite one, and the run's index in its group
+    (`run_ensembles`; 0 for a single run)."""
 
-    def __init__(self, time: float, member: int | None = None, energy: float | None = None):
+    def __init__(
+        self, time: float, member: int | None = None, energy: float | None = None, run: int = 0
+    ):
         self.time = time
         self.member = member
         self.energy = energy
+        self.run = run
         where = f" (member {member})" if member is not None else ""
         before = f", last finite energy {energy:.6g}" if energy is not None else ""
         super().__init__(f"non-finite energy at t={time:.6g}{where}{before}")
@@ -404,7 +426,7 @@ def integrate(
     """
     return _run_ensemble_block(
         _coeffs_on(x0, spec), p, spec, cfg, 1, member_offset=member, store_fields=store_fields
-    )
+    )[0]
 
 
 def _coeffs_on(x: SpectralField, spec: NoiseSpec) -> np.ndarray:
@@ -452,6 +474,17 @@ def ensemble_threads() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
+class EnsembleRun(NamedTuple):
+    """One run of a group (`run_ensembles`): the run_ensemble arguments
+    that may differ between runs on the same members' substreams."""
+
+    x0_coeffs: np.ndarray                 # (n,) shared start, or (M, n)
+    cfg: IntegratorConfig
+    eta0_coeffs: np.ndarray | None = None  # (n,) direction of the first variation
+    collect_be: bool = False
+    store_fields: bool = False
+
+
 def run_ensemble(
     x0_coeffs: np.ndarray,
     p: PhysicalParams,
@@ -477,21 +510,51 @@ def run_ensemble(
     LANS_THREADS > 1 splits the members into contiguous blocks run on a
     thread pool; per-member substreams make the result identical either way.
     `integrate` runs one member on any substream, with the same bits as its
-    row here.
+    row here.  This is the one-run group of `run_ensembles`.
+    """
+    run = EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields)
+    return run_ensembles(p, spec, M, [run], increments=increments)[0]
+
+
+def run_ensembles(
+    p: PhysicalParams,
+    spec: NoiseSpec,
+    M: int,
+    runs: list[EnsembleRun],
+    *,
+    increments: np.ndarray | None = None,
+) -> list[EnsemblePaths]:
+    """Each run's `run_ensemble(run.x0_coeffs, p, spec, run.cfg, M, ...)`,
+    bit for bit, stepped as one group.
+
+    Every run reads members 0..M-1 of the same substreams, each step the
+    next row of standard normals scaled by its own sqrt(dt), so the group
+    draws each row once, for the longest run, and builds each generator
+    once.  With `increments` every run sums its own r = rows // steps of
+    them per step.  A run that blows up raises what the calls one after
+    the other would: the first run, in order, that blows up, at its first
+    bad step and lowest member there.
     """
     n = spec.basis.mode_count
-    x0_arr = np.broadcast_to(np.asarray(x0_coeffs, dtype=np.float64), (M, n))
+    runs = [
+        run._replace(x0_coeffs=np.broadcast_to(np.asarray(run.x0_coeffs, dtype=np.float64), (M, n)))
+        for run in runs
+    ]
     if increments is not None:
-        steps = cfg.num_steps()
-        r = increments.shape[1] // steps if steps and increments.ndim == 3 else 1
-        if r < 1 or increments.shape != (M, r * steps, n):
-            raise ValueError(f"increments of shape {increments.shape} not ({M}, r * {steps}, {n})")
+        for run in runs:
+            steps = run.cfg.num_steps()
+            r = increments.shape[1] // steps if steps and increments.ndim == 3 else 1
+            if r < 1 or increments.shape != (M, r * steps, n):
+                raise ValueError(
+                    f"increments of shape {increments.shape} not ({M}, r * {steps}, {n})"
+                )
 
-    def run_block(a: int, b: int) -> EnsemblePaths:
+    def run_block(a: int, b: int) -> list[EnsemblePaths]:
+        first, *others = [run._replace(x0_coeffs=run.x0_coeffs[a:b]) for run in runs]
         return _run_ensemble_block(
-            x0_arr[a:b], p, spec, cfg, b - a,
-            eta0_coeffs=eta0_coeffs, collect_be=collect_be,
-            member_offset=a, store_fields=store_fields,
+            first.x0_coeffs, p, spec, first.cfg, b - a,
+            eta0_coeffs=first.eta0_coeffs, collect_be=first.collect_be,
+            store_fields=first.store_fields, others=others, member_offset=a,
             increments=None if increments is None else increments[a:b],
         )
 
@@ -506,9 +569,15 @@ def run_ensemble(
     errors = [f.exception() for f in futures]
     blow_ups = [e for e in errors if isinstance(e, BlowUpError)]
     if blow_ups:
-        # what the serial loop raises: the first bad step, lowest member there
-        raise min(blow_ups, key=lambda e: (e.time, e.member))
+        # what the serial loop raises: the first run that blows up, at its
+        # first bad step, lowest member there
+        raise min(blow_ups, key=lambda e: (e.run, e.time, e.member))
     parts = [f.result() for f in futures]
+    return [_joined([part[i] for part in parts]) for i in range(len(runs))]
+
+
+def _joined(parts: list[EnsemblePaths]) -> EnsemblePaths:
+    """One run's blocks, joined in member order."""
     joined = {}
     for f in fields(EnsemblePaths):
         xs = [getattr(q, f.name) for q in parts]
@@ -544,14 +613,17 @@ def _segment_len(M: int, n: int) -> int:
     return max(_SEGMENT_MIN, _SEGMENT_BYTES // (8 * M * n))
 
 
-def _chunk_len(num_steps: int, M: int, n: int) -> int:
-    """Steps per noise chunk: <= _NOISE_CHUNK, >= 1, and with a segment's
-    buffers (_segment_len steps) <= _NOISE_BYTES."""
+def _chunk_len(num_steps: int, M: int, n: int, runs: int = 1) -> int:
+    """Steps per noise chunk: <= _NOISE_CHUNK, >= 1, and with the segment
+    buffers (_segment_len steps) of `runs` runs <= _NOISE_BYTES, counting
+    for each run the noise buffer its block's runs share; a group of k runs
+    gives the chunk 1/k of the room their buffers leave, since it holds k
+    runs' records besides."""
     s = _segment_len(M, n)
     # the segment's s + 1 states and s rows of injected noise and squares,
     # and per member its s + 1 energies and martingale sums and s dissipation sums
-    room = _NOISE_BYTES - 8 * ((2 * s + 1) * M * n + (3 * s + 2) * M)
-    return max(1, min(_NOISE_CHUNK, num_steps, room // (8 * M * n)))
+    room = _NOISE_BYTES - runs * 8 * ((2 * s + 1) * M * n + (3 * s + 2) * M)
+    return max(1, min(_NOISE_CHUNK, num_steps, room // (8 * M * n * runs)))
 
 
 def _step_scratch(kernel: StepKernel, M: int, wide: bool, variation: bool) -> StepScratch:
@@ -577,145 +649,226 @@ def _run_ensemble_block(
     *,
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
-    member_offset: int = 0,
     store_fields: bool = False,
+    others: Sequence[EnsembleRun] = (),
+    member_offset: int = 0,
     increments: np.ndarray | None = None,
-) -> EnsemblePaths:
-    basis = spec.basis
-    kernel = StepKernel(p, cfg, spec)
-    n = basis.mode_count
-    num_steps = cfg.num_steps()
-    rec = _record_indices(num_steps, cfg.record_every)
-    wide = M >= _WIDE_MEMBERS
-
-    # the first variation stays C-contiguous (M, n) in every block:
-    # step_variation returns fresh C-contiguous arrays
-    Eta = None
-    if eta0_coeffs is not None:
-        Eta = np.empty((M, n))
-        Eta[...] = np.asarray(eta0_coeffs, dtype=np.float64)
-    if collect_be and (spec.sigma <= 0 or Eta is None):
-        raise ValueError("Bismut-Elworthy accumulation requires sigma > 0 and eta0_coeffs")
-    be_acc = np.zeros(M) if collect_be else None
-
-    # a chunk's increments dW, laid out as the state
-    chunk_len = _chunk_len(num_steps, M, n)
-    noise = gens = tile = None
-    if kernel.sigma > 0:
-        noise = _states(M, n, wide, lead=(chunk_len,))
-        members = max(1, min(M, _TILE_BYTES // (8 * n * chunk_len)))
-        if increments is None:
-            gens = [substream(spec.seed, member_offset + i) for i in range(M)]
-            tile = None if M == 1 else np.empty((members, chunk_len, n))
-    scratch = _step_scratch(kernel, M, wide, variation=Eta is not None)
-
-    # A segment of s steps runs from H[0] through H[1..s]; its energies E
-    # and running martingale sums X are indexed as H, so row 0 carries the
-    # segment's start.  The kernel sees (M, n) views of the storage.  work[:s],
-    # laid out as the states, holds the segment's injected noise, then the
-    # squares of the energy and dissipation sums.
+) -> list[EnsemblePaths]:
+    """The EnsemblePaths of the run (x0_coeffs, cfg, eta0_coeffs,
+    collect_be, store_fields) and of the runs in `others`, on members
+    member_offset.. member_offset + M - 1, stepped in lockstep: each chunk of
+    standard normals is drawn once and handed to every run that has not
+    reached its horizon, the first rows to a run that needs fewer.  Raises
+    the BlowUpError of the first run, in order, that blows up."""
+    runs = [EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields), *others]
+    n = spec.basis.mode_count
+    chunk_len = _chunk_len(max(run.cfg.num_steps() for run in runs), M, n, len(runs))
     s = min(chunk_len, _segment_len(M, n))
-    H = _states(M, n, wide, lead=(s + 1,))
-    H[0] = np.asarray(x0_coeffs, dtype=np.float64)
+    wide = M >= _WIDE_MEMBERS
+    kernels = [StepKernel(p, run.cfg, spec) for run in runs]
+    # the runs step one after another in this thread, so they share the step
+    # scratch, built for a kernel with the nonlinearity on if there is one,
+    # and the segment's noise and squares
+    routed = [k for k in kernels if k.route is not None] or kernels
+    variation = any(run.eta0_coeffs is not None for run in runs)
+    scratch = _step_scratch(routed[0], M, wide, variation)
     work = _states(M, n, wide, lead=(s,))
-    E = np.empty((s + 1, M))
-    X = np.zeros((s + 1, M))
-    D_rows = np.empty((s, M))
-    helm, alpha = kernel.helm, p.alpha
-    alpha_energy(H[0], basis, alpha, weight=helm, out=E[0], work=work[0])
-    sup_F = E[0].copy()
+    # a tile of members whose chunk of draws fits in L2; a caller's fine
+    # path is summed a tile at a time, so a mode-major write stays in cache
+    members = max(1, min(M, _TILE_BYTES // (8 * n * chunk_len)))
+    fine = None if increments is None else (increments, members)
+    steppers = [
+        _Stepper(run, i, spec, kernel, scratch, work, s, member_offset, fine)
+        for i, (run, kernel) in enumerate(zip(runs, kernels))
+    ]
 
-    R = len(rec)
-    times = np.array([m * cfg.dt for m in rec])
-    F = np.empty((M, R))
-    D = np.empty((M, R))
-    mart_series = np.empty((M, R))
-    snaps = np.empty((M, R, n)) if store_fields else None
-    r = 0
+    # the group's chunk of standard normals, laid out as the state
+    noise = gens = tile = None
+    if spec.sigma > 0 and increments is None:
+        noise = _states(M, n, wide, lead=(chunk_len,))
+        gens = [substream(spec.seed, member_offset + i) for i in range(M)]
+        tile = None if M == 1 else np.empty((members, chunk_len, n))
 
-    def record(rows: slice):
-        nonlocal r
-        k = len(E[rows])
-        F[:, r : r + k] = E[rows].T
-        alpha_dissipation(
-            H[rows], basis, alpha, weight=kernel.dissipation_weight, out=D_rows[:k], work=work[:k]
-        )
-        D[:, r : r + k] = D_rows[:k].T
-        mart_series[:, r : r + k] = X[rows].T
-        if snaps is not None:
-            snaps[:, r : r + k] = H[rows].swapaxes(0, 1)
-        r += k
-
-    record(slice(0, 1))
     m = 0
+    blown = None
+    live = [st for st in steppers if st.num_steps > 0]
     # overflow shows up as a non-finite energy and is raised as BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
-        while m < num_steps:
-            chunk = min(chunk_len, num_steps - m)
+        while live:
+            chunk = min(chunk_len, max(st.num_steps for st in live) - m)
+            Z = None
+            if gens is not None:
+                Z = noise[:chunk]
+                _draw_chunk(gens, tile, Z)
+            for st in live:
+                try:
+                    st.advance(Z, min(chunk, st.num_steps - m))
+                except BlowUpError as error:
+                    blown = error  # the runs after it no longer matter
+                    break
+            m += chunk
+            live = [
+                st for st in live
+                if st.num_steps > m and (blown is None or st.index < blown.run)
+            ]
+    if blown is not None:
+        raise blown
+    return [st.paths() for st in steppers]
+
+
+class _Stepper:
+    """One run of a block: its kernel, its segment buffers and its records.
+
+    `advance` steps it through rows of the group's standard normals (or
+    its caller's fine path, or no noise), a segment at a time, and `paths`
+    returns what it recorded.
+
+    A segment of s steps runs from H[0] through H[1..s]; its energies E
+    and running martingale sums X are indexed as H, so row 0 carries the
+    segment's start.  The kernel sees (M, n) views of the storage.  work[:s],
+    laid out as the states and shared by the block's runs, holds the
+    segment's increments dW = Z sqrt(dt), then in place its injected noise,
+    then the squares of the energy and dissipation sums.
+    """
+
+    def __init__(self, run, index, spec, kernel, scratch, work, s, member_offset, fine):
+        cfg = self.cfg = run.cfg
+        basis = self.basis = spec.basis
+        M, n = work.shape[1:]
+        wide = M >= _WIDE_MEMBERS
+        self.index, self.spec, self.member_offset = index, spec, member_offset
+        self.kernel, self.scratch, self.work = kernel, scratch, work
+        num_steps = self.num_steps = cfg.num_steps()
+        self.rec = _record_indices(num_steps, cfg.record_every)
+
+        # the first variation stays C-contiguous (M, n) in every block:
+        # step_variation returns fresh C-contiguous arrays
+        self.Eta = None
+        if run.eta0_coeffs is not None:
+            self.Eta = np.empty((M, n))
+            self.Eta[...] = np.asarray(run.eta0_coeffs, dtype=np.float64)
+        if run.collect_be and (spec.sigma <= 0 or self.Eta is None):
+            raise ValueError("Bismut-Elworthy accumulation requires sigma > 0 and eta0_coeffs")
+        self.be_acc = np.zeros(M) if run.collect_be else None
+        # a two-operand einsum sums in an order that depends on the layout,
+        # so the BE sum reads each step's dW from C-contiguous rows
+        self.be_row = np.empty((M, n)) if run.collect_be else None
+
+        s = self.s = min(s, max(1, num_steps))
+        # a caller's fine path and its tile of members: r increments per step
+        # are summed into the run's own segment buffer, which the BE sum also reads
+        self.fine = self.dW = None
+        if fine is not None:
+            self.fine, self.members = fine
+            self.r = self.fine.shape[1] // num_steps if num_steps else 1
+            self.dW = _states(M, n, wide, lead=(s,))
+        H = self.H = _states(M, n, wide, lead=(s + 1,))
+        H[0] = run.x0_coeffs
+        self.E = np.empty((s + 1, M))
+        self.X = np.zeros((s + 1, M))
+        self.D_rows = np.empty((s, M))
+        alpha_energy(
+            H[0], basis, kernel.p.alpha, weight=kernel.helm, out=self.E[0], work=work[0]
+        )
+        self.sup_F = self.E[0].copy()
+
+        R = len(self.rec)
+        self.out = EnsemblePaths(
+            times=np.array([m * cfg.dt for m in self.rec]),
+            F=np.empty((M, R)),
+            dissipation=np.empty((M, R)),
+            martingale=np.empty((M, R)),
+            sup_F=self.sup_F,
+            final_coeffs=None,  # the last state, when the run ends
+            be_accumulator=self.be_acc,
+            snapshots=np.empty((M, R, n)) if run.store_fields else None,
+        )
+        self.m = self.r_rec = 0
+        self._record(slice(0, 1))
+
+    def _record(self, rows: slice) -> None:
+        E, H, r, out = self.E, self.H, self.r_rec, self.out
+        k = len(E[rows])
+        out.F[:, r : r + k] = E[rows].T
+        alpha_dissipation(
+            H[rows], self.basis, self.kernel.p.alpha, weight=self.kernel.dissipation_weight,
+            out=self.D_rows[:k], work=self.work[:k],
+        )
+        out.dissipation[:, r : r + k] = self.D_rows[:k].T
+        out.martingale[:, r : r + k] = self.X[rows].T
+        if out.snapshots is not None:
+            out.snapshots[:, r : r + k] = H[rows].swapaxes(0, 1)
+        self.r_rec = r + k
+
+    def _fine_sums(self, seg: int) -> np.ndarray:
+        """The next seg steps' increments, each the sum of r of the fine path's."""
+        r, m, dW, members = self.r, self.m, self.dW[:seg], self.members
+        for a in range(0, dW.shape[1], members):
+            fine = self.fine[a : a + members, m * r : (m + seg) * r]
+            rows = dW[:, a : a + members].swapaxes(0, 1)
+            if r == 1:  # a copy keeps the sign of a zero
+                rows[...] = fine
+            else:  # the bits of the whole path's reshape(M, steps, r, n).sum(axis=2)
+                np.sum(fine.reshape(len(fine), seg, r, fine.shape[2]), axis=2, out=rows)
+        return dW
+
+    def advance(self, Z: np.ndarray | None, steps: int) -> None:
+        """Step `steps` steps on the first rows of Z, the group's standard
+        normals, or on the caller's fine path when Z is None."""
+        kernel, spec, H, E, X, work = self.kernel, self.spec, self.H, self.E, self.X, self.work
+        s, scratch, Eta, be_acc, be_row = self.s, self.scratch, self.Eta, self.be_acc, self.be_row
+        rec, R, dt = self.rec, len(self.rec), self.cfg.dt
+        basis, helm, alpha = self.basis, kernel.helm, kernel.p.alpha
+        for c in range(0, steps, s):
+            seg = min(s, steps - c)
             dW = None
-            if noise is not None:
-                dW = noise[:chunk]
-                if gens is not None:
-                    _draw_chunk(gens, tile, dW)
-                    dW *= kernel.sqrt_dt
-                else:  # a tile of members at a time, so a mode-major write stays in cache
-                    k = increments.shape[1] // num_steps
-                    for a in range(0, M, members):
-                        fine = increments[a : a + members, m * k : (m + chunk) * k]
-                        rows = dW[:, a : a + members].swapaxes(0, 1)
-                        if k == 1:  # a copy keeps the sign of a zero
-                            rows[...] = fine
-                        else:  # the bits of the whole path's reshape(M, steps, k, n).sum(axis=2)
-                            np.sum(fine.reshape(len(fine), chunk, k, n), axis=2, out=rows)
-            for c in range(0, chunk, s):
-                seg = min(s, chunk - c)
-                zs = None if dW is None else kernel.noise_injected(dW[c : c + seg], out=work[:seg])
-                for i in range(seg):
-                    if be_acc is not None:
-                        # a two-operand einsum sums in an order that depends on the
-                        # layout, so a mode-major dW row is copied to C-contiguous rows
-                        be_acc += np.einsum(
-                            "mj,mj->m", Eta / spec.q, np.ascontiguousarray(dW[c + i])
-                        )
-                    if Eta is not None:
-                        Eta = kernel.step_variation(H[i], Eta, scratch)
-                    kernel.step(H[i], None if zs is None else zs[i], H[i + 1], scratch)
+            if Z is not None:
+                dW = np.multiply(Z[c : c + seg], kernel.sqrt_dt, out=work[:seg])
+            elif self.fine is not None:
+                dW = self._fine_sums(seg)
+            zs = kernel.noise_injected(dW, out=work[:seg])
+            for i in range(seg):
+                if be_acc is not None:
+                    if self.fine is None:
+                        np.multiply(Z[c + i], kernel.sqrt_dt, out=be_row)
+                    else:
+                        be_row[...] = dW[i]
+                    be_acc += np.einsum("mj,mj->m", Eta / spec.q, be_row)
+                if Eta is not None:
+                    Eta = kernel.step_variation(H[i], Eta, scratch)
+                kernel.step(H[i], None if zs is None else zs[i], H[i + 1], scratch)
 
-                # the segment's bookkeeping, each call with the bits of its per-step form;
-                # the martingale reads the injected noise before the squares overwrite it
-                if zs is not None:
-                    # a sequential running sum, as mart += <helm H[i], zeta_i> step by step
-                    np.einsum("j,imj,imj->im", helm, H[:seg], zs, out=X[1 : seg + 1])
-                    np.cumsum(X[: seg + 1], axis=0, out=X[: seg + 1])
-                alpha_energy(
-                    H[1 : seg + 1], basis, alpha, weight=helm, out=E[1 : seg + 1], work=work[:seg]
+            # the segment's bookkeeping, each call with the bits of its per-step form;
+            # the martingale reads the injected noise before the squares overwrite it
+            m = self.m
+            if zs is not None:
+                # a sequential running sum, as mart += <helm H[i], zeta_i> step by step
+                np.einsum("j,imj,imj->im", helm, H[:seg], zs, out=X[1 : seg + 1])
+                np.cumsum(X[: seg + 1], axis=0, out=X[: seg + 1])
+            alpha_energy(
+                H[1 : seg + 1], basis, alpha, weight=helm, out=E[1 : seg + 1], work=work[:seg]
+            )
+            # energies are >= 0 and non-finite whenever a state is, so the
+            # running max turns non-finite with the first bad step
+            np.maximum(self.sup_F, E[1 : seg + 1].max(axis=0), out=self.sup_F)
+            if not math.isfinite(self.sup_F.max(initial=0.0)):
+                bad = ~np.isfinite(E[1 : seg + 1])
+                row = int(np.flatnonzero(bad.any(axis=1))[0])
+                j = int(np.flatnonzero(bad[row])[0])
+                raise BlowUpError(
+                    (m + row + 1) * dt, member=self.member_offset + j,
+                    energy=float(E[row, j]), run=self.index,
                 )
-                # energies are >= 0 and non-finite whenever a state is, so the
-                # running max turns non-finite with the first bad step
-                np.maximum(sup_F, E[1 : seg + 1].max(axis=0), out=sup_F)
-                if not math.isfinite(sup_F.max(initial=0.0)):
-                    bad = ~np.isfinite(E[1 : seg + 1])
-                    row = int(np.flatnonzero(bad.any(axis=1))[0])
-                    j = int(np.flatnonzero(bad[row])[0])
-                    raise BlowUpError(
-                        (m + row + 1) * cfg.dt, member=member_offset + j, energy=float(E[row, j])
-                    )
-                # the record grid's steps in the segment, then the last step off it
-                while r < R and rec[r] <= m + seg:
-                    record(slice(rec[r] - m, seg + 1, cfg.record_every))
-                m += seg
-                H[0] = H[seg]
-                E[0] = E[seg]
-                X[0] = X[seg]
+            # the record grid's steps in the segment, then the last step off it
+            while self.r_rec < R and rec[self.r_rec] <= m + seg:
+                self._record(slice(rec[self.r_rec] - m, seg + 1, self.cfg.record_every))
+            self.m = m + seg
+            H[0] = H[seg]
+            E[0] = E[seg]
+            X[0] = X[seg]
+        self.Eta = Eta
 
-    return EnsemblePaths(
-        times=times,
-        F=F,
-        dissipation=D,
-        martingale=mart_series,
-        sup_F=sup_F,
-        final_coeffs=H[0].copy(),
-        eta_final=Eta,
-        be_accumulator=be_acc,
-        snapshots=snaps,
-    )
+    def paths(self) -> EnsemblePaths:
+        self.out.final_coeffs = self.H[0].copy()
+        self.out.eta_final = self.Eta
+        return self.out

@@ -8,6 +8,7 @@ import pytest
 from lans_alpha import (
     BlowUpError,
     ConfigError,
+    EnsembleRun,
     IntegratorConfig,
     PhysicalParams,
     SpectralField,
@@ -16,6 +17,7 @@ from lans_alpha import (
     integrate,
     make_noise,
     run_ensemble,
+    run_ensembles,
     substream,
 )
 from lans_alpha import diagnostics, integrator
@@ -695,6 +697,141 @@ class TestSegments:
         assert (err.value.time, err.value.member) == (step * cfg.dt, member)
         assert err.value.energy == F[member, step - 1]
         assert f"last finite energy {F[member, step - 1]:.6g}" in str(err.value)
+
+
+class TestGroups:
+    """Runs on the same members' substreams step in lockstep on one chunk
+    of draws (run_ensembles); each run must equal its solo run_ensemble
+    bit for bit, with 7-step chunks so that runs end inside a chunk."""
+
+    @staticmethod
+    def setup(monkeypatch, wide, threads):
+        monkeypatch.setattr(integrator, "_NOISE_CHUNK", 7)
+        if wide:  # so two threads step two wide blocks
+            monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("LANS_THREADS", threads)
+
+    @staticmethod
+    def runs(case, n):
+        # 15 steps at dt and 30 at dt / 2: the shorter run ends at row 1 of the third chunk
+        cfg = IntegratorConfig(dt=2e-3, t_end=0.03, record_every=3)
+        half = dataclasses.replace(cfg, dt=1e-3)
+        x0, h = np.random.default_rng(len(case)).standard_normal((2, n))
+        delta = 1e-3
+        if case == "halving":
+            return [EnsembleRun(x0, cfg), EnsembleRun(x0, half)]
+        if case == "halving-every-step":
+            every = dataclasses.replace(cfg, record_every=1)
+            return [EnsembleRun(x0, every), EnsembleRun(x0, dataclasses.replace(every, dt=1e-3))]
+        if case == "halving-exponential":
+            expo = dataclasses.replace(cfg, scheme="exponential_em")
+            return [EnsembleRun(x0, expo), EnsembleRun(x0, dataclasses.replace(expo, dt=1e-3))]
+        if case == "variation":
+            return [EnsembleRun(x0, cfg, eta0_coeffs=h), EnsembleRun(x0 + delta * h, cfg)]
+        if case == "bismut-elworthy":
+            return [
+                EnsembleRun(x0, half, eta0_coeffs=h, collect_be=True),
+                EnsembleRun(x0 + delta * h, half),
+                EnsembleRun(x0 - delta * h, half),
+            ]
+        if case == "fields":
+            return [EnsembleRun(x0, cfg, store_fields=True), EnsembleRun(x0, half, store_fields=True)]
+        assert case == "zero-steps"
+        still = IntegratorConfig(dt=2e-3, t_end=0.0)
+        five = dataclasses.replace(cfg, t_end=0.01)
+        return [EnsembleRun(x0, still, store_fields=True), EnsembleRun(x0, five)]
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize(
+        "case",
+        ["halving", "halving-every-step", "halving-exponential", "variation",
+         "bismut-elworthy", "fields", "zero-steps"],
+    )
+    def test_each_run_equals_its_solo_run(self, monkeypatch, case, wide, threads):
+        self.setup(monkeypatch, wide, threads)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=6)
+        M = 5
+        runs = self.runs(case, basis.mode_count)
+        group = run_ensembles(params(), spec, M, runs)
+        assert len(group) == len(runs)
+        for run, got in zip(runs, group):
+            want = run_ensemble(
+                run.x0_coeffs, params(), spec, run.cfg, M, eta0_coeffs=run.eta0_coeffs,
+                collect_be=run.collect_be, store_fields=run.store_fields,
+            )
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if b is None:
+                    assert a is None, f.name
+                else:
+                    assert np.array_equal(a, b), (run.cfg, f.name)
+
+    def test_a_group_draws_each_normal_once(self, monkeypatch):
+        # a (dt, dt/2) group builds one generator per member and draws the
+        # longer run's rows once; the shorter run reads their first rows
+        self.setup(monkeypatch, False, None)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=6)
+        M, n = 4, basis.mode_count
+        counts = {"generators": 0, "normals": 0}
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, out, **kwargs):
+                counts["normals"] += out.size
+                return self.gen.standard_normal(*args, out=out, **kwargs)
+
+        def counted(seed, member=0):
+            counts["generators"] += 1
+            return Counted(substream(seed, member))
+
+        monkeypatch.setattr(integrator, "substream", counted)
+        runs = self.runs("halving", n)
+        run_ensembles(params(), spec, M, runs)
+        steps = runs[1].cfg.num_steps()
+        assert steps == 2 * runs[0].cfg.num_steps() == 30
+        assert counts == {"generators": M, "normals": M * steps * n}
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("both", [True, False])
+    def test_blow_up_is_what_the_calls_in_order_raise(self, monkeypatch, both, threads):
+        # the second run blows up first in time (member 3 at step 25); the
+        # group raises the first run's error (member 0 at step 50) when it
+        # blows up too, and the second's otherwise, as run_ensemble on each
+        # run in order does; over two threads each run blows up in one block
+        self.setup(monkeypatch, False, threads)
+        basis = build_basis(2 * np.pi, 1)
+        p = PhysicalParams(nu=1e-6, alpha=0.0)
+        spec, _ = make_noise(1.5, 0.0, basis)
+        cfg = IntegratorConfig(dt=5.0, t_end=500.0, record_every=1)
+        first, second = np.zeros((2, 4, 8))
+        if both:
+            first[0] = 1e3
+        second[3] = 1e6
+        with pytest.raises(BlowUpError) as err:
+            run_ensemble(second, p, spec, cfg, 4)
+        want = err.value
+        assert (want.time, want.member) == (25 * cfg.dt, 3)
+        if both:
+            with pytest.raises(BlowUpError) as err:
+                run_ensemble(first, p, spec, cfg, 4)
+            assert (err.value.time, err.value.member) == (50 * cfg.dt, 0)
+            want = err.value
+        else:
+            assert np.isfinite(run_ensemble(first, p, spec, cfg, 4).sup_F).all()
+        with pytest.raises(BlowUpError) as err:
+            run_ensembles(p, spec, 4, [EnsembleRun(first, cfg), EnsembleRun(second, cfg)])
+        got = err.value
+        assert (got.time, got.member, got.energy) == (want.time, want.member, want.energy)
+        assert got.run == (0 if both else 1)
+        assert str(got) == str(want)
 
 
 @pytest.mark.parametrize("cutoff", [1, 5])

@@ -11,7 +11,9 @@ thread variables set to 1:
   snapshot (`snapshot_out` relative to the run's working directory, so
   the printed path is the same in every checkout);
 - every step of each benchmark workload's `full` variant at seeds 42 and
-  7, with the config text that `benchmarks/workloads.steps_for` gives;
+  7, with the config text that `benchmarks/workloads.steps_for` gives,
+  and the wide_ensemble and fine_grid steps at seed 42 again with
+  `LANS_THREADS=2` (THREADED_WORKLOADS), saved as `<run>-threads2`;
 - `mc-energy`, `be` and `convergence` on `configs/base.cfg` and
   `configs/be.cfg` again with `LANS_THREADS=2`, saved as
   `<cfg>-<sub>-threads2`;
@@ -60,6 +62,7 @@ BIG_SEED = 2**70  # a seed of more than one 32-bit word
 # horizons of a few dozen steps (invariant needs 20 batch-means samples)
 FFT_KEYS = "cutoff = 6\nt_end = 0.02\nt = 0.02\nT_long = 0.3\nburn_in = 0.01\n"
 FFT_THREADED = ("mc-energy", "be")
+THREADED_WORKLOADS = ("wide_ensemble", "fine_grid")  # their seed-42 steps get thread twins
 WIDE_KEYS = "cutoff = 5\nM = 512\nt_end = 0.02\n"  # M >= integrator._WIDE_MEMBERS
 
 
@@ -90,6 +93,8 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
                 cfg = scratch / f"{name}.cfg"
                 cfg.write_text(step.config)
                 runs.append((name, step.subcommand, cfg, 1))
+                if workload in THREADED_WORKLOADS and seed == SEEDS[0]:
+                    runs.append((f"{name}-threads2", step.subcommand, cfg, 2))
     for stem in THREADED_CONFIGS:
         cfg = ROOT / "configs" / f"{stem}.cfg"
         runs.extend((f"{stem}-{sub}-threads2", sub, cfg, 2) for sub in THREADED_SUBCOMMANDS)
