@@ -61,7 +61,11 @@ once per segment:
                the route's work, a wide block's triad products or, on the
                pseudo-spectral route, its workspace (operators.fft_work),
                zero-filled once, with room for the first variation's two
-               pairs when a run of the block carries it.
+               pairs when a run of the block carries it.  There a run
+               calls step_variation(H[i]) before step(H[i]): the
+               variation's fused call leaves N(H[i]) in the workspace,
+               keyed by H[i]'s bytes and the route, and the step copies
+               it instead of synthesising u's fields again.
   noise        one buffer per block, laid out as the state, holds the
                standard normals Z of a chunk of at most _NOISE_CHUNK steps,
                drawn member by member through a tile that fits in L2; with
@@ -291,8 +295,8 @@ class StepKernel:
             self.conv_std = spec.q * np.sqrt(dt * _phi1(2.0 * z))
 
     def _linearized(self, cu: np.ndarray, ceta: np.ndarray, work=None) -> np.ndarray:
-        if self.route is None:
-            return np.zeros_like(ceta)
+        if self.route is None:  # a fresh float array, which the maps update in place
+            return np.zeros(np.shape(ceta))
         return linearized_nonlinear_coeffs(
             self.basis, cu, ceta, self.p.alpha, route=self.route, work=work
         )
@@ -327,10 +331,11 @@ class StepKernel:
         a new array; `scratch` as in `step`."""
         return self._variation(cu, ceta, None if scratch is None else scratch.work)
 
-    # The nonlinearity is a fresh array or scratch, which the steps update in
-    # place by the same operations, on the same operands, as the expressions
-    # c + dt * N(c) + zeta and so on.  Every read of c comes before the write
-    # to out, so out may be c.
+    # The nonlinearity and its derivative are fresh arrays or scratch, which
+    # the maps update in place by the same operations, on the same operands,
+    # as the expressions c + dt * N(c) + zeta and so on (+ and * commute
+    # bit for bit).  Every read of c comes before the write to out, so out
+    # may be c.
 
     def _semi_implicit_step(self, c, zeta, out, scratch):
         if self.route is not None:
@@ -347,7 +352,10 @@ class StepKernel:
         return np.divide(rhs, self.implicit_denom, out=out)
 
     def _semi_implicit_variation(self, cu, ceta, work):
-        return (ceta + self.dt * self._linearized(cu, ceta, work)) / self.implicit_denom
+        dn = self._linearized(cu, ceta, work)
+        dn *= self.dt
+        np.add(ceta, dn, out=dn)
+        return np.divide(dn, self.implicit_denom, out=dn)
 
     def _exponential_step(self, c, zeta, out, scratch):
         nl = None
@@ -365,7 +373,9 @@ class StepKernel:
         return out
 
     def _exponential_variation(self, cu, ceta, work):
-        return self.decay * ceta + self.phi1_dt * self._linearized(cu, ceta, work)
+        dn = self._linearized(cu, ceta, work)
+        dn *= self.phi1_dt
+        return np.add(self.decay * ceta, dn, out=dn)
 
     def _rk4_step(self, c, zeta, out, scratch):
         dt = self.dt

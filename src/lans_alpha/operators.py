@@ -37,10 +37,16 @@ nonlinear_route chooses from basis.cutoff alone:
       read off at the mode wavevectors (Basis.fft_layout holds the index
       arrays and the sign conventions).  These are the 1-D transforms of
       irfft2 and rfft2 less those whose input is zero or whose output is
-      never read, so the result has their bits.  All pairs of a call (two
-      for the linearization) share one inverse call, and the buffers come
-      from a workspace (fft_work) that a block allocates once, or fresh
-      per call without one.  The grid has the smallest 5-smooth size
+      never read, so the result has their bits.  The buffers come from a
+      workspace (fft_work) that a block allocates once, or fresh per call
+      without one.  The linearization's two pairs share one inverse call
+      that synthesises the six fields of u and eta (both velocities and
+      both curls of (I+a^2 A)), which hold N's three, so one forward call
+      projects DN's integrand and N's, and the workspace holds N(u) with
+      u's bytes and the route; nonlinear_coeffs on that workspace at those
+      bytes on that route copies it.  A variation step thus synthesises
+      six fields, not nine, with the bits of the two calls.
+      The grid has the smallest 5-smooth size
       >= 3*cutoff + 1 per axis (the 3/2 rule, Orszag 1971), on which the
       projection is still exact.  Cost grows as cutoff^2 log cutoff and
       no (modes x grid) tensor is built.  b_tilde takes this route at
@@ -115,6 +121,7 @@ __all__ = [
     "b_tilde",
     "b_tilde_fft",
     "FFTWork",
+    "HeldN",
     "fft_work",
     "drift",
     "alpha_energy",
@@ -166,16 +173,28 @@ def _as_pair_amplitudes(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c, dtype=np.float64).view(np.complex128)
 
 
+@dataclass(eq=False)
+class HeldN:
+    """N(u) that a workspace's last fused call (linearized_nonlinear_coeffs)
+    computed, with that call's u and route; route is None before one."""
+
+    value: np.ndarray  # (*batch, n) the slot the fused call projects N into
+    state: np.ndarray  # (*batch, n) that call's u
+    route: np.ndarray | None = None
+
+
 class FFTWork(NamedTuple):
     """Buffers of the pseudo-spectral route for up to `pairs` pairs of
     operands of shape (*batch, n), with the flat indices of its scatter and
-    gather at that shape (see fft_work).
+    gather at that shape (see fft_work), and, with two pairs or more, the
+    N(u) its last fused call left (see linearized_nonlinear_coeffs).
 
     A pair's fields are held as (u_2, u_1, curl v), so that one product
     gives w * (u_2, u_1).  A call rewrites only the slots of `spectra` and
     the columns k1 < C of `half`, which stay zero elsewhere, so one
     workspace serves every call on operands of its shape; a call on fewer
-    pairs uses a prefix of the leading axis.
+    pairs uses a prefix of the leading axis.  A b_tilde_fft call projects
+    one integrand, a fused call two.
     """
 
     values: np.ndarray     # (pairs, *batch, 3, P + Q) scaled amplitudes, then the mirrored ones
@@ -183,57 +202,59 @@ class FFTWork(NamedTuple):
     spectra: np.ndarray    # (pairs, *batch, 3, N, C) half-spectra columns k1 < C = cutoff + 1
     half: np.ndarray       # (pairs, *batch, 3, N, N // 2 + 1) after the transform along k2
     fields: np.ndarray     # (pairs, *batch, 3, N, N) the fields on the grid
-    integrand: np.ndarray  # (pairs, *batch, 2, N, N) w * (u_2, u_1), then the integrand
-    forward: np.ndarray    # (*batch, 2, N, N // 2 + 1) the integrand after the transform along x1
-    columns: np.ndarray    # (*batch, 2, N, C) its columns k1 < C after the transform along x2
-    gather: np.ndarray     # the slots' flat index into columns
-    gathered: np.ndarray   # (*batch, 2, P) columns at the slots; the projection in [..., 0, :]
+    integrand: np.ndarray  # (pairs, *batch, 2, N, N) w * (u_2, u_1), then the integrands
+    forward: np.ndarray    # (pairs, *batch, 2, N, N // 2 + 1) the integrands after the transform
+                           # along x1, over the bytes of fields
+    columns: np.ndarray    # (pairs, *batch, 2, N, C) their columns k1 < C after the transform
+                           # along x2, over the bytes of integrand
+    gather: np.ndarray     # the slots' flat index into one integrand's columns
+    gathered: np.ndarray   # (pairs, *batch, 2, P) columns at the slots; the projections in [..., 0, :]
+    held: HeldN | None     # N(u) of the last fused call; None with one pair, where none runs
 
 
 def fft_work(basis: Basis, batch: tuple[int, ...] = (), pairs: int = 2) -> FFTWork:
     """A workspace of the pseudo-spectral route for `pairs` pairs of
     operands of shape batch + (n,): nonlinear_coeffs uses one pair and
-    linearized_nonlinear_coeffs two."""
+    linearized_nonlinear_coeffs two, whose fused call holds N(u) there."""
     lay = basis.fft_layout
     N, C, P = lay.size, basis.cutoff + 1, len(lay.slots)
     W = N // 2 + 1
     lead = (pairs,) + tuple(batch)
     members = math.prod(batch)
     cplx = np.complex128
+    fields = np.empty(lead + (3, N, N))
+    integrand = np.empty(lead + (2, N, N))
+    gathered = np.empty(lead + (2, P), dtype=cplx)
+    held = None
+    if pairs >= 2:
+        # the fused call projects N's integrand, the second, into gathered[1]
+        held = HeldN(gathered[1, ..., 0, :].view(np.float64), np.empty(lead[1:] + (basis.mode_count,)))
     return FFTWork(
         values=np.empty(lead + (3, P + len(lay.line)), dtype=cplx),
         scatter=(3 * N * C * np.arange(pairs * members)[:, None] + lay.scatter).ravel(),
         spectra=np.zeros(lead + (3, N, C), dtype=cplx),
         half=np.zeros(lead + (3, N, W), dtype=cplx),
-        fields=np.empty(lead + (3, N, N)),
-        integrand=np.empty(lead + (2, N, N)),
-        forward=np.empty(lead[1:] + (2, N, W), dtype=cplx),
-        columns=np.empty(lead[1:] + (2, N, C), dtype=cplx),
+        fields=fields,
+        integrand=integrand,
+        # the forward transforms write over the grid buffers, read by then
+        forward=_complex_view(fields, lead + (2, N, W)),
+        columns=_complex_view(integrand, lead + (2, N, C)),
         gather=(N * C * np.arange(2 * members)[:, None] + lay.slots).ravel(),
-        gathered=np.empty(lead[1:] + (2, P), dtype=cplx),
+        gathered=gathered,
+        held=held,
     )
 
 
-def b_tilde_fft(
-    basis: Basis, *pairs: tuple[np.ndarray, np.ndarray], work: FFTWork | None = None
-) -> np.ndarray:
-    """sum_i Bt(u_i, v_i) by the pseudo-spectral route (see Basis.fft_layout).
+def _complex_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # a complex array of `shape` over the leading bytes of the float array buf
+    return buf.reshape(-1)[: 2 * math.prod(shape)].view(np.complex128).reshape(shape)
 
-    Each pair (cu, cv) adds its integrand -(u_i x curl v_i) on the grid;
-    the sum is projected once, which is exact because projection is linear.
-    Of the 1-D transforms of irfft2 and rfft2 it runs those whose input is
-    not all zero and whose output is read (along the second axis, the
-    columns k1 <= cutoff only), so the result has the bits of the 2-D
-    transforms.
-    `work` is a workspace from fft_work for at least len(pairs) pairs of
-    the operands' shape, and the result is then a view into it; without it
-    the call makes a fresh one.
-    """
+
+def _synthesise(basis: Basis, pairs, work: FFTWork) -> np.ndarray:
+    """Each pair's grid fields (u_2, u_1, curl v) into work.fields, by one
+    scatter and one inverse call; returns work.fields[:len(pairs)]."""
     lay = basis.fft_layout
     N, C, P = lay.size, basis.cutoff + 1, len(lay.slots)
-    if work is None:
-        batch = np.broadcast_shapes(*(np.shape(c)[:-1] for pair in pairs for c in pair))
-        work = fft_work(basis, batch, len(pairs))
     k = len(pairs)
     values = work.values[:k]
     for (cu, cv), vals in zip(pairs, values):
@@ -246,22 +267,46 @@ def b_tilde_fft(
     work.spectra.reshape(-1)[work.scatter[: values.size]] = values.reshape(-1)
     half = work.half[:k]
     np.fft.ifft(work.spectra[:k], axis=-2, norm="forward", out=half[..., :C])
-    fields = np.fft.irfft(half, N, axis=-1, norm="forward", out=work.fields[:k])
-    # -(u x curl v) = (-w*u2, +w*u1): w * (u2, u1) summed over the pairs,
-    # then 0 - s and s + 0, which have the bits of 0.0 + sum_i (-w*u2, w*u1)
-    w, u = fields[..., 2:, :, :], fields[..., :2, :, :]
-    g, *others = np.multiply(w, u, out=work.integrand[:k])
-    for other in others:
-        g += other
+    return np.fft.irfft(half, N, axis=-1, norm="forward", out=work.fields[:k])
+
+
+def _project(basis: Basis, g: np.ndarray, work: FFTWork) -> np.ndarray:
+    """The projections of the k integrands g = work.integrand[:k], each
+    summed w * (u_2, u_1), by one forward call: (k, *batch, n), a view into
+    work.gathered.  g is overwritten."""
+    lay = basis.fft_layout
+    k, C = len(g), basis.cutoff + 1
+    # 0 - s and s + 0, which have the bits of 0.0 + sum_i (-w*u2, w*u1)
     np.subtract(0.0, g[..., 0, :, :], out=g[..., 0, :, :])
     np.add(g[..., 1, :, :], 0.0, out=g[..., 1, :, :])
-    np.fft.rfft(g, axis=-1, out=work.forward)
-    np.fft.fft(work.forward[..., :C], axis=-2, out=work.columns)
-    gathered = work.gathered
-    np.take(work.columns.reshape(-1), work.gather, out=gathered.reshape(-1), mode="clip")
+    forward, columns, gathered = work.forward[:k], work.columns[:k], work.gathered[:k]
+    np.fft.rfft(g, axis=-1, out=forward)
+    np.fft.fft(forward[..., :C], axis=-2, out=columns)
+    np.take(columns.reshape(k, -1), work.gather, axis=1, out=gathered.reshape(k, -1), mode="clip")
     np.multiply(lay.project_scale, gathered, out=gathered)
     proj = np.add(gathered[..., 0, :], gathered[..., 1, :], out=gathered[..., 0, :])
     return proj.view(np.float64)
+
+
+def b_tilde_fft(
+    basis: Basis, pair: tuple[np.ndarray, np.ndarray], *, work: FFTWork | None = None
+) -> np.ndarray:
+    """Bt(u, v) for pair = (cu, cv) by the pseudo-spectral route (see
+    Basis.fft_layout).
+
+    Of the 1-D transforms of irfft2 and rfft2 it runs those whose input is
+    not all zero and whose output is read (along the second axis, the
+    columns k1 <= cutoff only), so the result has the bits of the 2-D
+    transforms.
+    `work` is a workspace from fft_work of the operands' shape, and the
+    result is then a view into it; without it the call makes a fresh one.
+    """
+    if work is None:
+        work = fft_work(basis, np.broadcast_shapes(*(np.shape(c)[:-1] for c in pair)), 1)
+    fields = _synthesise(basis, (pair,), work)[0]
+    # -(u x curl v) = (-w*u2, +w*u1): w * (u2, u1)
+    g = np.multiply(fields[..., 2:, :, :], fields[..., :2, :, :], out=work.integrand[0])
+    return _project(basis, g[None], work)[0]
 
 
 def b_tilde(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -450,13 +495,33 @@ def nonlinear_coeffs(
     `route` is nonlinear_route(basis, alpha).  The result is written to
     `out` when given.  `work` is the route's scratch: on the triad route a
     (2, T, M) array that coeffs of shape (M, n) may use (see _triad_sum), on
-    the pseudo-spectral route a workspace from fft_work for coeffs' shape."""
+    the pseudo-spectral route a workspace from fft_work for coeffs' shape.
+    On a workspace whose last fused call (linearized_nonlinear_coeffs) was
+    at coeffs' bytes and on this route, the call copies the N it held."""
     if route is None:
         route = nonlinear_route(basis, alpha)
     if isinstance(route, TriadTable):
         return _triad_sum(route, coeffs, out=out, work=work)
+    if work is not None and _holds(work.held, coeffs, route):
+        if out is None:
+            return work.held.value.copy()
+        out[...] = work.held.value
+        return out
     g = b_tilde_fft(basis, (coeffs, coeffs * route), work=work)
     return np.divide(np.negative(g, out=g), route, out=out)
+
+
+def _holds(held: HeldN | None, coeffs: np.ndarray, route: np.ndarray) -> bool:
+    """Whether held.value is N at coeffs on route: the route is the held
+    one and the bytes are the held state's (compared as uint64, so signed
+    zeros and NaN payloads count)."""
+    return (
+        held is not None
+        and held.route is route
+        and coeffs.dtype == held.state.dtype
+        and coeffs.shape == held.state.shape
+        and np.array_equal(coeffs.view(np.uint64), held.state.view(np.uint64))
+    )
 
 
 def linearized_nonlinear_coeffs(
@@ -469,15 +534,49 @@ def linearized_nonlinear_coeffs(
     work: FFTWork | None = None,
 ) -> np.ndarray:
     """Derivative of nonlinear_coeffs at u in direction eta, batched
-    (cu and ceta of one shape; `route` as there).  `work` is a workspace
-    from fft_work for two pairs of that shape, which only the
-    pseudo-spectral route uses; the result is a new array."""
+    (cu and ceta of one shape; `route` as there); the result is a new array.
+
+    `work` is a workspace from fft_work for two pairs of that shape, which
+    only the pseudo-spectral route uses; without it the call makes a fresh
+    one.  The call also computes N(u) from the same fields and holds it
+    there, with u's bytes and the route, for the step's nonlinear_coeffs
+    call at u (see _fused_fft)."""
     if route is None:
         route = nonlinear_route(basis, alpha)
     if isinstance(route, TriadTable):
         return _triad_sum(route, cu, ceta)
-    g = b_tilde_fft(basis, (ceta, cu * route), (cu, ceta * route), work=work)
-    return np.divide(np.negative(g, out=g), route)
+    if work is None:
+        work = fft_work(basis, np.broadcast_shapes(np.shape(cu)[:-1], np.shape(ceta)[:-1]))
+    return _fused_fft(basis, cu, ceta, route, work)
+
+
+def _fused_fft(
+    basis: Basis, cu: np.ndarray, ceta: np.ndarray, route: np.ndarray, work: FFTWork
+) -> np.ndarray:
+    """DN(u) eta as a new array, and N(u) into work.held, from one synthesis.
+
+    The two pairs of DN, (eta, f u) and (u, f eta) for f = route, give the
+    fields (eta_2, eta_1, w_u) and (u_2, u_1, w_eta), which hold N's
+    (u_2, u_1, w_u) too.  DN's integrand is w_u eta + w_eta u, in that
+    order, with w_eta u written over eta's velocity once w_u eta is taken;
+    N's is w_u u.  One forward call projects both, so each result has the
+    bits of its own two-dimensional transforms.
+    """
+    held = work.held
+    held.route = None  # until the held arrays are rewritten
+    fields = _synthesise(basis, ((ceta, cu * route), (cu, ceta * route)), work)
+    w_u, v_eta = fields[0, ..., 2:, :, :], fields[0, ..., :2, :, :]
+    w_eta, v_u = fields[1, ..., 2:, :, :], fields[1, ..., :2, :, :]
+    g = work.integrand[:2]
+    np.multiply(w_u, v_eta, out=g[0])
+    np.multiply(w_u, v_u, out=g[1])
+    g[0] += np.multiply(w_eta, v_u, out=v_eta)
+    proj = _project(basis, g, work)
+    np.negative(proj, out=proj)
+    np.divide(proj[1], route, out=held.value)  # held.value is proj[1]
+    held.state[...] = cu
+    held.route = route
+    return np.divide(proj[0], route)
 
 
 def _weighted_square_sum(coeffs, weight, out, work) -> np.ndarray:

@@ -356,10 +356,11 @@ class TestPseudoSpectralRoute:
         dense = b_tilde_dense(basis, cu, cv)
         fft = b_tilde_fft(basis, (cu, cv))
         assert np.abs(dense - fft).max() < 1e-12 * np.abs(dense).max()
-        # the linearized form projects the sum of two integrands at once
-        both = b_tilde_fft(basis, (cu, cv), (cv, cu))
-        ref = dense + b_tilde_dense(basis, cv, cu)
-        assert np.abs(both - ref).max() < 1e-12 * np.abs(ref).max()
+        # the linearization's fused call, forced onto this route by its data
+        f = helmholtz_factor(basis, 0.5)
+        dn = linearized_nonlinear_coeffs(basis, cu, cv, 0.5, route=f)
+        ref = -(b_tilde_dense(basis, cv, cu * f) + b_tilde_dense(basis, cu, cv * f)) / f
+        assert np.abs(dn - ref).max() < 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("cutoff", [1, 2, 8])
     def test_b_tilde_takes_the_fft_route_at_every_cutoff(self, cutoff):
@@ -780,6 +781,92 @@ class TestPseudoSpectralBits:
         for cu, _ in states:
             _, want_n, _ = self.expected(basis, cu, cu, 0.5)
             assert nonlinear_coeffs(basis, cu, 0.5, work=one).tobytes() == want_n.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [5, 8, 12])
+    @pytest.mark.parametrize("lead", ["n", "M, n", "k, M, n", "mode-major"])
+    def test_held_state_equals_full_transforms(self, cutoff, lead):
+        # DN then N on one workspace, as a step runs them: N is the one the
+        # fused call held, and each result has its own call's bytes
+        basis = build_basis(2 * np.pi, cutoff)
+        n, M = basis.mode_count, 2
+        shape = {"n": (n,), "M, n": (M, n), "k, M, n": (2, M, n), "mode-major": (M, n)}[lead]
+        cu, ceta = signed_operands(np.random.default_rng(cutoff), shape)
+        if lead == "mode-major":
+            cu, ceta = (np.array(x.T).T for x in (cu, ceta))
+        work = fft_work(basis, shape[:-1])
+        for alpha in (0.0, 0.5):
+            _, want_n, want_dn = self.expected(basis, cu, ceta, alpha)
+            dn = linearized_nonlinear_coeffs(basis, cu, ceta, alpha, work=work)
+            assert dn.tobytes() == want_dn.tobytes()
+            assert work.held.route is helmholtz_factor(basis, alpha)
+            buffers = (*work[:-1], work.held.value, work.held.state)
+            assert not any(np.may_share_memory(dn, buf) for buf in buffers)
+            got = nonlinear_coeffs(basis, cu, alpha, work=work)
+            assert got.tobytes() == want_n.tobytes()
+            assert not np.may_share_memory(got, work.held.value)
+            out = np.full(shape, np.nan)
+            assert nonlinear_coeffs(basis, cu, alpha, out=out, work=work) is out
+            assert out.tobytes() == want_n.tobytes()
+
+    @staticmethod
+    def poisoned(work, cu):
+        # what a hit on work would return: NaN in place of N(cu)
+        work.held.value[...] = np.nan
+        work.held.state[...] = cu
+        return work
+
+    @pytest.mark.parametrize("cutoff", [5, 8])
+    def test_held_n_misses(self, cutoff):
+        basis = build_basis(2 * np.pi, cutoff)
+        n, M = basis.mode_count, 2
+        cu, ceta = signed_operands(np.random.default_rng(cutoff), (M, n))
+        zeros = np.flatnonzero(np.signbit(cu) & (cu == 0.0))
+        assert len(zeros) > 0
+        ulp, flipped = cu.copy(), cu.copy()
+        ulp.flat[0] = np.nextafter(ulp.flat[0], np.inf)
+        flipped.flat[zeros[0]] = 0.0
+
+        def n_of(state, work):
+            return nonlinear_coeffs(basis, state, 0.5, work=work).tobytes()
+
+        def want(state):
+            return self.expected(basis, state, state, 0.5)[1].tobytes()
+
+        # the poisoned held N is returned on a hit, so the tests below are live
+        work = fft_work(basis, (M,))
+        linearized_nonlinear_coeffs(basis, cu, ceta, 0.5, work=work)
+        self.poisoned(work, cu)
+        assert np.isnan(nonlinear_coeffs(basis, cu, 0.5, work=work)).all()
+        # a state one ulp away, or with the sign of one zero flipped
+        for state in (ulp, flipped):
+            assert n_of(state, work) == want(state)
+        # a workspace that ran no fused call
+        work = fft_work(basis, (M,))
+        nonlinear_coeffs(basis, cu, 0.5, work=work)
+        assert n_of(cu, self.poisoned(work, cu)) == want(cu)
+        # a one-pair workspace holds nothing
+        one = fft_work(basis, (M,), pairs=1)
+        assert one.held is None
+        assert n_of(cu, one) == want(cu)
+        # the fused call at alpha = 0, then N at alpha = 0.5
+        work = fft_work(basis, (M,))
+        linearized_nonlinear_coeffs(basis, cu, ceta, 0.0, work=work)
+        assert work.held.route is helmholtz_factor(basis, 0.0)
+        assert n_of(cu, self.poisoned(work, cu)) == want(cu)
+
+    @pytest.mark.parametrize("cutoff", [5, 8])
+    def test_held_n_on_a_wider_workspace(self, cutoff):
+        # a fused call on a workspace for three pairs uses its first two and
+        # holds N where it projected it, not in the unused third pair
+        basis = build_basis(2 * np.pi, cutoff)
+        n, M = basis.mode_count, 2
+        cu, ceta = signed_operands(np.random.default_rng(cutoff), (M, n))
+        work = fft_work(basis, (M,), pairs=3)
+        work.gathered[...] = np.nan
+        _, want_n, want_dn = self.expected(basis, cu, ceta, 0.5)
+        got = linearized_nonlinear_coeffs(basis, cu, ceta, 0.5, work=work)
+        assert got.tobytes() == want_dn.tobytes()
+        assert nonlinear_coeffs(basis, cu, 0.5, work=work).tobytes() == want_n.tobytes()
 
 
 class TestJacobianTrace:

@@ -23,10 +23,13 @@ thread variables set to 1:
   horizons appended (FFT_KEYS), where the nonlinearity takes the
   pseudo-spectral route, saved as `base-c6-<sub>`, and its `mc-energy` and
   `be` again with `LANS_THREADS=2`;
-- `mc-energy` on `configs/base.cfg` with `cutoff = 5` and `M = 512`
-  appended (WIDE_KEYS), one wide block on the pseudo-spectral route, saved
-  as `base-c5-wide-mc-energy`, and again with `LANS_THREADS=2`, which
-  splits it into two narrow blocks.
+- `variation` and `be`, the runs that carry the first variation, on that
+  config with `scheme = exponential_em` too (EXP_KEYS), saved as
+  `base-c6-exp-<sub>`;
+- `mc-energy` and `be` on `configs/base.cfg` with `cutoff = 5` and
+  `M = 512` appended (WIDE_KEYS), one wide block on the pseudo-spectral
+  route, saved as `base-c5-wide-<sub>`, and again with `LANS_THREADS=2`,
+  which splits it into two narrow blocks.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
@@ -62,8 +65,11 @@ BIG_SEED = 2**70  # a seed of more than one 32-bit word
 # horizons of a few dozen steps (invariant needs 20 batch-means samples)
 FFT_KEYS = "cutoff = 6\nt_end = 0.02\nt = 0.02\nT_long = 0.3\nburn_in = 0.01\n"
 FFT_THREADED = ("mc-energy", "be")
+EXP_KEYS = "scheme = exponential_em\n"  # the other scheme whose first variation calls DN
+EXP_SUBCOMMANDS = ("variation", "be")
 THREADED_WORKLOADS = ("wide_ensemble", "fine_grid")  # their seed-42 steps get thread twins
-WIDE_KEYS = "cutoff = 5\nM = 512\nt_end = 0.02\n"  # M >= integrator._WIDE_MEMBERS
+WIDE_KEYS = "cutoff = 5\nM = 512\nt_end = 0.02\nt = 0.02\n"  # M >= integrator._WIDE_MEMBERS
+WIDE_SUBCOMMANDS = ("mc-energy", "be")
 
 
 def _env(threads: int) -> dict[str, str]:
@@ -106,10 +112,14 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
     fft.write_text(f"{base}\n{FFT_KEYS}")
     runs.extend((f"base-c6-{sub}", sub, fft, 1) for sub in _HANDLERS)
     runs.extend((f"base-c6-{sub}-threads2", sub, fft, 2) for sub in FFT_THREADED)
+    exp = scratch / "base-c6-exp.cfg"
+    exp.write_text(f"{base}\n{FFT_KEYS}{EXP_KEYS}")
+    runs.extend((f"base-c6-exp-{sub}", sub, exp, 1) for sub in EXP_SUBCOMMANDS)
     wide = scratch / "base-c5-wide.cfg"
     wide.write_text(f"{base}\n{WIDE_KEYS}")
-    runs.append(("base-c5-wide-mc-energy", "mc-energy", wide, 1))
-    runs.append(("base-c5-wide-mc-energy-threads2", "mc-energy", wide, 2))
+    for sub in WIDE_SUBCOMMANDS:
+        runs.append((f"base-c5-wide-{sub}", sub, wide, 1))
+        runs.append((f"base-c5-wide-{sub}-threads2", sub, wide, 2))
     return runs
 
 

@@ -6,7 +6,12 @@ Times `StepKernel.step` and `StepKernel.step_variation` in-process, as a
 narrow block (M < integrator._WIDE_MEMBERS) that runs the first variation
 calls them: (M, n) states, the injected noise of one step, the result
 written into a second state, and the block's step scratch passed to both
-(on the pseudo-spectral route it holds the route's workspace).  It covers
+(on the pseudo-spectral route it holds the route's workspace).  On that
+route a variation step leaves N(u) in the workspace for the step at the
+same state, so the `step` column runs on a scratch of its own that never
+runs a variation and times the computing path, and the `pair` column
+times `step_variation` then `step` on one state and one scratch, as a
+block runs them (cutoffs 5, 8 and 12 only).  It covers
 the triad route at cutoffs 1-4 with M = 1, 2, 3 and the pseudo-spectral
 route at cutoffs 5, 8 and 12 with M = 1, 2, the schemes `semi_implicit_em`
 and `exponential_em`, with the nonlinearity on (nu = 1, alpha = 0.5,
@@ -57,7 +62,7 @@ def main(argv: list[str]) -> int:
         f"us per call, best of {REPEATS} x {calls} calls, {fft_calls} from cutoff"
         f" {FFT_MIN_CUTOFF} (numpy {np.__version__})"
     )
-    print(f"{'scheme':<17} {'cutoff':>6} {'M':>2} {'step':>8} {'variation':>10}")
+    print(f"{'scheme':<17} {'cutoff':>6} {'M':>2} {'step':>8} {'variation':>10} {'pair':>8}")
     for scheme in SCHEMES:
         cfg = IntegratorConfig(scheme=scheme, dt=1e-3)
         for cutoff, members in CASES:
@@ -70,10 +75,20 @@ def main(argv: list[str]) -> int:
                 c, eta, dW = 0.3 * np.random.default_rng(M).standard_normal((3, M, n))
                 zeta = kernel.noise_injected(dW)
                 out = np.empty((M, n))
-                scratch = _step_scratch(kernel, M, wide=False, variation=True)
-                step = best_us(lambda: kernel.step(c, zeta, out, scratch), k)
+                scratch, fresh = (
+                    _step_scratch(kernel, M, wide=False, variation=True) for _ in range(2)
+                )
+                step = best_us(lambda: kernel.step(c, zeta, out, fresh), k)
                 variation = best_us(lambda: kernel.step_variation(c, eta, scratch), k)
-                print(f"{scheme:<17} {cutoff:>6} {M:>2} {step:>8.2f} {variation:>10.2f}")
+                pair = "-"
+                if cutoff >= FFT_MIN_CUTOFF:
+
+                    def both():
+                        kernel.step_variation(c, eta, scratch)
+                        kernel.step(c, zeta, out, scratch)
+
+                    pair = f"{best_us(both, k):.2f}"
+                print(f"{scheme:<17} {cutoff:>6} {M:>2} {step:>8.2f} {variation:>10.2f} {pair:>8}")
     return 0
 
 
