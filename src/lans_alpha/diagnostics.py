@@ -26,7 +26,7 @@ from .integrator import (
     EnsembleRun,
     IntegratorConfig,
     _coeffs_on,
-    _record_indices,
+    _record_count,
     integrate,
     run_ensemble,
     run_ensembles,
@@ -158,7 +158,7 @@ def ito_balance_reports(
     """ito_balance_report at each config, the runs stepped as one group on
     the same members' draws (run_ensembles), with the same bits."""
     c0 = _coeffs_on(x0, spec)
-    group = _paths(p, spec, M, [EnsembleRun(c0, cfg) for cfg in cfgs])
+    group = _paths(p, spec, M, [EnsembleRun(c0, cfg, series=False) for cfg in cfgs])
     trace = spec.trace_alpha(p.alpha)
     reports = []
     for cfg, paths in zip(cfgs, group):
@@ -166,7 +166,7 @@ def ito_balance_reports(
         F0 = paths.F[:, 0]  # the run's alpha_energy of x0
         residuals = (
             paths.F[:, -1]
-            + 2.0 * p.nu * paths.dissipation_integrals()
+            + 2.0 * p.nu * paths.dissipation_integral
             - F0
             - trace * t_final
             - 2.0 * paths.martingale[:, -1]
@@ -589,7 +589,7 @@ def invariant_stats_at(
             raise ConfigError(
                 f"T_long={T} is not a multiple of record_every={cfg.record_every} steps"
             )
-        ends.append(len(_record_indices(steps, cfg.record_every)))
+        ends.append(_record_count(steps, cfg.record_every))
     M = len(x0_list)
     X0 = np.stack([_coeffs_on(x, spec) for x in x0_list])
     paths = run_ensemble(X0, p, spec, long_cfg, M)

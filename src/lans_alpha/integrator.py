@@ -93,8 +93,14 @@ once per segment:
                finds them), the martingale as one three-operand einsum
                and np.cumsum (a sequential running sum, as adding step by
                step), and the recorded steps' F, martingale, dissipation
-               and states, read as strided rows.  H[s] carries over to
-               H[0].
+               and states, read as strided rows.  Each record's trapezoid
+               term (d (D[r + 1] + D[r])) / 2.0 goes into a leaf of at
+               most 128 rows per run and each full leaf into numpy's
+               pairwise tree (_PairwiseFold), so dissipation_integral has
+               the bits of np.trapezoid over the whole series and a run
+               that only feeds a report (series=False) keeps its first
+               and last record and nothing per record.  H[s] carries over
+               to H[0].
 
 A wide block (M >= _WIDE_MEMBERS) holds the states, each step's noise
 slice and the squares mode-major, each (M, n) slice as C-contiguous (n, M)
@@ -141,9 +147,12 @@ import numpy as np
 from .basis import ConfigError, SpectralField
 from .noise import NoiseSpec, substream
 from .operators import (
+    _PAIRWISE_BLOCK,
     FFTWork,
     PhysicalParams,
     TriadTable,
+    _pairwise_half,
+    _pairwise_rows,
     alpha_dissipation,
     alpha_energy,
     fft_work,
@@ -301,15 +310,15 @@ class StepKernel:
             self.basis, cu, ceta, self.p.alpha, route=self.route, work=work
         )
 
-    def _full_drift(self, c: np.ndarray) -> np.ndarray:
+    def _full_drift(self, c: np.ndarray, work=None) -> np.ndarray:
         if self.route is None:
             nl = np.zeros_like(c)
         else:
-            nl = nonlinear_coeffs(self.basis, c, self.p.alpha, route=self.route)
+            nl = nonlinear_coeffs(self.basis, c, self.p.alpha, route=self.route, work=work)
         return -self.p.nu * self.basis.eigenvalues * c + nl
 
-    def _full_linearized_drift(self, cu: np.ndarray, ceta: np.ndarray) -> np.ndarray:
-        return -self.p.nu * self.basis.eigenvalues * ceta + self._linearized(cu, ceta)
+    def _full_linearized_drift(self, cu: np.ndarray, ceta: np.ndarray, work=None) -> np.ndarray:
+        return -self.p.nu * self.basis.eigenvalues * ceta + self._linearized(cu, ceta, work)
 
     def step(
         self,
@@ -386,17 +395,24 @@ class StepKernel:
         return np.add(c, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out)
 
     def _rk4_variation(self, cu, ceta, work):
+        # each stage's DN before its N at the same state, on one workspace:
+        # on the pseudo-spectral route DN's fused call holds N there, and the
+        # drift copies it; the triad route takes no workspace here
+        if self.route is None or isinstance(self.route, TriadTable):
+            work = None
+        elif work is None:
+            work = fft_work(self.basis, np.broadcast_shapes(np.shape(cu)[:-1], np.shape(ceta)[:-1]))
         dt = self.dt
-        k1u = self._full_drift(cu)
-        k1e = self._full_linearized_drift(cu, ceta)
+        k1e = self._full_linearized_drift(cu, ceta, work)
+        k1u = self._full_drift(cu, work)
         u2 = cu + 0.5 * dt * k1u
-        k2u = self._full_drift(u2)
-        k2e = self._full_linearized_drift(u2, ceta + 0.5 * dt * k1e)
+        k2e = self._full_linearized_drift(u2, ceta + 0.5 * dt * k1e, work)
+        k2u = self._full_drift(u2, work)
         u3 = cu + 0.5 * dt * k2u
-        k3u = self._full_drift(u3)
-        k3e = self._full_linearized_drift(u3, ceta + 0.5 * dt * k2e)
+        k3e = self._full_linearized_drift(u3, ceta + 0.5 * dt * k2e, work)
+        k3u = self._full_drift(u3, work)
         u4 = cu + dt * k3u
-        k4e = self._full_linearized_drift(u4, ceta + dt * k3e)
+        k4e = self._full_linearized_drift(u4, ceta + dt * k3e, work)
         return ceta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
 
     def noise_injected(
@@ -411,11 +427,10 @@ class StepKernel:
         return np.multiply(self.conv_std, np.divide(dW, self.sqrt_dt, out=out), out=out)
 
 
-def _record_indices(num_steps: int, record_every: int) -> list[int]:
-    idx = list(range(0, num_steps + 1, record_every))
-    if idx[-1] != num_steps:
-        idx.append(num_steps)
-    return idx
+def _record_count(num_steps: int, record_every: int) -> int:
+    """Records of a run: one every record_every steps from step 0, and the
+    last step when it is off that grid."""
+    return -(-num_steps // record_every) + 1
 
 
 def integrate(
@@ -455,22 +470,24 @@ class EnsemblePaths:
 
     `martingale[:, r]` is the running sum of <(I + alpha^2 A) u_m, zeta_m>
     over all steps m before recorded time r, with zeta_m the noise actually
-    injected at step m.  Reductions over members are done with numpy
-    pairwise summation in fixed member order.
+    injected at step m.  `dissipation_integral` is the trapezoid rule over
+    every record, with the bits of np.trapezoid(dissipation, times, axis=1)
+    on the whole series, also when the run keeps only its first and last
+    record (EnsembleRun.series=False: R = 2, or 1 without steps).
+    Reductions over members are done with numpy pairwise summation in fixed
+    member order.
     """
 
     times: np.ndarray                 # (R,)
     F: np.ndarray                     # (M, R)
     dissipation: np.ndarray           # (M, R)
+    dissipation_integral: np.ndarray  # (M,) over every record
     martingale: np.ndarray            # (M, R) running accumulator
     sup_F: np.ndarray                 # (M,) running max over every step
     final_coeffs: np.ndarray          # (M, n)
     eta_final: np.ndarray | None = None   # (M, n)
     be_accumulator: np.ndarray | None = None  # (M,) sum_m <Q^{-1} eta_m, dW_m>
     snapshots: np.ndarray | None = None   # (M, R, n) recorded states
-
-    def dissipation_integrals(self) -> np.ndarray:
-        return np.trapezoid(self.dissipation, self.times, axis=1)
 
 
 def ensemble_threads() -> int:
@@ -486,13 +503,19 @@ def ensemble_threads() -> int:
 
 class EnsembleRun(NamedTuple):
     """One run of a group (`run_ensembles`): the run_ensemble arguments
-    that may differ between runs on the same members' substreams."""
+    that may differ between runs on the same members' substreams.
+
+    A run with `series=False` keeps of F, dissipation, martingale and times
+    only the first and the last record, and its dissipation_integral, so
+    its records take O(M) memory, not O(M R); it cannot store fields
+    (ValueError)."""
 
     x0_coeffs: np.ndarray                 # (n,) shared start, or (M, n)
     cfg: IntegratorConfig
     eta0_coeffs: np.ndarray | None = None  # (n,) direction of the first variation
     collect_be: bool = False
     store_fields: bool = False
+    series: bool = True
 
 
 def run_ensemble(
@@ -564,7 +587,7 @@ def run_ensembles(
         return _run_ensemble_block(
             first.x0_coeffs, p, spec, first.cfg, b - a,
             eta0_coeffs=first.eta0_coeffs, collect_be=first.collect_be,
-            store_fields=first.store_fields, others=others, member_offset=a,
+            store_fields=first.store_fields, series=first.series, others=others, member_offset=a,
             increments=None if increments is None else increments[a:b],
         )
 
@@ -660,17 +683,18 @@ def _run_ensemble_block(
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
     store_fields: bool = False,
+    series: bool = True,
     others: Sequence[EnsembleRun] = (),
     member_offset: int = 0,
     increments: np.ndarray | None = None,
 ) -> list[EnsemblePaths]:
     """The EnsemblePaths of the run (x0_coeffs, cfg, eta0_coeffs,
-    collect_be, store_fields) and of the runs in `others`, on members
+    collect_be, store_fields, series) and of the runs in `others`, on members
     member_offset.. member_offset + M - 1, stepped in lockstep: each chunk of
     standard normals is drawn once and handed to every run that has not
     reached its horizon, the first rows to a run that needs fewer.  Raises
     the BlowUpError of the first run, in order, that blows up."""
-    runs = [EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields), *others]
+    runs = [EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields, series), *others]
     n = spec.basis.mode_count
     chunk_len = _chunk_len(max(run.cfg.num_steps() for run in runs), M, n, len(runs))
     s = min(chunk_len, _segment_len(M, n))
@@ -726,6 +750,64 @@ def _run_ensemble_block(
     return [st.paths() for st in steppers]
 
 
+def _pairwise_leaves(n: int, start: int = 0, merges: int = 0):
+    """The leaves of numpy's pairwise sum of the n values from `start`, in
+    order, as (end, merges): a range of at most _PAIRWISE_BLOCK values is a
+    leaf, a longer one the sum of its two halves (operators._pairwise_half),
+    and the leaf that ends a right half completes `merges` of them."""
+    if n <= _PAIRWISE_BLOCK:
+        yield start + n, merges
+        return
+    half = _pairwise_half(n)
+    yield from _pairwise_leaves(half, start, 0)
+    yield from _pairwise_leaves(n - half, start + half, merges + 1)
+
+
+class _PairwiseFold:
+    """np.add.reduce(values, axis=1) of M members' rows of n non-negative
+    values, bit for bit, fed a few columns at a time.
+
+    numpy sums a contiguous row as 0 + pairwise(row): leaves of at most
+    _PAIRWISE_BLOCK values and above them the sum of each range's two
+    halves (_pairwise_leaves).  The fold holds one leaf, laid out as the
+    block's states, and the sums of the left halves that wait for their
+    right halves, one per level of the tree at most.  A member-major leaf
+    is summed by np.add.reduce (0 + pairwise(leaf), the same bits for
+    values >= 0), a wide block's mode-major one by _pairwise_rows.
+    """
+
+    def __init__(self, n: int, M: int, wide: bool):
+        self.leaves = _pairwise_leaves(n)
+        self.wide = wide
+        self.values = _states(M, min(n, _PAIRWISE_BLOCK), wide)
+        self.halves: list[np.ndarray] = []
+        self.start = 0
+        self.end, self.merges = next(self.leaves)
+
+    def slots(self, j: int, count: int) -> np.ndarray:
+        """The (M, t) columns for values j.. of the current leaf, t <= count."""
+        return self.values[:, j - self.start : min(j + count, self.end) - self.start]
+
+    def filled(self, j: int) -> None:
+        """The values before j are in; a complete leaf is summed into the tree."""
+        if j < self.end:
+            return
+        leaf = self.values[:, : self.end - self.start]
+        if self.wide:
+            total = _pairwise_rows(leaf.T).copy()
+        else:
+            total = np.add.reduce(leaf, axis=1)
+        for _ in range(self.merges):
+            total = np.add(self.halves.pop(), total, out=total)
+        self.halves.append(total)
+        self.start = self.end
+        self.end, self.merges = next(self.leaves, (self.end, 0))
+
+    def total(self) -> np.ndarray:
+        # once every leaf is in, the one sum left is the whole row's
+        return np.add(0.0, self.halves[0]) if self.halves else np.zeros(len(self.values))
+
+
 class _Stepper:
     """One run of a block: its kernel, its segment buffers and its records.
 
@@ -738,7 +820,10 @@ class _Stepper:
     segment's start.  The kernel sees (M, n) views of the storage.  work[:s],
     laid out as the states and shared by the block's runs, holds the
     segment's increments dW = Z sqrt(dt), then in place its injected noise,
-    then the squares of the energy and dissipation sums.
+    then the squares of the energy and dissipation sums.  Record r is taken
+    at step min(r * record_every, num_steps); each record's trapezoid term
+    is folded into the dissipation integral as it comes, so a run that
+    keeps no series holds nothing per record.
     """
 
     def __init__(self, run, index, spec, kernel, scratch, work, s, member_offset, fine):
@@ -749,7 +834,10 @@ class _Stepper:
         self.index, self.spec, self.member_offset = index, spec, member_offset
         self.kernel, self.scratch, self.work = kernel, scratch, work
         num_steps = self.num_steps = cfg.num_steps()
-        self.rec = _record_indices(num_steps, cfg.record_every)
+        R = self.R = _record_count(num_steps, cfg.record_every)
+        self.series = run.series
+        if run.store_fields and not run.series:
+            raise ValueError("store_fields needs the record series (series=True)")
 
         # the first variation stays C-contiguous (M, n) in every block:
         # step_variation returns fresh C-contiguous arrays
@@ -776,18 +864,22 @@ class _Stepper:
         H[0] = run.x0_coeffs
         self.E = np.empty((s + 1, M))
         self.X = np.zeros((s + 1, M))
-        self.D_rows = np.empty((s, M))
+        # the dissipation of the last record, then of the records being taken
+        self.D_rows = np.empty((s + 1, M))
         alpha_energy(
             H[0], basis, kernel.p.alpha, weight=kernel.helm, out=self.E[0], work=work[0]
         )
         self.sup_F = self.E[0].copy()
 
-        R = len(self.rec)
+        # the R - 1 trapezoid terms of the dissipation integral
+        self.integral = _PairwiseFold(R - 1, M, wide)
+        kept = np.arange(R) if run.series else np.array(sorted({0, R - 1}))
         self.out = EnsemblePaths(
-            times=np.array([m * cfg.dt for m in self.rec]),
-            F=np.empty((M, R)),
-            dissipation=np.empty((M, R)),
-            martingale=np.empty((M, R)),
+            times=self._times(kept),
+            F=np.empty((M, len(kept))),
+            dissipation=np.empty((M, len(kept))),
+            dissipation_integral=None,  # when the run ends
+            martingale=np.empty((M, len(kept))),
             sup_F=self.sup_F,
             final_coeffs=None,  # the last state, when the run ends
             be_accumulator=self.be_acc,
@@ -796,19 +888,49 @@ class _Stepper:
         self.m = self.r_rec = 0
         self._record(slice(0, 1))
 
+    def _times(self, records: np.ndarray) -> np.ndarray:
+        # the bits of m * dt at each record's step m
+        return np.minimum(records * self.cfg.record_every, self.num_steps) * self.cfg.dt
+
     def _record(self, rows: slice) -> None:
-        E, H, r, out = self.E, self.H, self.r_rec, self.out
+        """Take records r.. at the segment's `rows`; the first call takes record 0 alone."""
+        E, H, D, r, out = self.E, self.H, self.D_rows, self.r_rec, self.out
         k = len(E[rows])
-        out.F[:, r : r + k] = E[rows].T
         alpha_dissipation(
             H[rows], self.basis, self.kernel.p.alpha, weight=self.kernel.dissipation_weight,
-            out=self.D_rows[:k], work=self.work[:k],
+            out=D[1 : k + 1], work=self.work[:k],
         )
-        out.dissipation[:, r : r + k] = self.D_rows[:k].T
-        out.martingale[:, r : r + k] = self.X[rows].T
-        if out.snapshots is not None:
-            out.snapshots[:, r : r + k] = H[rows].swapaxes(0, 1)
+        cols = None
+        if self.series:
+            cols, src = slice(r, r + k), slice(0, k)
+        elif r == 0 or r + k == self.R:  # only the first record and the last
+            cols, src = slice(min(r, 1), min(r, 1) + 1), slice(k - 1, k)
+        if cols is not None:
+            out.F[:, cols] = E[rows][src].T
+            out.dissipation[:, cols] = D[1 : k + 1][src].T
+            out.martingale[:, cols] = self.X[rows][src].T
+            if out.snapshots is not None:
+                out.snapshots[:, cols] = H[rows][src].swapaxes(0, 1)
+        if r > 0:
+            self._integrate(D[: k + 1], r - 1)
+        D[0] = D[k]
         self.r_rec = r + k
+
+    def _integrate(self, D: np.ndarray, j: int) -> None:
+        """Fold in the trapezoid terms j.. joining the records of the rows of
+        D: term j + i is (d[i] * (D[i + 1] + D[i])) / 2.0 with d the spacing
+        of their times, as np.trapezoid forms it, a leaf's columns at a time."""
+        k = len(D) - 1
+        d = np.diff(self._times(np.arange(j, j + k + 1)))
+        i = 0
+        while i < k:
+            terms = self.integral.slots(j + i, k - i)
+            t = terms.shape[1]
+            np.add(D[i + 1 : i + 1 + t].T, D[i : i + t].T, out=terms)
+            terms *= d[i : i + t]
+            terms /= 2.0
+            i += t
+            self.integral.filled(j + i)
 
     def _fine_sums(self, seg: int) -> np.ndarray:
         """The next seg steps' increments, each the sum of r of the fine path's."""
@@ -827,7 +949,7 @@ class _Stepper:
         normals, or on the caller's fine path when Z is None."""
         kernel, spec, H, E, X, work = self.kernel, self.spec, self.H, self.E, self.X, self.work
         s, scratch, Eta, be_acc, be_row = self.s, self.scratch, self.Eta, self.be_acc, self.be_row
-        rec, R, dt = self.rec, len(self.rec), self.cfg.dt
+        R, dt, every = self.R, self.cfg.dt, self.cfg.record_every
         basis, helm, alpha = self.basis, kernel.helm, kernel.p.alpha
         for c in range(0, steps, s):
             seg = min(s, steps - c)
@@ -870,8 +992,8 @@ class _Stepper:
                     energy=float(E[row, j]), run=self.index,
                 )
             # the record grid's steps in the segment, then the last step off it
-            while self.r_rec < R and rec[self.r_rec] <= m + seg:
-                self._record(slice(rec[self.r_rec] - m, seg + 1, self.cfg.record_every))
+            while self.r_rec < R and (at := min(self.r_rec * every, self.num_steps)) <= m + seg:
+                self._record(slice(at - m, seg + 1, every))
             self.m = m + seg
             H[0] = H[seg]
             E[0] = E[seg]
@@ -881,4 +1003,5 @@ class _Stepper:
     def paths(self) -> EnsemblePaths:
         self.out.final_coeffs = self.H[0].copy()
         self.out.eta_final = self.Eta
+        self.out.dissipation_integral = self.integral.total()
         return self.out

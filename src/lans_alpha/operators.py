@@ -369,6 +369,13 @@ def triad_table(basis: Basis, alpha: float) -> TriadTable:
 _PAIRWISE_BLOCK = 128
 
 
+def _pairwise_half(n: int) -> int:
+    """Length of the first half numpy's pairwise sum splits n > _PAIRWISE_BLOCK
+    values into: n // 2, rounded down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
 def _pairwise_rows(X: np.ndarray) -> np.ndarray:
     """Sum the rows of X in numpy's pairwise order; returns X[0] holding it.
 
@@ -396,8 +403,7 @@ def _pairwise_rows(X: np.ndarray) -> np.ndarray:
         for i in range(tail, n):
             X[0] += X[i]
     else:
-        half = n // 2
-        half -= half % 8
+        half = _pairwise_half(n)
         first = _pairwise_rows(X[:half])
         first += _pairwise_rows(X[half:])
     return X[0]

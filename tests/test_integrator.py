@@ -20,7 +20,7 @@ from lans_alpha import (
     run_ensembles,
     substream,
 )
-from lans_alpha import diagnostics, integrator
+from lans_alpha import diagnostics, integrator, operators
 from lans_alpha.basis import Basis, build_basis
 from lans_alpha.diagnostics import strong_convergence_study
 from lans_alpha.integrator import ensemble_threads
@@ -192,6 +192,43 @@ class TestStepVariation:
         fd = (bumped.final_coeffs[0] - base.final_coeffs[0]) / delta
         assert np.linalg.norm(fd - base.eta_final[0]) / np.linalg.norm(base.eta_final[0]) < 1e-5
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_rk4_variation_takes_n_from_the_fused_call(self, monkeypatch, lead):
+        # on the pseudo-spectral route each stage's DN call holds N at its
+        # state, so N is never projected on its own, and the result has the
+        # bits of the stages computed by separate calls
+        basis = build_basis(2 * np.pi, 5)
+        p = params(nu=0.3)
+        kernel = StepKernel(p, IntegratorConfig(scheme="rk4_deterministic", dt=5e-3),
+                            make_noise(1.5, 0.0, basis)[0])
+        rng = np.random.default_rng(7)
+        cu, ceta = 0.5 * rng.standard_normal((2, *lead, basis.mode_count))
+        lam, dt = basis.eigenvalues, kernel.dt
+
+        def drift(c):
+            return -p.nu * lam * c + operators.nonlinear_coeffs(basis, c, p.alpha)
+
+        def linearized_drift(u, e):
+            return -p.nu * lam * e + operators.linearized_nonlinear_coeffs(basis, u, e, p.alpha)
+
+        k1u, k1e = drift(cu), linearized_drift(cu, ceta)
+        u2 = cu + 0.5 * dt * k1u
+        k2u, k2e = drift(u2), linearized_drift(u2, ceta + 0.5 * dt * k1e)
+        u3 = cu + 0.5 * dt * k2u
+        k3u, k3e = drift(u3), linearized_drift(u3, ceta + 0.5 * dt * k2e)
+        k4e = linearized_drift(cu + dt * k3u, ceta + dt * k3e)
+        want = ceta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+
+        projections = []
+        b_tilde_fft = operators.b_tilde_fft
+        monkeypatch.setattr(
+            operators, "b_tilde_fft", lambda *a, **k: projections.append(1) or b_tilde_fft(*a, **k)
+        )
+        scratch = integrator.StepScratch(None, operators.fft_work(basis, lead))
+        for got in (kernel.step_variation(cu, ceta), kernel.step_variation(cu, ceta, scratch)):
+            assert got.tobytes() == want.tobytes()
+        assert projections == []
+
 
 class TestIntegrate:
     def test_zero_horizon(self, basis1):
@@ -297,7 +334,7 @@ class TestDiscreteItoBalance:
         F0 = alpha_energy(x0, basis, p.alpha)
         res = (
             paths.F[:, -1]
-            + 2 * p.nu * paths.dissipation_integrals()
+            + 2 * p.nu * paths.dissipation_integral
             - F0
             - spec.trace_alpha(p.alpha) * paths.times[-1]
             - 2 * paths.martingale[:, -1]
@@ -499,10 +536,12 @@ def naive_ensemble(
             D.append(alpha_dissipation(C, basis, p.alpha))
             marts.append(mart.copy())
             snaps.append(C)
+    times = np.array([m * cfg.dt for m in sorted(record_at)])
     return {
-        "times": np.array([m * cfg.dt for m in sorted(record_at)]),
+        "times": times,
         "F": np.stack(F, axis=1),
         "dissipation": np.stack(D, axis=1),
+        "dissipation_integral": np.trapezoid(np.stack(D, axis=1), times, axis=1),
         "martingale": np.stack(marts, axis=1),
         "sup_F": sup_F,
         "final_coeffs": C,
@@ -834,6 +873,69 @@ class TestGroups:
         assert str(got) == str(want)
 
 
+class TestDissipationIntegral:
+    """Each run folds its records' trapezoid terms into dissipation_integral
+    as they come, with the bits of np.trapezoid over its whole series; a
+    report's run (series=False) keeps only the first and the last record."""
+
+    @staticmethod
+    def setup(monkeypatch, wide, threads):
+        if wide:  # so two threads step two wide blocks of two
+            monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("LANS_THREADS", threads)
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("terms", [0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000, 4097])
+    def test_equals_trapezoid_over_the_series(self, monkeypatch, terms, wide, threads):
+        # leaves of 128 terms and the tree's halves above them, records every
+        # 3 steps and the last one off the grid
+        self.setup(monkeypatch, wide, threads)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=terms)
+        steps = 3 * terms - 1 if terms else 0
+        cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3, record_every=3)
+        assert cfg.num_steps() == steps
+        x0 = np.random.default_rng(terms).standard_normal(basis.mode_count)
+        got = run_ensemble(x0, params(), spec, cfg, 4)
+        assert got.times.shape == (terms + 1,)
+        want = np.trapezoid(got.dissipation, got.times, axis=1)
+        assert got.dissipation_integral.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("group", [False, True])
+    @pytest.mark.parametrize("steps", [0, 1, 22, 400])
+    def test_report_run_equals_its_series_twin(self, monkeypatch, steps, group, wide, threads):
+        # alone and in a (dt, dt/2) group, in 7-step chunks
+        self.setup(monkeypatch, wide, threads)
+        monkeypatch.setattr(integrator, "_NOISE_CHUNK", 7)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=6)
+        cfg = IntegratorConfig(dt=2e-3, t_end=steps * 2e-3, record_every=3)
+        cfgs = [cfg, dataclasses.replace(cfg, dt=1e-3)] if group else [cfg]
+        x0 = np.random.default_rng(steps).standard_normal(basis.mode_count)
+        series = run_ensembles(params(), spec, 4, [EnsembleRun(x0, c) for c in cfgs])
+        reports = run_ensembles(params(), spec, 4, [EnsembleRun(x0, c, series=False) for c in cfgs])
+        for twin, got in zip(series, reports):
+            ends = [0, -1] if steps else [0]
+            assert got.times.tobytes() == twin.times[ends].tobytes()
+            for name in ("F", "dissipation", "martingale"):
+                assert getattr(got, name).tobytes() == getattr(twin, name)[:, ends].tobytes(), name
+            for name in ("dissipation_integral", "sup_F", "final_coeffs"):
+                assert getattr(got, name).tobytes() == getattr(twin, name).tobytes(), name
+
+    def test_report_run_stores_no_fields(self, basis1):
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=58)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        run = EnsembleRun(np.zeros(basis1.mode_count), cfg, store_fields=True, series=False)
+        with pytest.raises(ValueError, match="series"):
+            run_ensembles(params(), spec, 2, [run])
+
+
 @pytest.mark.parametrize("cutoff", [1, 5])
 def test_thread_split_across_the_wide_threshold(monkeypatch, cutoff):
     # serially the 5 members step as one wide block; over two threads as a
@@ -876,53 +978,73 @@ def test_recorded_start_energy_is_alpha_energy(monkeypatch, cutoff, wide, shared
         assert paths.F[i, 0].tobytes() == alpha_energy(start, basis, p.alpha).tobytes()
 
 
-@pytest.mark.parametrize("case", ["steps_bound", "bytes_bound", "collect_be"])
+@pytest.mark.parametrize("case", ["steps_bound", "bytes_bound", "collect_be", "report"])
 def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     # a wide block allocates its buffers once: the peak of traced memory is
-    # the noise chunk, sized by the block's own chunk rule, the (M, R)
-    # records, the segment's buffers and the step workspace, plus 10%
+    # the noise chunk, sized by the block's own chunk rule, the records,
+    # (M, R) each or (M, 2) for a report's run (series=False), the
+    # segment's buffers, the dissipation integral's leaf and the step
+    # workspace, plus 10%
     monkeypatch.delenv("LANS_THREADS", raising=False)
-    if case == "bytes_bound":  # room for 12 steps of noise beside the segment
+    if case in ("bytes_bound", "report"):  # room for 12 steps of noise beside the segment
         monkeypatch.setattr(integrator, "_NOISE_BYTES", 4 << 20)
     basis = build_basis(2 * np.pi, 1)
     spec, _ = make_noise(1.5, 0.5, basis, seed=11)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1, record_every=1)
-    M, n, steps = 2000, basis.mode_count, cfg.num_steps()
+    M, n = 2000, basis.mode_count
     assert M >= integrator._WIDE_MEMBERS
     x0 = SpectralField.unit(basis, 0).coeffs
     be = dict(eta0_coeffs=x0, collect_be=True) if case == "collect_be" else {}
     run_ensemble(x0, params(), spec, cfg, 2, **be)  # build the cached tables first
 
-    tracemalloc.start()
-    try:
-        gens = [substream(spec.seed, i) for i in range(M)]
-        substreams = tracemalloc.get_traced_memory()[0]
-        del gens
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        run_ensemble(x0, params(), spec, cfg, M, **be)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    def traced_peak(cfg):
+        run = EnsembleRun(x0, cfg, series=case != "report", **be)
+        tracemalloc.start()
+        try:
+            gens = [substream(spec.seed, i) for i in range(M)]
+            substreams = tracemalloc.get_traced_memory()[0]
+            del gens
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_ensembles(params(), spec, M, [run])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak, substreams
 
-    # one chunk of increments in every case
-    chunk = integrator._chunk_len(steps, M, n)
-    assert chunk == (12 if case == "bytes_bound" else steps)
-    seg = min(chunk, integrator._segment_len(M, n))
-    noise = chunk * n * M
-    records = 3 * M * (steps + 1)
-    tile = min(M, integrator._TILE_BYTES // (8 * n * chunk)) * chunk * n
-    triads = len(triad_table(basis, params().alpha).k)
-    # the segment's states, its injected noise (then its squares),
-    # nonlinearity and the returned copy; triad scratch; the segment's
-    # energies, martingale and dissipation sums, its max and the running max
-    workspace = tile + (2 * seg + 3) * n * M + 2 * triads * M + (3 * seg + 4) * M
-    if be:
-        # the first variation's state, the narrow triad route's gathers and
-        # products (its successor among them) and the BE sums
-        workspace += n * M + 3 * triads * M + M
-    declared = 8 * (noise + records + workspace) + substreams
-    assert peak <= 1.1 * declared, (peak / 1e6, declared / 1e6)
+    def declared(cfg, substreams):
+        # one chunk of increments in every case
+        steps = cfg.num_steps()
+        chunk = integrator._chunk_len(steps, M, n)
+        assert chunk == (steps if case in ("steps_bound", "collect_be") else 12)
+        seg = min(chunk, integrator._segment_len(M, n))
+        noise = chunk * n * M
+        records = 3 * M * (2 if case == "report" else steps + 1)
+        tile = min(M, integrator._TILE_BYTES // (8 * n * chunk)) * chunk * n
+        triads = len(triad_table(basis, params().alpha).k)
+        # the segment's states, its injected noise (then its squares),
+        # nonlinearity and the returned copy; triad scratch; the segment's
+        # energies, martingale sums, dissipation sums after the last
+        # record's, its max and the running max
+        workspace = tile + (2 * seg + 3) * n * M + 2 * triads * M + (3 * seg + 5) * M
+        # the leaf of the integral's trapezoid terms, one per step here
+        workspace += min(steps, 128) * M
+        if be:
+            # the first variation's state, the narrow triad route's gathers and
+            # products (its successor among them) and the BE sums
+            workspace += n * M + 3 * triads * M + M
+        return 8 * (noise + records + workspace) + substreams
+
+    peak, substreams = traced_peak(cfg)
+    assert peak <= 1.1 * declared(cfg, substreams), (peak / 1e6, declared(cfg, substreams) / 1e6)
+    if case == "report":
+        # four times the steps and records in the same memory, but for the
+        # leaf's 28 more rows and a few member columns (the half sums that
+        # wait in the pairwise tree); the (M, R) records would add 900
+        longer = dataclasses.replace(cfg, t_end=0.4)
+        long_peak, substreams = traced_peak(longer)
+        assert long_peak <= 1.1 * declared(longer, substreams)
+        assert long_peak - peak <= 8 * M * (28 + 8), ((long_peak - peak) / (8 * M))
 
 
 @pytest.mark.parametrize("cutoff", [1, 5])

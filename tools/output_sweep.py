@@ -29,7 +29,13 @@ thread variables set to 1:
 - `mc-energy` and `be` on `configs/base.cfg` with `cutoff = 5` and
   `M = 512` appended (WIDE_KEYS), one wide block on the pseudo-spectral
   route, saved as `base-c5-wide-<sub>`, and again with `LANS_THREADS=2`,
-  which splits it into two narrow blocks.
+  which splits it into two narrow blocks;
+- `mc-energy` on `configs/base.cfg` with `t_end = 0.8` and
+  `record_every = 3` appended (LONG_KEYS): 267 and 534 trapezoid terms
+  (more than two leaves of numpy's pairwise sum) and a last record off the
+  grid, saved as `base-long-mc-energy`, and again with `M = 520` (a wide
+  block), serially and with `LANS_THREADS=2`, saved as
+  `base-long-wide-mc-energy` and `base-long-wide-mc-energy-threads2`.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
@@ -70,6 +76,8 @@ EXP_SUBCOMMANDS = ("variation", "be")
 THREADED_WORKLOADS = ("wide_ensemble", "fine_grid")  # their seed-42 steps get thread twins
 WIDE_KEYS = "cutoff = 5\nM = 512\nt_end = 0.02\nt = 0.02\n"  # M >= integrator._WIDE_MEMBERS
 WIDE_SUBCOMMANDS = ("mc-energy", "be")
+# records every 3 of 800 (and 1600) steps, the last one off the grid
+LONG_KEYS = "t_end = 0.8\nrecord_every = 3\n"
 
 
 def _env(threads: int) -> dict[str, str]:
@@ -120,6 +128,13 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
     for sub in WIDE_SUBCOMMANDS:
         runs.append((f"base-c5-wide-{sub}", sub, wide, 1))
         runs.append((f"base-c5-wide-{sub}-threads2", sub, wide, 2))
+    long = scratch / "base-long.cfg"
+    long.write_text(f"{base}\n{LONG_KEYS}")
+    runs.append(("base-long-mc-energy", "mc-energy", long, 1))
+    long_wide = scratch / "base-long-wide.cfg"
+    long_wide.write_text(f"{base}\n{LONG_KEYS}M = 520\n")
+    runs.append(("base-long-wide-mc-energy", "mc-energy", long_wide, 1))
+    runs.append(("base-long-wide-mc-energy-threads2", "mc-energy", long_wide, 2))
     return runs
 
 
