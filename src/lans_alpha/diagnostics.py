@@ -31,6 +31,8 @@ from .integrator import (
     run_ensemble,
     run_ensembles,
 )
+# substream is not called here; the import stays because
+# benchmarks/tracing.py patches that name on this module
 from .noise import NoiseSpec, SingularOperatorError, substream
 from .operators import PhysicalParams, alpha_energy, helmholtz_factor
 
@@ -692,17 +694,10 @@ def strong_convergence_study(
             )
 
     c0 = _coeffs_on(x0, spec)
-    # one (M, steps, n) array of fine increments, scaled in place; each level
-    # steps on the sums of dt / finest of them and records only its two ends
-    dW_fine = np.empty((M, steps_fine, spec.basis.mode_count))
-    for i in range(M):
-        substream(spec.seed, i).standard_normal(out=dW_fine[i])
-    dW_fine *= np.sqrt(finest)
-
-    finals = []
-    for dt in dts:
-        level = replace(cfg, dt=dt, record_every=steps_fine)
-        finals.append(run_ensemble(c0, p, spec, level, M, increments=dW_fine).final_coeffs)
+    # one group on the finest path: each level steps on the sums of dt / finest
+    # of its rows and records only its two ends
+    levels = [EnsembleRun(c0, replace(cfg, dt=dt, record_every=steps_fine)) for dt in dts]
+    finals = [paths.final_coeffs for paths in run_ensembles(p, spec, M, levels, fine_dt=finest)]
 
     errors = np.array(
         [np.mean(np.linalg.norm(finals[i] - finals[i + 1], axis=1)) for i in range(len(dts) - 1)]

@@ -32,13 +32,14 @@ the block draws each chunk of standard normals once and hands it to
 every run that has not reached its horizon, the first rows to a run that
 needs fewer.  A single run is a group of one.  `integrate` is the loop
 at M=1 on substream (seed, member); `run_ensembles` splits members into
-blocks over threads and `run_ensemble` is its one-run case; the
-strong-convergence study passes every level its one fine path in place
-of the substream draws.  Every step's alpha-energy is computed once; it
-updates the running sup, is recorded as F and detects blow-up, being
-non-finite whenever a coefficient is (and when it overflows).  A group
-raises what its runs called one after the other would: the error of the
-first run, in order, that blows up.
+blocks over threads and `run_ensemble` is its one-run case; the levels
+of the strong-convergence study are one group on one fine path of the
+substreams, each level summing r = dt / fine_dt of its rows per step.
+Every step's alpha-energy is computed once; it updates the running sup,
+is recorded as F and detects blow-up, being non-finite whenever a
+coefficient is (and when it overflows).  A group raises what its runs
+called one after the other would: the error of the first run, in order,
+that blows up.
 
 At M <= 2 a step costs numpy call overhead, not flops: at cutoff 1 it is
 about nine numpy calls on 16 triads (a gather, two products, one
@@ -67,19 +68,23 @@ once per segment:
                keyed by H[i]'s bytes and the route, and the step copies
                it instead of synthesising u's fields again.
   noise        one buffer per block, laid out as the state, holds the
-               standard normals Z of a chunk of at most _NOISE_CHUNK steps,
+               standard normals Z of a chunk of at most _NOISE_CHUNK rows,
                drawn member by member through a tile that fits in L2; with
                the segment buffers of the group's k runs it fills at most
                _NOISE_BYTES, and the chunk gets 1/k of the room those
-               leave, since the k runs' records are alive at once.  A
-               caller's fine path needs no chunk: each run sums r of its
-               increments per step into a segment buffer of its own.
+               leave, since the k runs' records are alive at once.  A run
+               on fine_dt reads r rows per step; as every run of such a
+               group reads every row, its chunk is instead s r_max rows,
+               one segment of its coarsest run, and so at any horizon the
+               size of its runs' own buffers, rounded down to a whole
+               number of every run's steps.
   segment      a run steps s states through a buffer H of s + 1, step i
                reading H[i] and writing H[i + 1]; s fills about
                _SEGMENT_BYTES (512 steps at M = 2, cutoff 1), at least
                _SEGMENT_MIN, within a chunk.  It first scales the
                segment's rows of the chunk into an (s, M, n) buffer laid
-               out as the state, dW = Z sqrt(dt), then noise_injected turns
+               out as the state, dW = Z sqrt(dt) (on fine_dt, r rows
+               Z sqrt(fine_dt) added in order), then noise_injected turns
                them into the injected noise in place.  Only the first
                variation and the Bismut-Elworthy sum, which a step reads,
                stay per step; the BE sum scales its row of Z the same way.
@@ -528,7 +533,6 @@ def run_ensemble(
     eta0_coeffs: np.ndarray | None = None,
     collect_be: bool = False,
     store_fields: bool = False,
-    increments: np.ndarray | None = None,
 ) -> EnsemblePaths:
     """Step M members in lockstep on spec.basis, member i on the noise
     substream (spec.seed, i).
@@ -538,15 +542,13 @@ def run_ensemble(
     first variation is co-integrated with shared increments; `collect_be`
     additionally accumulates sum_m <Q^{-1} eta(t_m), dW_m>.
     `store_fields` keeps the recorded states in `snapshots`.
-    `increments`, (M, r * steps, n) normals scaled to sqrt(dt / r), replace
-    the substream draws, r of them summed per step (common-path coupling).
     LANS_THREADS > 1 splits the members into contiguous blocks run on a
     thread pool; per-member substreams make the result identical either way.
     `integrate` runs one member on any substream, with the same bits as its
     row here.  This is the one-run group of `run_ensembles`.
     """
     run = EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields)
-    return run_ensembles(p, spec, M, [run], increments=increments)[0]
+    return run_ensembles(p, spec, M, [run])[0]
 
 
 def run_ensembles(
@@ -555,7 +557,7 @@ def run_ensembles(
     M: int,
     runs: list[EnsembleRun],
     *,
-    increments: np.ndarray | None = None,
+    fine_dt: float | None = None,
 ) -> list[EnsemblePaths]:
     """Each run's `run_ensemble(run.x0_coeffs, p, spec, run.cfg, M, ...)`,
     bit for bit, stepped as one group.
@@ -563,24 +565,19 @@ def run_ensembles(
     Every run reads members 0..M-1 of the same substreams, each step the
     next row of standard normals scaled by its own sqrt(dt), so the group
     draws each row once, for the longest run, and builds each generator
-    once.  With `increments` every run sums its own r = rows // steps of
-    them per step.  A run that blows up raises what the calls one after
-    the other would: the first run, in order, that blows up, at its first
-    bad step and lowest member there.
+    once.  With `fine_dt` every run steps on one Brownian path of step
+    fine_dt (common-path coupling): each step the sum, in order, of its
+    next r = cfg.dt / fine_dt rows, each scaled by sqrt(fine_dt).  r must
+    be a whole number, and 1 for a run that collects the Bismut-Elworthy
+    sum (ValueError otherwise).  A run that blows up raises what the calls
+    one after the other would: the first run, in order, that blows up, at
+    its first bad step and lowest member there.
     """
     n = spec.basis.mode_count
     runs = [
         run._replace(x0_coeffs=np.broadcast_to(np.asarray(run.x0_coeffs, dtype=np.float64), (M, n)))
         for run in runs
     ]
-    if increments is not None:
-        for run in runs:
-            steps = run.cfg.num_steps()
-            r = increments.shape[1] // steps if steps and increments.ndim == 3 else 1
-            if r < 1 or increments.shape != (M, r * steps, n):
-                raise ValueError(
-                    f"increments of shape {increments.shape} not ({M}, r * {steps}, {n})"
-                )
 
     def run_block(a: int, b: int) -> list[EnsemblePaths]:
         first, *others = [run._replace(x0_coeffs=run.x0_coeffs[a:b]) for run in runs]
@@ -588,7 +585,7 @@ def run_ensembles(
             first.x0_coeffs, p, spec, first.cfg, b - a,
             eta0_coeffs=first.eta0_coeffs, collect_be=first.collect_be,
             store_fields=first.store_fields, series=first.series, others=others, member_offset=a,
-            increments=None if increments is None else increments[a:b],
+            fine_dt=fine_dt,
         )
 
     workers = ensemble_threads()
@@ -686,41 +683,51 @@ def _run_ensemble_block(
     series: bool = True,
     others: Sequence[EnsembleRun] = (),
     member_offset: int = 0,
-    increments: np.ndarray | None = None,
+    fine_dt: float | None = None,
 ) -> list[EnsemblePaths]:
     """The EnsemblePaths of the run (x0_coeffs, cfg, eta0_coeffs,
     collect_be, store_fields, series) and of the runs in `others`, on members
     member_offset.. member_offset + M - 1, stepped in lockstep: each chunk of
     standard normals is drawn once and handed to every run that has not
-    reached its horizon, the first rows to a run that needs fewer.  Raises
-    the BlowUpError of the first run, in order, that blows up."""
+    reached its horizon, the first rows to a run that needs fewer.  With
+    fine_dt a run takes r = dt / fine_dt rows per step (_rows_per_step).
+    Raises the BlowUpError of the first run, in order, that blows up."""
     runs = [EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields, series), *others]
     n = spec.basis.mode_count
-    chunk_len = _chunk_len(max(run.cfg.num_steps() for run in runs), M, n, len(runs))
-    s = min(chunk_len, _segment_len(M, n))
+    ratios = [_rows_per_step(run, fine_dt) for run in runs]
+    rows = max(r * run.cfg.num_steps() for r, run in zip(ratios, runs))
+    s = _segment_len(M, n)
+    whole = math.lcm(*ratios)
+    if whole == 1:
+        chunk_len = _chunk_len(rows, M, n, len(runs))
+    else:
+        # every run reads every row: one segment of the coarsest run's steps,
+        # as large as the runs' own buffers at any horizon, and a whole
+        # number of every run's steps
+        chunk_len = max(whole, min(rows, s * max(ratios)) // whole * whole)
+    s = min(chunk_len, s)
     wide = M >= _WIDE_MEMBERS
     kernels = [StepKernel(p, run.cfg, spec) for run in runs]
     # the runs step one after another in this thread, so they share the step
     # scratch, built for a kernel with the nonlinearity on if there is one,
-    # and the segment's noise and squares
+    # the segment's noise and squares and the buffer of the rows it sums
     routed = [k for k in kernels if k.route is not None] or kernels
     variation = any(run.eta0_coeffs is not None for run in runs)
     scratch = _step_scratch(routed[0], M, wide, variation)
     work = _states(M, n, wide, lead=(s,))
-    # a tile of members whose chunk of draws fits in L2; a caller's fine
-    # path is summed a tile at a time, so a mode-major write stays in cache
-    members = max(1, min(M, _TILE_BYTES // (8 * n * chunk_len)))
-    fine = None if increments is None else (increments, members)
+    summed = _states(M, n, wide, lead=(s,)) if whole > 1 else None
     steppers = [
-        _Stepper(run, i, spec, kernel, scratch, work, s, member_offset, fine)
+        _Stepper(run, i, spec, kernel, scratch, work, summed, s, member_offset, fine_dt)
         for i, (run, kernel) in enumerate(zip(runs, kernels))
     ]
 
-    # the group's chunk of standard normals, laid out as the state
+    # the group's chunk of standard normals, laid out as the state, drawn
+    # through a tile of members whose draws fit in L2
     noise = gens = tile = None
-    if spec.sigma > 0 and increments is None:
+    if spec.sigma > 0:
         noise = _states(M, n, wide, lead=(chunk_len,))
         gens = [substream(spec.seed, member_offset + i) for i in range(M)]
+        members = max(1, min(M, _TILE_BYTES // (8 * n * chunk_len)))
         tile = None if M == 1 else np.empty((members, chunk_len, n))
 
     m = 0
@@ -729,25 +736,39 @@ def _run_ensemble_block(
     # overflow shows up as a non-finite energy and is raised as BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
-            chunk = min(chunk_len, max(st.num_steps for st in live) - m)
+            chunk = min(chunk_len, max(st.rows for st in live) - m)
             Z = None
             if gens is not None:
                 Z = noise[:chunk]
                 _draw_chunk(gens, tile, Z)
             for st in live:
                 try:
-                    st.advance(Z, min(chunk, st.num_steps - m))
+                    st.advance(Z, min(chunk, st.rows - m) // st.r)
                 except BlowUpError as error:
                     blown = error  # the runs after it no longer matter
                     break
             m += chunk
             live = [
                 st for st in live
-                if st.num_steps > m and (blown is None or st.index < blown.run)
+                if st.rows > m and (blown is None or st.index < blown.run)
             ]
     if blown is not None:
         raise blown
     return [st.paths() for st in steppers]
+
+
+def _rows_per_step(run: EnsembleRun, fine_dt: float | None) -> int:
+    """Rows of the group's normals a run's step sums: dt / fine_dt, which
+    must be a whole number, and 1 for a Bismut-Elworthy run (ValueError)."""
+    if fine_dt is None:
+        return 1
+    ratio = run.cfg.dt / fine_dt
+    r = round(ratio)
+    if r < 1 or abs(ratio - r) > 1e-9:
+        raise ValueError(f"fine_dt={fine_dt} does not divide dt={run.cfg.dt}")
+    if r > 1 and run.collect_be:
+        raise ValueError("the Bismut-Elworthy sum needs one row per step (fine_dt = dt)")
+    return r
 
 
 def _pairwise_leaves(n: int, start: int = 0, merges: int = 0):
@@ -812,28 +833,32 @@ class _Stepper:
     """One run of a block: its kernel, its segment buffers and its records.
 
     `advance` steps it through rows of the group's standard normals (or
-    its caller's fine path, or no noise), a segment at a time, and `paths`
-    returns what it recorded.
+    no noise), a segment at a time, and `paths` returns what it recorded.
 
     A segment of s steps runs from H[0] through H[1..s]; its energies E
     and running martingale sums X are indexed as H, so row 0 carries the
     segment's start.  The kernel sees (M, n) views of the storage.  work[:s],
     laid out as the states and shared by the block's runs, holds the
-    segment's increments dW = Z sqrt(dt), then in place its injected noise,
-    then the squares of the energy and dissipation sums.  Record r is taken
+    segment's increments dW = Z sqrt(dt) (with fine_dt, the sum in order of
+    r rows Z sqrt(fine_dt) per step, each product written to `summed`
+    first), then in place its injected noise, then the squares of the
+    energy and dissipation sums.  Record r is taken
     at step min(r * record_every, num_steps); each record's trapezoid term
     is folded into the dissipation integral as it comes, so a run that
     keeps no series holds nothing per record.
     """
 
-    def __init__(self, run, index, spec, kernel, scratch, work, s, member_offset, fine):
+    def __init__(self, run, index, spec, kernel, scratch, work, summed, s, member_offset, fine_dt):
         cfg = self.cfg = run.cfg
         basis = self.basis = spec.basis
         M, n = work.shape[1:]
         wide = M >= _WIDE_MEMBERS
         self.index, self.spec, self.member_offset = index, spec, member_offset
-        self.kernel, self.scratch, self.work = kernel, scratch, work
+        self.kernel, self.scratch, self.work, self.summed = kernel, scratch, work, summed
         num_steps = self.num_steps = cfg.num_steps()
+        self.r = _rows_per_step(run, fine_dt)
+        self.rows = self.r * num_steps
+        self.scale = kernel.sqrt_dt if fine_dt is None else np.sqrt(fine_dt)
         R = self.R = _record_count(num_steps, cfg.record_every)
         self.series = run.series
         if run.store_fields and not run.series:
@@ -853,13 +878,6 @@ class _Stepper:
         self.be_row = np.empty((M, n)) if run.collect_be else None
 
         s = self.s = min(s, max(1, num_steps))
-        # a caller's fine path and its tile of members: r increments per step
-        # are summed into the run's own segment buffer, which the BE sum also reads
-        self.fine = self.dW = None
-        if fine is not None:
-            self.fine, self.members = fine
-            self.r = self.fine.shape[1] // num_steps if num_steps else 1
-            self.dW = _states(M, n, wide, lead=(s,))
         H = self.H = _states(M, n, wide, lead=(s + 1,))
         H[0] = run.x0_coeffs
         self.E = np.empty((s + 1, M))
@@ -932,39 +950,27 @@ class _Stepper:
             i += t
             self.integral.filled(j + i)
 
-    def _fine_sums(self, seg: int) -> np.ndarray:
-        """The next seg steps' increments, each the sum of r of the fine path's."""
-        r, m, dW, members = self.r, self.m, self.dW[:seg], self.members
-        for a in range(0, dW.shape[1], members):
-            fine = self.fine[a : a + members, m * r : (m + seg) * r]
-            rows = dW[:, a : a + members].swapaxes(0, 1)
-            if r == 1:  # a copy keeps the sign of a zero
-                rows[...] = fine
-            else:  # the bits of the whole path's reshape(M, steps, r, n).sum(axis=2)
-                np.sum(fine.reshape(len(fine), seg, r, fine.shape[2]), axis=2, out=rows)
-        return dW
-
     def advance(self, Z: np.ndarray | None, steps: int) -> None:
-        """Step `steps` steps on the first rows of Z, the group's standard
-        normals, or on the caller's fine path when Z is None."""
+        """Step `steps` steps on the first r * steps rows of Z, the group's
+        standard normals (None: no noise)."""
         kernel, spec, H, E, X, work = self.kernel, self.spec, self.H, self.E, self.X, self.work
         s, scratch, Eta, be_acc, be_row = self.s, self.scratch, self.Eta, self.be_acc, self.be_row
         R, dt, every = self.R, self.cfg.dt, self.cfg.record_every
         basis, helm, alpha = self.basis, kernel.helm, kernel.p.alpha
+        r, scale = self.r, self.scale
         for c in range(0, steps, s):
             seg = min(s, steps - c)
             dW = None
             if Z is not None:
-                dW = np.multiply(Z[c : c + seg], kernel.sqrt_dt, out=work[:seg])
-            elif self.fine is not None:
-                dW = self._fine_sums(seg)
+                # the bits of (scale * Z).reshape(seg, r, M, n).sum(axis=1)
+                rows = Z[c * r : (c + seg) * r]
+                dW = np.multiply(rows[::r], scale, out=work[:seg])
+                for j in range(1, r):
+                    dW += np.multiply(rows[j::r], scale, out=self.summed[:seg])
             zs = kernel.noise_injected(dW, out=work[:seg])
             for i in range(seg):
-                if be_acc is not None:
-                    if self.fine is None:
-                        np.multiply(Z[c + i], kernel.sqrt_dt, out=be_row)
-                    else:
-                        be_row[...] = dW[i]
+                if be_acc is not None:  # one row per step
+                    np.multiply(Z[c + i], scale, out=be_row)
                     be_acc += np.einsum("mj,mj->m", Eta / spec.q, be_row)
                 if Eta is not None:
                     Eta = kernel.step_variation(H[i], Eta, scratch)

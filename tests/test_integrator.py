@@ -364,40 +364,71 @@ class TestStrongConvergence:
         assert 0.7 <= res.order <= 1.3
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_increments_are_the_block_sums_of_one_fine_path(self, basis1, monkeypatch, wide):
-        # every level is handed the one fine path, sqrt(finest) * xi, and steps
-        # as on its whole-path block sums of r = 4, 2, 1 fine increments, with
-        # chunks of 7 steps and tiles of one member, so that the sums cross
-        # chunk and tile boundaries
-        monkeypatch.setattr(integrator, "_NOISE_CHUNK", 7)
+    @pytest.mark.parametrize(
+        "dts, t_end",
+        [([4e-3, 2e-3, 1e-3], 0.04), ([1.8e-2, 9e-3, 3e-3], 0.09)],
+        ids=["dyadic", "nondyadic"],
+    )
+    def test_increments_are_the_block_sums_of_one_fine_path(
+        self, basis1, monkeypatch, wide, dts, t_end
+    ):
+        # the levels are one group on the finest path, sqrt(finest) * xi of
+        # the substreams, and each steps as on its whole-path block sums of
+        # r = 4, 2, 1 (or 6, 3, 1) fine increments; segments of two steps make
+        # chunks of two coarsest steps and tiles of one member, so that the sums
+        # cross chunk and tile boundaries, and the last chunk is a partial one
+        monkeypatch.setattr(integrator, "_SEGMENT_BYTES", 0)
+        monkeypatch.setattr(integrator, "_SEGMENT_MIN", 2)
         monkeypatch.setattr(integrator, "_TILE_BYTES", 1)
         if wide:
             monkeypatch.setattr(integrator, "_WIDE_MEMBERS", 3)
         monkeypatch.delenv("LANS_THREADS", raising=False)
         p = params()
         spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
-        dts, M, steps_fine, n = [4e-3, 2e-3, 1e-3], 3, 40, 8
-        cfg = IntegratorConfig(dt=1e-3, t_end=0.04)
+        finest, M, n = dts[-1], 3, 8
+        steps_fine = round(t_end / finest)
+        cfg = IntegratorConfig(dt=finest, t_end=t_end)
         x0 = rand_field(basis1, np.random.default_rng(17), scale=0.5)
         seen = []
 
-        def capture(*args, increments, **kwargs):
-            paths = run_ensemble(*args, increments=increments, **kwargs)
-            seen.append((args[3], increments, paths))
-            return paths
+        def capture(*args, fine_dt):
+            groups = run_ensembles(*args, fine_dt=fine_dt)
+            seen.append((args[3], fine_dt, groups))
+            return groups
 
-        monkeypatch.setattr(diagnostics, "run_ensemble", capture)
+        monkeypatch.setattr(diagnostics, "run_ensembles", capture)
         strong_convergence_study(p, spec, cfg, x0, dts, M)
+        [(levels, fine_dt, groups)] = seen
+        assert fine_dt == finest
         xi = np.stack([substream(42, i).standard_normal((steps_fine, n)) for i in range(M)])
-        dW_fine = np.sqrt(1e-3) * xi
-        for (level_cfg, increments, got), r in zip(seen, [4, 2, 1]):
-            assert np.array_equal(increments, dW_fine)
-            assert level_cfg.num_steps() * r == steps_fine
-            coarse = dW_fine.reshape(M, steps_fine // r, r, n).sum(axis=2)
-            want = naive_ensemble(basis1, p, spec, level_cfg, x0.coeffs, M, increments=coarse)
+        for level, got, dt in zip(levels, groups, dts):
+            r = round(dt / finest)
+            assert level.cfg.dt == dt and level.cfg.num_steps() * r == steps_fine
+            coarse = (np.sqrt(fine_dt) * xi).reshape(M, steps_fine // r, r, n).sum(axis=2)
+            want = naive_ensemble(basis1, p, spec, level.cfg, x0.coeffs, M, increments=coarse)
             for name, value in want.items():
                 if value is not None:
                     assert np.array_equal(getattr(got, name), value), (r, name)
+
+    def test_memory_does_not_grow_with_the_horizon(self, basis1, monkeypatch):
+        # the levels read the group's chunk of draws, not a fine path of the
+        # whole horizon: 200 and 800 finest steps peak alike (a whole path
+        # held 7.7 MB more at the longer horizon)
+        monkeypatch.delenv("LANS_THREADS", raising=False)
+        spec, _ = make_noise(1.5, 0.5, basis1, seed=42)
+        x0 = rand_field(basis1, np.random.default_rng(18), scale=0.3)
+        dts = [4e-3, 2e-3, 1e-3, 5e-4]
+
+        def traced_peak(t_end):
+            tracemalloc.start()
+            try:
+                strong_convergence_study(params(), spec, IntegratorConfig(t_end=t_end), x0, dts, 200)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(0.1)  # the caches a first study builds
+        assert abs(traced_peak(0.4) - traced_peak(0.1)) < 1 << 20
 
     def test_blow_up_is_raised(self, basis1):
         p = PhysicalParams(nu=1e-6, alpha=0.0)
@@ -470,14 +501,16 @@ class TestEnsembleMachinery:
             monkeypatch.setenv("LANS_THREADS", threads)
         with pytest.raises(ValueError):
             run_ensemble(np.ones((6, 8)), params(), spec, cfg, 4)
-        with pytest.raises(ValueError, match="increments"):
-            run_ensemble(np.ones(8), params(), spec, cfg, 4, increments=np.zeros((6, 10, 8)))
-        # a fine path must hold a whole number r >= 1 of increments per step
-        for fine_steps in (5, 15):
-            with pytest.raises(ValueError, match="increments"):
-                run_ensemble(
-                    np.ones(8), params(), spec, cfg, 4, increments=np.zeros((4, fine_steps, 8))
-                )
+        # a step must sum a whole number r >= 1 of fine rows
+        run = EnsembleRun(np.ones(8), cfg)
+        for fine_dt in (2e-3, 3e-4, 6.6e-4):
+            with pytest.raises(ValueError, match="does not divide"):
+                run_ensembles(params(), spec, 4, [run], fine_dt=fine_dt)
+        # and the Bismut-Elworthy sum reads one row per step
+        be = EnsembleRun(np.ones(8), cfg, eta0_coeffs=np.ones(8), collect_be=True)
+        with pytest.raises(ValueError, match="Bismut-Elworthy"):
+            run_ensembles(params(), spec, 4, [be], fine_dt=5e-4)
+        run_ensembles(params(), spec, 4, [be], fine_dt=1e-3)
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -627,17 +660,6 @@ class TestStepPlan:
                 assert getattr(got, name).tobytes() == value.tobytes(), name
                 assert getattr(got, name).flags.c_contiguous, name
 
-    @pytest.mark.parametrize("scheme", ["semi_implicit_em", "exponential_em"])
-    def test_caller_increments_are_not_written(self, scheme):
-        basis, spec, cfg, x0, _ = self.case(1, scheme, True)
-        dW = np.sqrt(cfg.dt) * np.random.default_rng(3).standard_normal((3, cfg.num_steps(), 8))
-        before = dW.copy()
-        got = run_ensemble(x0, params(), spec, cfg, 3, increments=dW)
-        assert np.array_equal(dW, before)
-        want = naive_ensemble(basis, params(), spec, cfg, x0, 3, increments=before)
-        assert np.array_equal(got.final_coeffs, want["final_coeffs"])
-        assert np.array_equal(got.martingale, want["martingale"])
-
 
 class TestSegments:
     """The block steps segments of states and does their bookkeeping in
@@ -660,7 +682,7 @@ class TestSegments:
     @pytest.mark.parametrize("threads", [None, "2"])
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("seg", [1, 3, 7])
-    @pytest.mark.parametrize("run", ["plain", "variation", "collect_be", "increments", "fields"])
+    @pytest.mark.parametrize("run", ["plain", "variation", "collect_be", "fine_dt", "fields"])
     def test_segment_and_chunk_boundaries_match_plain_maps(
         self, monkeypatch, seg, wide, threads, run
     ):
@@ -673,14 +695,13 @@ class TestSegments:
         rng = np.random.default_rng(seg)
         x0, h = rng.standard_normal((2, n))
         eta0 = h if run in ("variation", "collect_be") else None
-        fine = coarse = None
-        if run == "increments":  # two fine increments per step
-            fine = np.sqrt(cfg.dt / 2) * rng.standard_normal((M, 2 * steps, n))
-            coarse = fine.reshape(M, steps, 2, n).sum(axis=2)
-        got = run_ensemble(
-            x0, params(), spec, cfg, M, eta0_coeffs=eta0, collect_be=run == "collect_be",
-            store_fields=run == "fields", increments=fine,
-        )
+        fine_dt = coarse = None
+        if run == "fine_dt":  # two rows of the substreams per step
+            fine_dt = cfg.dt / 2
+            xi = np.stack([substream(6, i).standard_normal((2 * steps, n)) for i in range(M)])
+            coarse = (np.sqrt(fine_dt) * xi).reshape(M, steps, 2, n).sum(axis=2)
+        one = EnsembleRun(x0, cfg, eta0, run == "collect_be", store_fields=run == "fields")
+        [got] = run_ensembles(params(), spec, M, [one], fine_dt=fine_dt)
         want = naive_ensemble(
             basis, params(), spec, cfg, x0, M, eta0, run == "collect_be",
             increments=coarse, store_fields=run == "fields",
@@ -691,6 +712,29 @@ class TestSegments:
                 assert getattr(got, name) is None, name
             else:
                 assert np.array_equal(getattr(got, name), value), name
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("dts, t_end", [((32e-3, 1e-3), 0.064), ((4e-3, 3e-3), 0.024)])
+    def test_fine_rows_are_summed_in_order(self, monkeypatch, wide, dts, t_end):
+        # one-step segments give chunks of r_max rows, rounded to a whole
+        # number of every run's steps: 32, and 12 (not 4) for r = 4 and 3
+        self.segments(monkeypatch, 1, wide, None)
+        basis = build_basis(2 * np.pi, 1)
+        spec, _ = make_noise(1.5, 0.8, basis, seed=9)
+        fine_dt, M, n = 1e-3, 4, basis.mode_count
+        x0 = np.random.default_rng(9).standard_normal(n)
+        cfgs = [IntegratorConfig(dt=dt, t_end=t_end, record_every=2) for dt in dts]
+        groups = run_ensembles(
+            params(), spec, M, [EnsembleRun(x0, cfg) for cfg in cfgs], fine_dt=fine_dt
+        )
+        for cfg, got in zip(cfgs, groups):
+            r, steps = round(cfg.dt / fine_dt), cfg.num_steps()
+            xi = np.stack([substream(9, i).standard_normal((r * steps, n)) for i in range(M)])
+            coarse = (np.sqrt(fine_dt) * xi).reshape(M, steps, r, n).sum(axis=2)
+            want = naive_ensemble(basis, params(), spec, cfg, x0, M, increments=coarse)
+            for name, value in want.items():
+                if value is not None:
+                    assert np.array_equal(getattr(got, name), value), (r, name)
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("steps", [0, 1, 2, 7])

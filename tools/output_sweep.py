@@ -35,7 +35,11 @@ thread variables set to 1:
   (more than two leaves of numpy's pairwise sum) and a last record off the
   grid, saved as `base-long-mc-energy`, and again with `M = 520` (a wide
   block), serially and with `LANS_THREADS=2`, saved as
-  `base-long-wide-mc-energy` and `base-long-wide-mc-energy-threads2`.
+  `base-long-wide-mc-energy` and `base-long-wide-mc-energy-threads2`;
+- `convergence` on `configs/base.cfg` with the step sizes 1.8e-2, 9e-3
+  and 3e-3 and `t_end = 0.036` appended (NONDYADIC_KEYS), serially and
+  with `LANS_THREADS=2`, saved as `base-nondyadic-convergence` and
+  `base-nondyadic-convergence-threads2`.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
@@ -78,6 +82,9 @@ WIDE_KEYS = "cutoff = 5\nM = 512\nt_end = 0.02\nt = 0.02\n"  # M >= integrator._
 WIDE_SUBCOMMANDS = ("mc-energy", "be")
 # records every 3 of 800 (and 1600) steps, the last one off the grid
 LONG_KEYS = "t_end = 0.8\nrecord_every = 3\n"
+# step sizes whose ratios to the finest, 6, 3 and 1, are not powers of two,
+# where sqrt(finest) and sqrt(dt / r) scale the fine rows to different bits
+NONDYADIC_KEYS = "dts = 1.8e-2 9e-3 3e-3\nt_end = 0.036\n"
 
 
 def _env(threads: int) -> dict[str, str]:
@@ -135,6 +142,10 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
     long_wide.write_text(f"{base}\n{LONG_KEYS}M = 520\n")
     runs.append(("base-long-wide-mc-energy", "mc-energy", long_wide, 1))
     runs.append(("base-long-wide-mc-energy-threads2", "mc-energy", long_wide, 2))
+    nondyadic = scratch / "base-nondyadic.cfg"
+    nondyadic.write_text(f"{base}\n{NONDYADIC_KEYS}")
+    runs.append(("base-nondyadic-convergence", "convergence", nondyadic, 1))
+    runs.append(("base-nondyadic-convergence-threads2", "convergence", nondyadic, 2))
     return runs
 
 
