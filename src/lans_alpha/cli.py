@@ -349,7 +349,7 @@ def _cmd_variation(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport)
 def _cmd_be(cfg: SimConfig, spec: NoiseSpec, report: AdmissibilityReport):
     x0 = cfg.initial_state(spec.basis)
     h = SpectralField.unit(spec.basis, cfg.h_mode)
-    fd_delta = cfg.delta_fd if cfg.delta_fd > 0 else None
+    fd_delta = cfg.delta_fd if cfg.delta_fd != 0 else None
     est = dg.bismut_elworthy(
         cfg.observable_spec(), x0, h, cfg.t, cfg.M, cfg.params(), spec, cfg.integrator(),
         fd_delta=fd_delta,

@@ -86,8 +86,9 @@ once per segment:
                out as the state, dW = Z sqrt(dt) (on fine_dt, r rows
                Z sqrt(fine_dt) added in order), then noise_injected turns
                them into the injected noise in place.  Only the first
-               variation and the Bismut-Elworthy sum, which a step reads,
-               stay per step; the BE sum scales its row of Z the same way.
+               variation, which the step at the same state follows, stays
+               in the step loop: its rows Eta, indexed as H, each
+               step_variation(H[i], Eta[i]) before step(H[i]).
   reductions   then, over the segment's (s, M) arrays at once: the
                energies of H[1..s] (np.square, np.multiply and a sum into
                preallocated buffers, the bits of np.sum(w * c**2, -1) over
@@ -97,15 +98,17 @@ once per segment:
                energy (its step and lowest member, as a step-by-step check
                finds them), the martingale as one three-operand einsum
                and np.cumsum (a sequential running sum, as adding step by
-               step), and the recorded steps' F, martingale, dissipation
+               step), the Bismut-Elworthy sum likewise (an einsum per row
+               of Eta), and the recorded steps' F, martingale, dissipation
                and states, read as strided rows.  Each record's trapezoid
                term (d (D[r + 1] + D[r])) / 2.0 goes into a leaf of at
                most 128 rows per run and each full leaf into numpy's
                pairwise tree (_PairwiseFold), so dissipation_integral has
                the bits of np.trapezoid over the whole series and a run
                that only feeds a report (series=False) keeps its first
-               and last record and nothing per record.  H[s] carries over
-               to H[0].
+               and last record and nothing per record.  Row s of H, E, X,
+               Eta and B carries over to row 0, from which a run's final
+               state, first variation and BE sum are read.
 
 A wide block (M >= _WIDE_MEMBERS) holds the states, each step's noise
 slice and the squares mode-major, each (M, n) slice as C-contiguous (n, M)
@@ -129,8 +132,9 @@ order (operators._pairwise_rows):
   martingale   the three-operand einsum adds over the modes in sequence in
                either layout;
   BE sum       the two-operand einsum does not, so it is handed
-               C-contiguous rows: the first variation is held as (M, n)
-               in every block, and dW[i] is written to an (M, n) row.
+               C-contiguous rows in every block: the first variation's
+               rows Eta[i] are C-contiguous (M, n), and each step's dW is
+               written to one C-contiguous (M, n) row, be_row.
 
 The stepping path still calls the names the benchmark's tracer patches
 (nonlinear_coeffs, linearized_nonlinear_coeffs, alpha_energy,
@@ -454,9 +458,9 @@ def integrate(
     bit for bit.  x0 must lie on spec.basis (ValueError otherwise).  Raises
     BlowUpError with the first bad time if the energy stops being finite.
     """
-    return _run_ensemble_block(
-        _coeffs_on(x0, spec), p, spec, cfg, 1, member_offset=member, store_fields=store_fields
-    )[0]
+    x0_coeffs = _coeffs_on(x0, spec)
+    run = EnsembleRun(x0_coeffs, cfg, store_fields=store_fields)
+    return _run_ensemble_block(x0_coeffs, p, spec, cfg, 1, [run], member_offset=member)[0]
 
 
 def _coeffs_on(x: SpectralField, spec: NoiseSpec) -> np.ndarray:
@@ -580,11 +584,9 @@ def run_ensembles(
     ]
 
     def run_block(a: int, b: int) -> list[EnsemblePaths]:
-        first, *others = [run._replace(x0_coeffs=run.x0_coeffs[a:b]) for run in runs]
+        block = [run._replace(x0_coeffs=run.x0_coeffs[a:b]) for run in runs]
         return _run_ensemble_block(
-            first.x0_coeffs, p, spec, first.cfg, b - a,
-            eta0_coeffs=first.eta0_coeffs, collect_be=first.collect_be,
-            store_fields=first.store_fields, series=first.series, others=others, member_offset=a,
+            block[0].x0_coeffs, p, spec, block[0].cfg, b - a, block, member_offset=a,
             fine_dt=fine_dt,
         )
 
@@ -676,23 +678,19 @@ def _run_ensemble_block(
     spec: NoiseSpec,
     cfg: IntegratorConfig,
     M: int,
+    runs: Sequence[EnsembleRun],
     *,
-    eta0_coeffs: np.ndarray | None = None,
-    collect_be: bool = False,
-    store_fields: bool = False,
-    series: bool = True,
-    others: Sequence[EnsembleRun] = (),
     member_offset: int = 0,
     fine_dt: float | None = None,
 ) -> list[EnsemblePaths]:
-    """The EnsemblePaths of the run (x0_coeffs, cfg, eta0_coeffs,
-    collect_be, store_fields, series) and of the runs in `others`, on members
-    member_offset.. member_offset + M - 1, stepped in lockstep: each chunk of
-    standard normals is drawn once and handed to every run that has not
-    reached its horizon, the first rows to a run that needs fewer.  With
-    fine_dt a run takes r = dt / fine_dt rows per step (_rows_per_step).
-    Raises the BlowUpError of the first run, in order, that blows up."""
-    runs = [EnsembleRun(x0_coeffs, cfg, eta0_coeffs, collect_be, store_fields, series), *others]
+    """The EnsemblePaths of the group `runs` on members member_offset..
+    member_offset + M - 1, stepped in lockstep: each chunk of standard
+    normals is drawn once and handed to every run that has not reached its
+    horizon, the first rows to a run that needs fewer.  With fine_dt a run
+    takes r = dt / fine_dt rows per step (_rows_per_step).  Raises the
+    BlowUpError of the first run, in order, that blows up.  x0_coeffs and
+    cfg are runs[0]'s, in front for the benchmark's tracer, which reads
+    spec, cfg and M by position."""
     n = spec.basis.mode_count
     ratios = [_rows_per_step(run, fine_dt) for run in runs]
     rows = max(r * run.cfg.num_steps() for r, run in zip(ratios, runs))
@@ -835,17 +833,18 @@ class _Stepper:
     `advance` steps it through rows of the group's standard normals (or
     no noise), a segment at a time, and `paths` returns what it recorded.
 
-    A segment of s steps runs from H[0] through H[1..s]; its energies E
-    and running martingale sums X are indexed as H, so row 0 carries the
-    segment's start.  The kernel sees (M, n) views of the storage.  work[:s],
-    laid out as the states and shared by the block's runs, holds the
-    segment's increments dW = Z sqrt(dt) (with fine_dt, the sum in order of
-    r rows Z sqrt(fine_dt) per step, each product written to `summed`
-    first), then in place its injected noise, then the squares of the
-    energy and dissipation sums.  Record r is taken
-    at step min(r * record_every, num_steps); each record's trapezoid term
-    is folded into the dissipation integral as it comes, so a run that
-    keeps no series holds nothing per record.
+    A segment of s steps runs from H[0] through H[1..s]; its energies E,
+    running martingale sums X and, for a run that carries them, first
+    variations Eta and running Bismut-Elworthy sums B are indexed as H, so
+    row 0 carries the segment's start.  The kernel sees (M, n) views of
+    the storage.  work[:s], laid out as the states and shared by the
+    block's runs, holds the segment's increments dW = Z sqrt(dt) (with
+    fine_dt, the sum in order of r rows Z sqrt(fine_dt) per step, each
+    product written to `summed` first), then in place its injected noise,
+    then the squares of the energy and dissipation sums.  Record r is
+    taken at step min(r * record_every, num_steps); each record's
+    trapezoid term is folded into the dissipation integral as it comes, so
+    a run that keeps no series holds nothing per record.
     """
 
     def __init__(self, run, index, spec, kernel, scratch, work, summed, s, member_offset, fine_dt):
@@ -863,21 +862,21 @@ class _Stepper:
         self.series = run.series
         if run.store_fields and not run.series:
             raise ValueError("store_fields needs the record series (series=True)")
-
-        # the first variation stays C-contiguous (M, n) in every block:
-        # step_variation returns fresh C-contiguous arrays
-        self.Eta = None
-        if run.eta0_coeffs is not None:
-            self.Eta = np.empty((M, n))
-            self.Eta[...] = np.asarray(run.eta0_coeffs, dtype=np.float64)
-        if run.collect_be and (spec.sigma <= 0 or self.Eta is None):
+        if run.collect_be and (spec.sigma <= 0 or run.eta0_coeffs is None):
             raise ValueError("Bismut-Elworthy accumulation requires sigma > 0 and eta0_coeffs")
-        self.be_acc = np.zeros(M) if run.collect_be else None
-        # a two-operand einsum sums in an order that depends on the layout,
-        # so the BE sum reads each step's dW from C-contiguous rows
-        self.be_row = np.empty((M, n)) if run.collect_be else None
 
         s = self.s = min(s, max(1, num_steps))
+        # the first variation's rows stay C-contiguous (M, n) in every block:
+        # step_variation returns C-contiguous arrays, and a two-operand
+        # einsum sums in an order that depends on the layout, so the BE sum
+        # also reads each step's dW from a C-contiguous row
+        self.Eta = self.B = self.be_row = None
+        if run.eta0_coeffs is not None:
+            self.Eta = np.empty((s + 1, M, n))
+            self.Eta[0] = run.eta0_coeffs
+        if run.collect_be:
+            self.B = np.zeros((s + 1, M))
+            self.be_row = np.empty((M, n))
         H = self.H = _states(M, n, wide, lead=(s + 1,))
         H[0] = run.x0_coeffs
         self.E = np.empty((s + 1, M))
@@ -900,7 +899,6 @@ class _Stepper:
             martingale=np.empty((M, len(kept))),
             sup_F=self.sup_F,
             final_coeffs=None,  # the last state, when the run ends
-            be_accumulator=self.be_acc,
             snapshots=np.empty((M, R, n)) if run.store_fields else None,
         )
         self.m = self.r_rec = 0
@@ -954,7 +952,7 @@ class _Stepper:
         """Step `steps` steps on the first r * steps rows of Z, the group's
         standard normals (None: no noise)."""
         kernel, spec, H, E, X, work = self.kernel, self.spec, self.H, self.E, self.X, self.work
-        s, scratch, Eta, be_acc, be_row = self.s, self.scratch, self.Eta, self.be_acc, self.be_row
+        s, scratch, Eta, B, be_row = self.s, self.scratch, self.Eta, self.B, self.be_row
         R, dt, every = self.R, self.cfg.dt, self.cfg.record_every
         basis, helm, alpha = self.basis, kernel.helm, kernel.p.alpha
         r, scale = self.r, self.scale
@@ -969,11 +967,8 @@ class _Stepper:
                     dW += np.multiply(rows[j::r], scale, out=self.summed[:seg])
             zs = kernel.noise_injected(dW, out=work[:seg])
             for i in range(seg):
-                if be_acc is not None:  # one row per step
-                    np.multiply(Z[c + i], scale, out=be_row)
-                    be_acc += np.einsum("mj,mj->m", Eta / spec.q, be_row)
                 if Eta is not None:
-                    Eta = kernel.step_variation(H[i], Eta, scratch)
+                    Eta[i + 1] = kernel.step_variation(H[i], Eta[i], scratch)
                 kernel.step(H[i], None if zs is None else zs[i], H[i + 1], scratch)
 
             # the segment's bookkeeping, each call with the bits of its per-step form;
@@ -983,6 +978,12 @@ class _Stepper:
                 # a sequential running sum, as mart += <helm H[i], zeta_i> step by step
                 np.einsum("j,imj,imj->im", helm, H[:seg], zs, out=X[1 : seg + 1])
                 np.cumsum(X[: seg + 1], axis=0, out=X[: seg + 1])
+            if B is not None:
+                # likewise be += <Q^{-1} Eta[i], dW_i>, on one row per step
+                for i in range(seg):
+                    np.multiply(rows[i], scale, out=be_row)
+                    B[i + 1] = np.einsum("mj,mj->m", Eta[i] / spec.q, be_row)
+                np.cumsum(B[: seg + 1], axis=0, out=B[: seg + 1])
             alpha_energy(
                 H[1 : seg + 1], basis, alpha, weight=helm, out=E[1 : seg + 1], work=work[:seg]
             )
@@ -1001,13 +1002,16 @@ class _Stepper:
             while self.r_rec < R and (at := min(self.r_rec * every, self.num_steps)) <= m + seg:
                 self._record(slice(at - m, seg + 1, every))
             self.m = m + seg
-            H[0] = H[seg]
-            E[0] = E[seg]
-            X[0] = X[seg]
-        self.Eta = Eta
+            for carried in (H, E, X, Eta, B):
+                if carried is not None:
+                    carried[0] = carried[seg]
 
     def paths(self) -> EnsemblePaths:
         self.out.final_coeffs = self.H[0].copy()
-        self.out.eta_final = self.Eta
+        if self.Eta is not None:
+            self.out.eta_final = self.Eta[0].copy()
+        if self.B is not None:
+            self.out.be_accumulator = self.B[0].copy()
         self.out.dissipation_integral = self.integral.total()
+        self.H = self.Eta = None  # so the group's next run copies its rows in their room
         return self.out

@@ -199,6 +199,22 @@ class TestRun:
         assert run("be", cfg, str(out)) == 0
         assert out.read_text().splitlines()[0].startswith("observable,t,value")
 
+    def test_be_negative_offset_runs_the_reference(self, tmp_path):
+        # only 0 disables the finite-difference reference; -delta runs the
+        # same pair of starts in the other order, so the CSV is the same
+        csvs = []
+        for delta in ("1e-3", "-1e-3"):
+            cfg = happy(
+                cutoff=1, sigma=2.0, M=200, t=0.05, observable="linear", obs_mode=0,
+                h_mode=0, delta_fd=delta, x0="iso 0.5",
+            )
+            out = tmp_path / f"be{delta}.csv"
+            run("be", cfg, str(out))
+            csvs.append(out.read_bytes())
+        header, row = csvs[0].decode().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["fd_reference"] != ""
+        assert csvs[1] == csvs[0]
+
     def test_inadmissible_eps_exp_is_config_error(self, tmp_path):
         cfg = happy(cutoff=1, eps_exp=5.0, M=10, t_end=0.1)
         assert run("mc-expmoments", cfg, str(tmp_path / "e.csv")) == 2

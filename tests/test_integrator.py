@@ -1022,7 +1022,9 @@ def test_recorded_start_energy_is_alpha_energy(monkeypatch, cutoff, wide, shared
         assert paths.F[i, 0].tobytes() == alpha_energy(start, basis, p.alpha).tobytes()
 
 
-@pytest.mark.parametrize("case", ["steps_bound", "bytes_bound", "collect_be", "report"])
+@pytest.mark.parametrize(
+    "case", ["steps_bound", "bytes_bound", "variation", "collect_be", "report"]
+)
 def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     # a wide block allocates its buffers once: the peak of traced memory is
     # the noise chunk, sized by the block's own chunk rule, the records,
@@ -1038,7 +1040,9 @@ def test_working_memory_is_the_declared_buffers(monkeypatch, case):
     M, n = 2000, basis.mode_count
     assert M >= integrator._WIDE_MEMBERS
     x0 = SpectralField.unit(basis, 0).coeffs
-    be = dict(eta0_coeffs=x0, collect_be=True) if case == "collect_be" else {}
+    be = {}
+    if case in ("variation", "collect_be"):
+        be = dict(eta0_coeffs=x0, collect_be=case == "collect_be")
     run_ensemble(x0, params(), spec, cfg, 2, **be)  # build the cached tables first
 
     def traced_peak(cfg):
@@ -1060,7 +1064,7 @@ def test_working_memory_is_the_declared_buffers(monkeypatch, case):
         # one chunk of increments in every case
         steps = cfg.num_steps()
         chunk = integrator._chunk_len(steps, M, n)
-        assert chunk == (steps if case in ("steps_bound", "collect_be") else 12)
+        assert chunk == (steps if case in ("steps_bound", "variation", "collect_be") else 12)
         seg = min(chunk, integrator._segment_len(M, n))
         noise = chunk * n * M
         records = 3 * M * (2 if case == "report" else steps + 1)
@@ -1074,9 +1078,13 @@ def test_working_memory_is_the_declared_buffers(monkeypatch, case):
         # the leaf of the integral's trapezoid terms, one per step here
         workspace += min(steps, 128) * M
         if be:
-            # the first variation's state, the narrow triad route's gathers and
-            # products (its successor among them) and the BE sums
-            workspace += n * M + 3 * triads * M + M
+            # the first variation's rows, indexed as the segment's states, and
+            # the narrow triad route's gathers and products (its successor
+            # among them)
+            workspace += (seg + 1) * n * M + 3 * triads * M
+        if case == "collect_be":
+            # the BE sums' rows, indexed as the states
+            workspace += (seg + 1) * M
         return 8 * (noise + records + workspace) + substreams
 
     peak, substreams = traced_peak(cfg)

@@ -39,7 +39,12 @@ thread variables set to 1:
 - `convergence` on `configs/base.cfg` with the step sizes 1.8e-2, 9e-3
   and 3e-3 and `t_end = 0.036` appended (NONDYADIC_KEYS), serially and
   with `LANS_THREADS=2`, saved as `base-nondyadic-convergence` and
-  `base-nondyadic-convergence-threads2`.
+  `base-nondyadic-convergence-threads2`;
+- `be` on `configs/base.cfg` with `M = 520` appended: one wide block on
+  the triad route with the nonlinearity on, which `be.cfg` (nonlinearity
+  off) and `base-c5-wide` (pseudo-spectral route) do not cover, serially
+  and with `LANS_THREADS=2`, saved as `base-wide-be` and
+  `base-wide-be-threads2`.
 
 For each run OUTDIR gets `<run>.csv` (when the run writes one),
 `<run>.snap` (when it saves a snapshot), `<run>.stdout`, `<run>.stderr`
@@ -146,6 +151,10 @@ def _runs(scratch: Path) -> list[tuple[str, str, Path, int]]:
     nondyadic.write_text(f"{base}\n{NONDYADIC_KEYS}")
     runs.append(("base-nondyadic-convergence", "convergence", nondyadic, 1))
     runs.append(("base-nondyadic-convergence-threads2", "convergence", nondyadic, 2))
+    wide_be = scratch / "base-wide.cfg"
+    wide_be.write_text(f"{base}\nM = 520\n")
+    runs.append(("base-wide-be", "be", wide_be, 1))
+    runs.append(("base-wide-be-threads2", "be", wide_be, 2))
     return runs
 
 
